@@ -5,9 +5,7 @@
 #include <mutex>
 #include <optional>
 
-#include "common/clock.h"
 #include "common/macros.h"
-#include "obs/histogram.h"
 
 namespace lakeharbor {
 
@@ -27,42 +25,32 @@ namespace lakeharbor {
 /// notify would let that destruction race the producer still inside the
 /// notify call. Under the lock, the consumer cannot re-acquire the mutex
 /// (and therefore cannot reach the destructor) until the notifier has left.
-///
-/// When constructed with a dwell histogram, every element is stamped at
-/// enqueue and its queue dwell (push -> pop, microseconds) is recorded at
-/// dequeue — the observability subsystem's queue-dwell metric. Without one,
-/// no clocks are read.
 template <typename T>
 class MpmcQueue {
  public:
-  /// capacity == 0 means unbounded. `dwell` (optional) must outlive the
-  /// queue; it receives one sample per element popped.
-  explicit MpmcQueue(size_t capacity = 0,
-                     obs::LatencyHistogram* dwell = nullptr)
-      : capacity_(capacity), dwell_(dwell) {}
+  /// capacity == 0 means unbounded.
+  explicit MpmcQueue(size_t capacity = 0) : capacity_(capacity) {}
   LH_DISALLOW_COPY_AND_ASSIGN(MpmcQueue);
 
   /// Blocks while the queue is full (bounded mode). Returns false when the
   /// queue was closed and the element was dropped.
   bool Push(T value) {
-    const int64_t enq_us = dwell_ != nullptr ? NowMicros() : 0;
     std::unique_lock<std::mutex> lock(mutex_);
     not_full_.wait(lock, [&] {
       return closed_ || capacity_ == 0 || items_.size() < capacity_;
     });
     if (closed_) return false;
-    items_.push_back(Entry{std::move(value), enq_us});
+    items_.push_back(std::move(value));
     not_empty_.notify_one();
     return true;
   }
 
   /// Non-blocking push; returns false when full or closed.
   bool TryPush(T value) {
-    const int64_t enq_us = dwell_ != nullptr ? NowMicros() : 0;
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) return false;
     if (capacity_ != 0 && items_.size() >= capacity_) return false;
-    items_.push_back(Entry{std::move(value), enq_us});
+    items_.push_back(std::move(value));
     not_empty_.notify_one();
     return true;
   }
@@ -72,24 +60,20 @@ class MpmcQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    Entry entry = std::move(items_.front());
+    T value = std::move(items_.front());
     items_.pop_front();
     not_full_.notify_one();
-    lock.unlock();
-    RecordDwell(entry.enq_us);
-    return std::move(entry.value);
+    return value;
   }
 
   /// Non-blocking pop.
   std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (items_.empty()) return std::nullopt;
-    Entry entry = std::move(items_.front());
+    T value = std::move(items_.front());
     items_.pop_front();
     not_full_.notify_one();
-    lock.unlock();
-    RecordDwell(entry.enq_us);
-    return std::move(entry.value);
+    return value;
   }
 
   /// Closes the queue: consumers drain what is left, producers are rejected.
@@ -113,23 +97,11 @@ class MpmcQueue {
   bool empty() const { return size() == 0; }
 
  private:
-  struct Entry {
-    T value;
-    int64_t enq_us;  ///< NowMicros() at push; 0 when dwell is untracked
-  };
-
-  void RecordDwell(int64_t enq_us) {
-    if (dwell_ == nullptr || enq_us == 0) return;
-    const int64_t dwell = NowMicros() - enq_us;
-    dwell_->Record(dwell > 0 ? static_cast<uint64_t>(dwell) : 0);
-  }
-
   const size_t capacity_;
-  obs::LatencyHistogram* const dwell_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<Entry> items_;
+  std::deque<T> items_;
   bool closed_ = false;
 };
 

@@ -14,15 +14,9 @@ namespace lakeharbor {
 /// SMPE parallelism knob (paper default: 1000).
 ///
 /// Tasks must not throw. Submit after Shutdown is rejected (returns false).
-///
-/// `dwell` (optional, must outlive the pool) receives the submit->dispatch
-/// dwell of every task in microseconds — how long work sat in the pool's
-/// queue before a worker picked it up.
 class ThreadPool {
  public:
-  explicit ThreadPool(size_t num_threads,
-                      obs::LatencyHistogram* dwell = nullptr)
-      : queue_(0, dwell) {
+  explicit ThreadPool(size_t num_threads) {
     LH_CHECK(num_threads > 0);
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i) {

@@ -56,6 +56,15 @@ void RecordBackoffSpan(obs::TraceRecorder* trace, size_t stage,
   if (interrupted) span.AddAttr("interrupted", 1);
   trace->Record(std::move(span));
 }
+
+/// The one-item local slot of the async worker running on this thread; null
+/// on every other thread. `owner` keeps a thunk that reaches another
+/// executor (a scheduler callback submitting there) off this worker.
+struct LocalSlot {
+  const AsyncExecutor* owner = nullptr;
+  std::function<void()> thunk;
+};
+thread_local LocalSlot* tls_local_slot = nullptr;
 }  // namespace
 
 /// All state of one submission. shared_ptr-owned: task thunks, suspended
@@ -152,7 +161,7 @@ class AsyncExecutor::Runtime final : public AsyncRuntime {
 };
 
 AsyncExecutor::AsyncExecutor(sim::Cluster* cluster, SmpeOptions options)
-    : cluster_(cluster), options_(options), ready_(0, &pool_dwell_) {
+    : cluster_(cluster), options_(options) {
   LH_CHECK(cluster_ != nullptr);
   if (options_.cache.enabled) {
     cache_ = std::make_unique<RecordCache>(options_.cache);
@@ -178,10 +187,25 @@ AsyncExecutor::~AsyncExecutor() {
   for (auto& worker : workers_) worker.join();
 }
 
+bool AsyncExecutor::Handoff(std::function<void()> thunk) {
+  LocalSlot* slot = tls_local_slot;
+  if (slot != nullptr && slot->owner == this && !slot->thunk) {
+    slot->thunk = std::move(thunk);
+    return true;
+  }
+  return ready_.Push(std::move(thunk));
+}
+
 void AsyncExecutor::WorkerLoop() {
+  LocalSlot slot{this, nullptr};
+  tls_local_slot = &slot;
   while (auto fn = ready_.Pop()) {
     (*fn)();
+    // The slot is drained only after the thunk that filled it returned, so
+    // a continuation never runs inside the device call that completed it.
+    while (slot.thunk) std::exchange(slot.thunk, nullptr)();
   }
+  tls_local_slot = nullptr;
 }
 
 void AsyncExecutor::RunTaskAsync(const std::shared_ptr<RunState>& run,
@@ -507,10 +531,9 @@ void AsyncExecutor::Dispatch(const std::shared_ptr<RunState>& run,
     }
     return;
   }
-  bool pushed =
-      ready_.Push([this, run, dest, t = std::move(task)]() mutable {
-        RunTaskAsync(run, dest, std::move(t));
-      });
+  bool pushed = Handoff([this, run, dest, t = std::move(task)]() mutable {
+    RunTaskAsync(run, dest, std::move(t));
+  });
   if (!pushed) {
     run->inflight.Done();  // executor shutting down under a live run
   }
@@ -590,11 +613,12 @@ void AsyncExecutor::Submit(const Job& job, const ResultSink& sink,
   run->cqs.reserve(run->num_nodes);
   for (uint32_t n = 0; n < run->num_nodes; ++n) {
     auto cq = std::make_unique<sim::CompletionQueue>();
-    // Listener mode: completions (from the device timer thread, or inline
-    // on a submitting worker) are handed to the pool as thunks — never run
-    // in place, so the device stack never re-enters itself.
+    // Listener mode: completions are handed off as thunks, never run in
+    // place, so the device stack never re-enters itself. One delivered
+    // inline on a submitting worker lands in its local slot; one from the
+    // device timer thread goes to the shared queue.
     cq->SetListener([this](const sim::Completion& c) {
-      ready_.Push([c]() { sim::DeliverCallbackTag(c); });
+      Handoff([c]() { sim::DeliverCallbackTag(c); });
     });
     run->cqs.push_back(std::move(cq));
   }

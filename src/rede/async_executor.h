@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -28,6 +29,15 @@ namespace lakeharbor::rede {
 /// cost model: the async submission paths charge bit-identically to the
 /// blocking ones, so checksums, counters, and profiles match the threaded
 /// engine exactly.
+///
+/// Hand-off: each worker owns a one-item local slot that it drains after
+/// the current thunk returns. The slot takes a completion the device
+/// delivered inline during that worker's own submission, and the first task
+/// the worker dispatches while the slot is empty; everything else (timer
+/// thread completions, further children, submissions from outside a
+/// worker) goes through the shared ready queue. Nothing runs in place, so
+/// the device stack is never re-entered and the timer thread never runs a
+/// continuation.
 ///
 /// Semantics preserved from the threaded engine, per task:
 ///   - retry with jittered exponential backoff (the backoff is a timer, not
@@ -72,10 +82,6 @@ class AsyncExecutor final : public Executor {
   /// The executor's record cache, or nullptr when caching is disabled.
   RecordCache* record_cache() const { return cache_.get(); }
 
-  /// Dwell distribution of the shared ready queue (continuation handoff
-  /// latency), accumulated across every run of this executor.
-  const obs::LatencyHistogram& pool_dwell_us() const { return pool_dwell_; }
-
  private:
   /// Same fine-grained unit of work as the threaded engine.
   struct Task {
@@ -106,15 +112,19 @@ class AsyncExecutor final : public Executor {
   void FinalizeRun(const std::shared_ptr<RunState>& run);
   /// Single-threaded seeded drain of task AND completion sources.
   void RunDeterministic(const std::shared_ptr<RunState>& run);
+  /// Hands a thunk to a worker: into the calling worker's empty local slot
+  /// when called on one of this executor's workers, else onto ready_.
+  /// Returns false when the executor is shutting down.
+  bool Handoff(std::function<void()> thunk);
   void WorkerLoop();
 
   std::string name_ = "rede-async";
   sim::Cluster* cluster_;
   SmpeOptions options_;
   std::unique_ptr<RecordCache> cache_;  // nullptr unless cache.enabled
-  obs::LatencyHistogram pool_dwell_;    // must outlive ready_
-  /// Executor-wide ready queue: task thunks and delivered completions, all
-  /// drained by the shared worker pool. Closed (only) at destruction.
+  /// Executor-wide ready queue: task thunks and delivered completions that
+  /// did not fit a worker's local slot (see Handoff), drained by the shared
+  /// worker pool. Closed (only) at destruction.
   MpmcQueue<std::function<void()>> ready_;
   /// Executor-owned timers for retry backoffs, hedge deadlines, and run
   /// watchdogs. Declared after ready_ so it is destroyed FIRST: a late

@@ -110,8 +110,7 @@ SmpeExecutor::SmpeExecutor(sim::Cluster* cluster, SmpeOptions options)
 std::vector<ThreadPool*> SmpeExecutor::SnapshotPools(uint32_t num_nodes) {
   std::lock_guard<std::mutex> lock(pools_mutex_);
   while (pools_.size() < num_nodes) {
-    pools_.push_back(std::make_unique<ThreadPool>(options_.threads_per_node,
-                                                  &pool_dwell_));
+    pools_.push_back(std::make_unique<ThreadPool>(options_.threads_per_node));
   }
   std::vector<ThreadPool*> snapshot(num_nodes);
   for (uint32_t n = 0; n < num_nodes; ++n) snapshot[n] = pools_[n].get();

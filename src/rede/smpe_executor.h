@@ -141,10 +141,6 @@ class SmpeExecutor final : public Executor {
   /// The executor's record cache, or nullptr when caching is disabled.
   RecordCache* record_cache() const { return cache_.get(); }
 
-  /// Dwell distribution of the per-node thread-pool queues, accumulated
-  /// across every run of this executor (the pools outlive runs).
-  const obs::LatencyHistogram& pool_dwell_us() const { return pool_dwell_; }
-
  private:
   /// A fine-grained unit of work: one tuple normally, or a coalesced batch
   /// of same-partition keyed tuples when batching is enabled.
@@ -174,7 +170,6 @@ class SmpeExecutor final : public Executor {
   std::string name_ = "rede-smpe";
   sim::Cluster* cluster_;
   SmpeOptions options_;
-  obs::LatencyHistogram pool_dwell_;  // must outlive pools_
   /// One pool per node; guarded by pools_mutex_ for elastic growth.
   mutable std::mutex pools_mutex_;
   mutable std::vector<std::unique_ptr<ThreadPool>> pools_;

@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "claims/generator.h"
@@ -24,10 +25,12 @@
 #include "common/string_util.h"
 #include "io/key_codec.h"
 #include "io/placement.h"
+#include "obs/profile.h"
 #include "rede/async_executor.h"
 #include "rede/builtin_derefs.h"
 #include "rede/builtin_refs.h"
 #include "rede/engine.h"
+#include "rede/record_cache.h"
 #include "rede/smpe_executor.h"
 #include "sim/cluster.h"
 #include "tpch/generator.h"
@@ -73,13 +76,48 @@ StatusOr<std::vector<Tuple>> Collect(Executor& executor, const Job& job,
   return sink.TakeTuples();
 }
 
+/// Zero tasks in flight at the end of a traced async run. Execute returns
+/// only once the run's in-flight count reached zero; on top of that, every
+/// task a worker started also finished (one queue-wait span per started
+/// task, one work span per finished one; inline referencers have neither),
+/// none was dropped, and no cache admission outlived its frame.
+void ExpectNothingInFlight(const JobResult& result, const RecordCache* cache) {
+  ASSERT_NE(result.trace, nullptr);
+  size_t started = 0;
+  size_t finished = 0;
+  for (const obs::Span& span : result.trace->spans) {
+    switch (span.kind) {
+      case obs::SpanKind::kQueueWait:
+        ++started;
+        break;
+      case obs::SpanKind::kDereference:
+      case obs::SpanKind::kDerefBatch:
+        ++finished;
+        break;
+      case obs::SpanKind::kReferencer:
+        if (span.AttrOr("inline", 0) == 0) ++finished;
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_GT(started, 0u);
+  EXPECT_EQ(started, finished);
+  EXPECT_EQ(result.metrics.tasks_dropped_on_failure, 0u);
+  if (cache != nullptr) {
+    EXPECT_EQ(cache->inflight(), 0u);
+  }
+}
+
 // --------------------------------------------- workload checksum parity
 
 /// Real workloads (TPC-H Q5', the claims queries, primary-key lookups) run
 /// through BOTH engines against the same lake; the async engine must return
-/// bit-identical answers and the same DAG counters.
+/// bit-identical answers and the same DAG counters. Device timing starts
+/// off; a test may flip it on, at time scale 0.05.
 struct WorkloadParity : ::testing::Test {
-  WorkloadParity() : cluster(sim::ClusterOptions::ForNodes(4)) {
+  WorkloadParity()
+      : cluster(sim::ClusterOptions::ForNodes(4).EnableTiming(false, 0.05)) {
     engine = std::make_unique<Engine>(&cluster, EngineOptions{});
     tpch::TpchConfig tpch_config;
     tpch_config.scale_factor = 0.002;
@@ -94,6 +132,85 @@ struct WorkloadParity : ::testing::Test {
     LH_CHECK(claims::LoadRawClaims(*engine, claims_data).ok());
   }
 
+  /// Runs `job` on both engines into `threaded_out` / `async_out`. The
+  /// async run must match the threaded run's DAG counters, reconcile its
+  /// profile and end with nothing in flight.
+  static void RunBoth(SmpeExecutor& threaded, AsyncExecutor& async,
+                      const Job& job, std::vector<Tuple>* threaded_out,
+                      std::vector<Tuple>* async_out) {
+    SCOPED_TRACE(job.name());
+    TupleCollector threaded_sink;
+    TupleCollector async_sink;
+    auto threaded_result = threaded.Execute(job, threaded_sink.AsSink());
+    ASSERT_TRUE(threaded_result.ok()) << threaded_result.status().ToString();
+    auto async_result = async.Execute(job, async_sink.AsSink());
+    ASSERT_TRUE(async_result.ok()) << async_result.status().ToString();
+    ExpectDagMetricsEq(async_result->metrics, threaded_result->metrics);
+    const obs::JobProfile profile = ProfileOf(*async_result);
+    EXPECT_TRUE(profile.Reconciles())
+        << (profile.warnings().empty() ? "" : profile.warnings().front());
+    ExpectNothingInFlight(*async_result, async.record_cache());
+    *threaded_out = threaded_sink.TakeTuples();
+    *async_out = async_sink.TakeTuples();
+  }
+
+  /// Q5' at selectivity 0.3, claims Q1-Q3 and four primary-key lookups on
+  /// a threaded and an async executor built from `options` (traced).
+  void ExpectParity(SmpeOptions options) {
+    options.trace_sample_n = 1;
+    SmpeExecutor threaded(&cluster, options);
+    AsyncExecutor async(&cluster, options);
+
+    // TPC-H Q5': both engines reproduce the sequential oracle.
+    tpch::Q5Params q5_params = tpch::MakeQ5Params(0.3);
+    auto q5_oracle = tpch::Q5Oracle(tpch_data, q5_params);
+    ASSERT_TRUE(q5_oracle.ok());
+    auto q5_job = tpch::BuildQ5RedeJob(*engine, q5_params);
+    ASSERT_TRUE(q5_job.ok());
+    std::vector<Tuple> q5_threaded, q5_async;
+    ASSERT_NO_FATAL_FAILURE(
+        RunBoth(threaded, async, *q5_job, &q5_threaded, &q5_async));
+    auto threaded_summary = tpch::SummarizeRedeOutput(q5_threaded);
+    auto async_summary = tpch::SummarizeRedeOutput(q5_async);
+    ASSERT_TRUE(threaded_summary.ok());
+    ASSERT_TRUE(async_summary.ok());
+    EXPECT_EQ(*threaded_summary, *q5_oracle);
+    EXPECT_EQ(*async_summary, *q5_oracle);
+
+    // Every claims query agrees with its oracle on both engines.
+    for (const claims::ClaimsQuery& query : claims::AllQueries()) {
+      claims::ClaimsAnswer oracle = claims::ClaimsOracle(claims_data, query);
+      auto job = claims::BuildRawClaimsJob(*engine, query);
+      ASSERT_TRUE(job.ok()) << query.name;
+      std::vector<Tuple> threaded_out, async_out;
+      ASSERT_NO_FATAL_FAILURE(
+          RunBoth(threaded, async, *job, &threaded_out, &async_out));
+      auto threaded_answer = claims::SummarizeRawOutput(threaded_out);
+      auto async_answer = claims::SummarizeRawOutput(async_out);
+      ASSERT_TRUE(threaded_answer.ok()) << query.name;
+      ASSERT_TRUE(async_answer.ok()) << query.name;
+      EXPECT_EQ(*threaded_answer, oracle) << query.name;
+      EXPECT_EQ(*async_answer, oracle) << query.name;
+    }
+
+    // Primary-key lookups return the identical record bytes.
+    auto claims_file = engine->catalog().Get(claims::names::kRawClaims);
+    ASSERT_TRUE(claims_file.ok());
+    for (int64_t claim_id : {1, 17, 400, 999}) {
+      auto job = JobBuilder("pk-" + std::to_string(claim_id))
+                     .Initial(Tuple::Point(
+                         io::Pointer::Keyed(io::EncodeInt64Key(claim_id))))
+                     .Add(MakePointDereferencer("pk-deref", *claims_file))
+                     .Build();
+      ASSERT_TRUE(job.ok());
+      std::vector<Tuple> threaded_out, async_out;
+      ASSERT_NO_FATAL_FAILURE(
+          RunBoth(threaded, async, *job, &threaded_out, &async_out));
+      ASSERT_EQ(threaded_out.size(), 1u) << claim_id;
+      EXPECT_EQ(Canonical(async_out), Canonical(threaded_out)) << claim_id;
+    }
+  }
+
   sim::Cluster cluster;
   std::unique_ptr<Engine> engine;
   tpch::TpchData tpch_data;
@@ -103,66 +220,48 @@ struct WorkloadParity : ::testing::Test {
 TEST_F(WorkloadParity, Q5ClaimsAndPkLookupsChecksumIdenticallyToThreaded) {
   SmpeOptions options;
   options.async_workers = 2;
-  SmpeExecutor threaded(&cluster, options);
-  AsyncExecutor async(&cluster, options);
-
-  // TPC-H Q5': both engines reproduce the sequential oracle.
-  tpch::Q5Params q5_params = tpch::MakeQ5Params(0.3);
-  auto q5_oracle = tpch::Q5Oracle(tpch_data, q5_params);
-  ASSERT_TRUE(q5_oracle.ok());
-  auto q5_job = tpch::BuildQ5RedeJob(*engine, q5_params);
-  ASSERT_TRUE(q5_job.ok());
-  MetricsSnapshot q5_threaded_metrics, q5_async_metrics;
-  auto q5_threaded = Collect(threaded, *q5_job, &q5_threaded_metrics);
-  auto q5_async = Collect(async, *q5_job, &q5_async_metrics);
-  ASSERT_TRUE(q5_threaded.ok());
-  ASSERT_TRUE(q5_async.ok()) << q5_async.status().ToString();
-  auto threaded_summary = tpch::SummarizeRedeOutput(*q5_threaded);
-  auto async_summary = tpch::SummarizeRedeOutput(*q5_async);
-  ASSERT_TRUE(threaded_summary.ok());
-  ASSERT_TRUE(async_summary.ok());
-  EXPECT_EQ(*threaded_summary, *q5_oracle);
-  EXPECT_EQ(*async_summary, *q5_oracle);
-  ExpectDagMetricsEq(q5_async_metrics, q5_threaded_metrics);
-
-  // Every claims query agrees with its oracle on both engines.
-  for (const claims::ClaimsQuery& query : claims::AllQueries()) {
-    claims::ClaimsAnswer oracle = claims::ClaimsOracle(claims_data, query);
-    auto job = claims::BuildRawClaimsJob(*engine, query);
-    ASSERT_TRUE(job.ok()) << query.name;
-    MetricsSnapshot threaded_metrics, async_metrics;
-    auto threaded_out = Collect(threaded, *job, &threaded_metrics);
-    auto async_out = Collect(async, *job, &async_metrics);
-    ASSERT_TRUE(threaded_out.ok()) << query.name;
-    ASSERT_TRUE(async_out.ok())
-        << query.name << ": " << async_out.status().ToString();
-    auto threaded_answer = claims::SummarizeRawOutput(*threaded_out);
-    auto async_answer = claims::SummarizeRawOutput(*async_out);
-    ASSERT_TRUE(threaded_answer.ok()) << query.name;
-    ASSERT_TRUE(async_answer.ok()) << query.name;
-    EXPECT_EQ(*threaded_answer, oracle) << query.name;
-    EXPECT_EQ(*async_answer, oracle) << query.name;
-    ExpectDagMetricsEq(async_metrics, threaded_metrics);
-  }
-
-  // Primary-key lookups return the identical record bytes.
-  auto claims_file = engine->catalog().Get(claims::names::kRawClaims);
-  ASSERT_TRUE(claims_file.ok());
-  for (int64_t claim_id : {1, 17, 400, 999}) {
-    auto job = JobBuilder("pk-" + std::to_string(claim_id))
-                   .Initial(Tuple::Point(
-                       io::Pointer::Keyed(io::EncodeInt64Key(claim_id))))
-                   .Add(MakePointDereferencer("pk-deref", *claims_file))
-                   .Build();
-    ASSERT_TRUE(job.ok());
-    auto threaded_out = Collect(threaded, *job);
-    auto async_out = Collect(async, *job);
-    ASSERT_TRUE(threaded_out.ok());
-    ASSERT_TRUE(async_out.ok()) << async_out.status().ToString();
-    ASSERT_EQ(threaded_out->size(), 1u) << claim_id;
-    EXPECT_EQ(Canonical(*async_out), Canonical(*threaded_out)) << claim_id;
-  }
+  ExpectParity(options);
 }
+
+/// The worker hand-off paths (a worker's local slot vs the shared ready
+/// queue) over every combination of: one or four workers; device timing off
+/// (every completion is delivered inline on the submitting worker) or on at
+/// time scale 0.05 (completions arrive from the device timer thread); and
+/// batching and caching off, or batches of up to 16 with the record cache
+/// on (ExecuteBatchAsync's inline completions, cache hits that complete
+/// without a device op).
+using HandoffCell = std::tuple<size_t, bool, bool>;
+
+class HandoffMatrix : public WorkloadParity,
+                      public ::testing::WithParamInterface<HandoffCell> {};
+
+TEST_P(HandoffMatrix, AsyncMatchesOraclesAndThreadedCounters) {
+  const auto& [workers, timed, batch_and_cache] = GetParam();
+  SmpeOptions options;
+  options.async_workers = workers;
+  if (batch_and_cache) {
+    options.batch.enabled = true;
+    options.batch.max_batch_size = 16;
+    options.cache.enabled = true;
+  }
+  cluster.SetTimingEnabled(timed);
+  ExpectParity(options);
+  cluster.SetTimingEnabled(false);
+}
+
+std::string HandoffCellName(
+    const ::testing::TestParamInfo<HandoffCell>& info) {
+  const auto& [workers, timed, batch_and_cache] = info.param;
+  return "Workers" + std::to_string(workers) +
+         (timed ? "Timed" : "Untimed") +
+         (batch_and_cache ? "BatchCache" : "Plain");
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, HandoffMatrix,
+                         ::testing::Combine(::testing::Values<size_t>(1, 4),
+                                            ::testing::Bool(),
+                                            ::testing::Bool()),
+                         HandoffCellName);
 
 // ----------------------------------------- faults, outages, hedged reads
 
@@ -248,34 +347,39 @@ TEST(AsyncFaults, TransientDiskFaultsAreRetriedToTheIdenticalResult) {
   auto job = lab.DeptJoinJob();
   ASSERT_TRUE(job.ok());
 
-  SmpeOptions options;
-  options.async_workers = 2;
-  AsyncExecutor clean_exec(&lab.cluster, options);
-  MetricsSnapshot clean_metrics;
-  auto clean = Collect(clean_exec, *job, &clean_metrics);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_EQ(clean->size(), static_cast<size_t>(AsyncLab::kEmployees));
+  // One worker too: a fault decided at submission completes inline, so the
+  // retry path then runs through the worker's local slot.
+  for (size_t workers : {2, 1}) {
+    SCOPED_TRACE("async_workers=" + std::to_string(workers));
+    SmpeOptions options;
+    options.async_workers = workers;
+    AsyncExecutor clean_exec(&lab.cluster, options);
+    MetricsSnapshot clean_metrics;
+    auto clean = Collect(clean_exec, *job, &clean_metrics);
+    ASSERT_TRUE(clean.ok());
+    ASSERT_EQ(clean->size(), static_cast<size_t>(AsyncLab::kEmployees));
 
-  SmpeOptions retrying = options;
-  retrying.retry.max_retries = 6;
-  retrying.retry.backoff_initial_us = 1;
-  retrying.retry.backoff_max_us = 10;
-  AsyncExecutor retry_exec(&lab.cluster, retrying);
-  for (uint32_t n = 0; n < lab.cluster.num_nodes(); ++n) {
-    lab.cluster.node(n).disk().InjectFaultEvery(16);
+    SmpeOptions retrying = options;
+    retrying.retry.max_retries = 6;
+    retrying.retry.backoff_initial_us = 1;
+    retrying.retry.backoff_max_us = 10;
+    AsyncExecutor retry_exec(&lab.cluster, retrying);
+    for (uint32_t n = 0; n < lab.cluster.num_nodes(); ++n) {
+      lab.cluster.node(n).disk().InjectFaultEvery(16);
+    }
+    MetricsSnapshot faulty_metrics;
+    auto faulty = Collect(retry_exec, *job, &faulty_metrics);
+    for (uint32_t n = 0; n < lab.cluster.num_nodes(); ++n) {
+      lab.cluster.node(n).disk().ClearFault();
+    }
+    ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+    EXPECT_EQ(Canonical(*faulty), Canonical(*clean));
+    EXPECT_GT(faulty_metrics.retries, 0u);
+    // The retry timers re-ran whole attempts, never half of one: invocation
+    // counts grew by exactly the retry count.
+    EXPECT_EQ(faulty_metrics.deref_invocations,
+              clean_metrics.deref_invocations + faulty_metrics.retries);
   }
-  MetricsSnapshot faulty_metrics;
-  auto faulty = Collect(retry_exec, *job, &faulty_metrics);
-  for (uint32_t n = 0; n < lab.cluster.num_nodes(); ++n) {
-    lab.cluster.node(n).disk().ClearFault();
-  }
-  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
-  EXPECT_EQ(Canonical(*faulty), Canonical(*clean));
-  EXPECT_GT(faulty_metrics.retries, 0u);
-  // The retry timers re-ran whole attempts, never half of one: invocation
-  // counts grew by exactly the retry count.
-  EXPECT_EQ(faulty_metrics.deref_invocations,
-            clean_metrics.deref_invocations + faulty_metrics.retries);
 }
 
 TEST(AsyncFaults, WholeNodeOutageFailsOverToReplicas) {
@@ -485,27 +589,33 @@ TEST(AsyncCancellation, RetryBackoffTimersHonorCancellation) {
   auto job = lab.DeptJoinJob();
   ASSERT_TRUE(job.ok());
 
-  SmpeOptions options;
-  options.async_workers = 2;
-  options.retry.max_retries = 50;
-  options.retry.backoff_initial_us = 200'000;  // 0.2 s per rung
-  options.retry.backoff_max_us = 200'000;
-  options.retry.backoff_multiplier = 1.0;
-  AsyncExecutor executor(&lab.cluster, options);
-  lab.cluster.SetNodeOutage(2, true);
-  CancelToken cancel;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    cancel.Cancel(Status::Aborted("give up"));
-  });
-  StopWatch watch;
-  auto result = executor.Execute(*job, nullptr, &cancel);
-  canceller.join();
-  lab.cluster.SetNodeOutage(2, false);
-  ASSERT_FALSE(result.ok());
-  // 50 retries x 0.2 s would be ~10 s; the cancel (plus at most one backoff
-  // interval the timer was already committed to) must land way earlier.
-  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+  // At one worker the outage's kUnavailable completes inline at submission
+  // and reaches the retry gate through the worker's local slot.
+  for (size_t workers : {2, 1}) {
+    SCOPED_TRACE("async_workers=" + std::to_string(workers));
+    SmpeOptions options;
+    options.async_workers = workers;
+    options.retry.max_retries = 50;
+    options.retry.backoff_initial_us = 200'000;  // 0.2 s per rung
+    options.retry.backoff_max_us = 200'000;
+    options.retry.backoff_multiplier = 1.0;
+    AsyncExecutor executor(&lab.cluster, options);
+    lab.cluster.SetNodeOutage(2, true);
+    CancelToken cancel;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      cancel.Cancel(Status::Aborted("give up"));
+    });
+    StopWatch watch;
+    auto result = executor.Execute(*job, nullptr, &cancel);
+    canceller.join();
+    lab.cluster.SetNodeOutage(2, false);
+    ASSERT_FALSE(result.ok());
+    // 50 retries x 0.2 s would be ~10 s; the cancel (plus at most one
+    // backoff interval the timer was already committed to) must land way
+    // earlier.
+    EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+  }
 }
 
 }  // namespace
