@@ -17,8 +17,8 @@ namespace {
 constexpr uint64_t kMinMergeBytes = 64;
 
 /// Shared state of one epoch's merge, OUTSIDE the job so a resubmitted job
-/// (throttle yield, transient failure) resumes at the first unfolded
-/// partition instead of re-charging or re-applying work already done.
+/// (throttle yield, transient failure) resumes at the unfolded partitions
+/// instead of re-charging or re-applying work already done.
 struct EpochMergeTask {
   sim::Cluster* cluster = nullptr;
   StreamingFile* file = nullptr;
@@ -28,16 +28,16 @@ struct EpochMergeTask {
   CancelToken* merge_cancel = nullptr;
   MergeProgress* progress = nullptr;
 
-  /// Set when the last run returned because the rate budget ran dry; the
+  /// Partitions of the epoch still unfolded. MergeOneEpoch sets it from the
+  /// folded flags before each submission; the node task whose fold brings
+  /// it to zero finishes the epoch.
+  std::atomic<uint32_t> unfolded{0};
+  /// Set when a node task returned because the rate budget ran dry; the
   /// driver waits the deficit out off-scheduler and resubmits.
   std::atomic<bool> yielded{false};
   std::atomic<int64_t> yield_wait_us{0};
-  /// Set when the merge gate deferred the epoch (a pinned snapshot still
-  /// precedes its max LSN); the driver polls instead of resubmitting hot.
-  std::atomic<bool> gated{false};
-  /// Epoch fully merged (the job handle's Wait orders this write before
-  /// the driver's read).
-  bool finished = false;
+  /// Epoch fully merged (set by the finishing node task).
+  std::atomic<bool> finished{false};
 
   bool Cancelled(const rede::ExecContext& ctx, Status* out) const {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
@@ -61,18 +61,23 @@ struct EpochMergeTask {
     if (wait_us <= 0) return false;
     yielded.store(true, std::memory_order_relaxed);
     yield_wait_us.store(wait_us, std::memory_order_relaxed);
-    progress->throttle_yields.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
-  Status Run(const rede::ExecContext& ctx) {
-    if (!file->CanFold(*batch)) {
-      gated.store(true, std::memory_order_relaxed);
-      progress->gate_deferrals.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
+  /// One node's share of the epoch: the partitions it owns at the job's
+  /// fan-out epoch (Algorithm 1's local resolution), or every partition
+  /// when the tuple was not broadcast. Partitions owned by different nodes
+  /// fold concurrently; each has exactly one owner per submission.
+  Status Run(const rede::ExecContext& ctx, const rede::Tuple& input) {
+    const sim::NodeId owner = input.resolve_owner == rede::Tuple::kResolveOnSelf
+                                  ? ctx.node
+                                  : input.resolve_owner;
     const uint32_t parts = file->num_partitions();
     for (uint32_t p = 0; p < parts; ++p) {
+      if (input.resolve_local &&
+          file->BroadcastOwner(p, input.resolve_epoch) != owner) {
+        continue;
+      }
       Status cause;
       if (Cancelled(ctx, &cause)) return cause;
       const EpochBatch::PartitionDelta& pd = batch->parts[p];
@@ -115,27 +120,35 @@ struct EpochMergeTask {
         ctx.metrics->records_folded.fetch_add(folded.records,
                                               std::memory_order_relaxed);
       }
+      // The last fold of the epoch, on whichever node makes it, publishes
+      // the merged LSN at once; acq_rel orders every other node's fold
+      // before FinishEpochMerge checks the folded flags.
+      if (unfolded.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        LH_RETURN_NOT_OK(file->FinishEpochMerge(batch, ctx.metrics));
+        progress->epochs_merged.fetch_add(1, std::memory_order_relaxed);
+        finished.store(true, std::memory_order_release);
+      }
     }
-    LH_RETURN_NOT_OK(file->FinishEpochMerge(batch, ctx.metrics));
-    progress->epochs_merged.fetch_add(1, std::memory_order_relaxed);
-    finished = true;
     return Status::OK();
   }
 };
 
-/// The merge work as a ReDe stage: a partition-pruning Dereferencer running
-/// as exactly one task, so a merge flows through the scheduler and executor
-/// like any other job — same slots, tokens, cancellation, and metrics.
+/// The merge work as a ReDe stage: a broadcast Dereferencer, so every node
+/// runs one task over its own partitions and a merge flows through the
+/// scheduler and executor like any other job — same slots, tokens,
+/// cancellation, and metrics.
 class EpochMergeStage final : public rede::Dereferencer {
  public:
   EpochMergeStage(std::string name, std::shared_ptr<EpochMergeTask> task)
       : rede::Dereferencer(std::move(name)), task_(std::move(task)) {}
 
-  bool WantsBroadcast() const override { return false; }
+  uint32_t TargetReplication() const override {
+    return task_->file->replication_factor();
+  }
 
-  Status Execute(const rede::ExecContext& ctx, const rede::Tuple& /*input*/,
+  Status Execute(const rede::ExecContext& ctx, const rede::Tuple& input,
                  std::vector<rede::Tuple>* /*out*/) const override {
-    return task_->Run(ctx);
+    return task_->Run(ctx, input);
   }
 
  private:
@@ -181,6 +194,14 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
                                         CancelToken* stopper) {
   std::shared_ptr<EpochBatch> batch = file->NextUnmergedEpoch();
   if (batch == nullptr) return false;
+  // The merge gate, checked once here and never in the job. It is exact:
+  // a pin always takes the tail LSN, so a pin taken after this epoch
+  // sealed cannot gate it, and only this merger pops the FIFO front — an
+  // open gate stays open while the job waits in the scheduler.
+  if (!file->CanFold(*batch)) {
+    progress_.gate_deferrals.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
 
   auto task = std::make_shared<EpochMergeTask>();
   task->cluster = cluster_;
@@ -193,7 +214,7 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
   const std::string label =
       file->name() + "/e" + std::to_string(batch->epoch);
   rede::JobBuilder builder("merge/" + label);
-  builder.Initial(rede::Tuple::Point(io::Pointer::Keyed("merge-" + label)));
+  builder.Initial(rede::Tuple::Point(io::Pointer::Broadcast("merge-" + label)));
   builder.Add(std::make_shared<EpochMergeStage>("fold/" + label, task));
   LH_ASSIGN_OR_RETURN(rede::Job job, builder.Build());
 
@@ -202,6 +223,14 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
   while (true) {
     if (cancel_.cancelled()) return cancel_.cause();
     if (stopper != nullptr && stopper->cancelled()) return false;
+    // Every node task of the previous attempt has ended (Wait), so the
+    // folded flags are stable here.
+    uint32_t unfolded = 0;
+    for (const EpochBatch::PartitionDelta& pd : batch->parts) {
+      if (!pd.folded) ++unfolded;
+    }
+    task->unfolded.store(unfolded, std::memory_order_relaxed);
+    task->yielded.store(false, std::memory_order_relaxed);
     sched::JobSpec spec;
     spec.tenant = options_.tenant;
     spec.job_class = sched::JobClass::kMaintenance;
@@ -221,9 +250,10 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
     ++attempts;
     sched::JobHandlePtr handle = std::move(submitted).value();
     StatusOr<rede::JobResult> result = handle->Wait();
-    if (result.ok() && task->gated.exchange(false)) return false;
-    if (result.ok() && task->yielded.exchange(false)) {
+    if (result.ok() && task->yielded.load(std::memory_order_relaxed)) {
+      // One yield per attempt, however many node tasks ran dry.
       --attempts;
+      progress_.throttle_yields.fetch_add(1, std::memory_order_relaxed);
       const int64_t wait_us =
           task->yield_wait_us.load(std::memory_order_relaxed);
       if (wait_us > 0 &&
@@ -234,7 +264,8 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
       continue;
     }
     if (result.ok()) {
-      LH_CHECK(task->finished);
+      LH_CHECK_MSG(task->finished.load(std::memory_order_acquire),
+                   "merge job ended without yielding or finishing its epoch");
       const int64_t now_us = NowMicros();
       if (now_us > first_submit_us) {
         epoch_merge_hist_->Record(
@@ -321,9 +352,14 @@ void LogMerger::PumpLoop() {
       }
       merged_any = merged_any || merged.value();
     }
-    if (!merged_any) {
-      pump_stop_.WaitFor(options_.idle_poll_us);
+    if (merged_any) continue;
+    // Idle: an epoch due to seal by age would otherwise wait for the next
+    // append, which a quiet stream never makes. A sealed one merges now.
+    bool sealed_any = false;
+    for (StreamingFile* file : files_) {
+      sealed_any = file->SealAgedEpoch() || sealed_any;
     }
+    if (!sealed_any) pump_stop_.WaitFor(options_.idle_poll_us);
   }
 }
 

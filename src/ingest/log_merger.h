@@ -19,33 +19,39 @@
 
 /// \file log_merger.h
 /// Background epoch merging. Each sealed op-log epoch of each registered
-/// StreamingFile is folded into the B-tree structures by one job driven
-/// through sched::JobScheduler as the lowest-priority kMaintenance class:
-/// foreground flows always win the weighted-fair race, and freshness lag
-/// (the sealed-but-unmerged backlog) is the documented price.
+/// StreamingFile is folded into the B-tree structures by one broadcast job
+/// driven through sched::JobScheduler as the lowest-priority kMaintenance
+/// class: foreground flows always win the weighted-fair race, and
+/// freshness lag (the sealed-but-unmerged backlog) is the documented price.
 ///
-/// A merge job charges, per partition, one sequential read of the epoch's
-/// log-segment bytes at the primary (the replay) plus one replicated write
-/// of the folded index pages to the partition's replica set — then folds
-/// the in-memory bucket, which cannot fail. Charge-then-fold plus the
-/// per-partition folded flag makes the whole pipeline exactly-once across
-/// crashes and resubmissions: a job that died mid-epoch resumes at the
-/// first unfolded partition, never double-applying a record (charges may
-/// repeat on retry, results never do).
+/// The job's initial pointer carries no partition, so every node runs one
+/// task that folds only the partitions it owns (Algorithm 1's local
+/// resolution, as in the broadcast dereferencers): an epoch's device work
+/// runs on all nodes at once. Per partition a task charges one sequential
+/// read of the epoch's log-segment bytes at the primary (the replay) plus
+/// one replicated write of the folded index pages to the partition's
+/// replica set — then folds the in-memory bucket, which cannot fail.
+/// Charge-then-fold plus the per-partition folded flag makes the whole
+/// pipeline exactly-once across crashes and resubmissions: a job that died
+/// mid-epoch resumes at the unfolded partitions, never double-applying a
+/// record (charges may repeat on retry, results never do). The task whose
+/// fold leaves no partition unfolded finishes the epoch, so the merged LSN
+/// is published by the last fold, exactly once.
 ///
 /// Throttling reuses the Rebalancer's leaky bucket with the Scrubber's
-/// yield-not-sleep discipline: a job out of byte budget RETURNS (releasing
-/// its execution slot and maintenance io tokens) and the driver resubmits
-/// after the deficit elapses. The min-active-snapshot merge gate
-/// (StreamingFile::CanFold) defers — never skips — epochs still visible to
-/// a pinned snapshot; a gated job also returns immediately and the driver
-/// polls.
+/// yield-not-sleep discipline: a node task out of byte budget RETURNS
+/// (releasing its worker) and, once the job ends, the merger waits out the
+/// deficit holding no slot or maintenance io tokens and resubmits. The
+/// min-active-snapshot merge gate (StreamingFile::CanFold) defers — never
+/// skips — epochs still visible to a pinned snapshot; the merger checks it
+/// before submitting, so a gated epoch costs a poll, not a job.
 
 namespace lakeharbor::ingest {
 
 struct MergeOptions {
-  /// Shared fold-rate byte budget across every merge job (0 = unthrottled).
-  /// Charged as 2x the epoch's partition bytes (replay read + index write).
+  /// Fold-rate byte budget shared by every node task of every merge job
+  /// (0 = unthrottled). Charged as 2x each partition's epoch bytes (replay
+  /// read + index write).
   uint64_t throttle_bytes_per_sec = 0;
 
   /// Per-charge retry of transient device faults during replay/write.
@@ -60,7 +66,8 @@ struct MergeOptions {
   /// DrainBacklog's poll interval while the oldest epoch is pinned-gated.
   uint64_t gate_poll_us = 1000;
 
-  /// Background pump's idle wait when no file has mergeable backlog.
+  /// Background pump's idle wait when no file has mergeable backlog. Each
+  /// idle poll also seals open epochs that reached their age threshold.
   uint64_t idle_poll_us = 1000;
 
   MergeOptions() {
@@ -73,13 +80,21 @@ struct MergeOptions {
 
 /// Live counters of merge work (readable from any thread).
 struct MergeProgress {
+  /// Epochs finished (merged LSN advanced), one per epoch.
   std::atomic<uint64_t> epochs_merged{0};
+  /// Partition buckets folded, summed over every node's task.
   std::atomic<uint64_t> partitions_folded{0};
   std::atomic<uint64_t> records_folded{0};
   std::atomic<uint64_t> bytes_folded{0};
+  /// Merger polls that found the oldest epoch gated by a pinned snapshot
+  /// (no job is submitted for them).
   std::atomic<uint64_t> gate_deferrals{0};
+  /// Submissions in which at least one node task ran out of byte budget:
+  /// counted once per attempt by the merger, not once per node task.
   std::atomic<uint64_t> throttle_yields{0};
+  /// Resubmissions after a failed job (yields are not counted here).
   std::atomic<uint64_t> job_resubmissions{0};
+  /// Transient device faults retried inside a charge.
   std::atomic<uint64_t> charge_retries{0};
 
   void Reset() {
@@ -142,10 +157,10 @@ class LogMerger {
   const MergeReport& last_report() const { return last_report_; }
 
  private:
-  /// Merge the oldest epoch of `file` through the scheduler, handling
-  /// yields and resubmissions. Returns true when an epoch merged, false
-  /// when there was nothing mergeable (empty backlog, pinned gate, or an
-  /// interrupt from `stopper`).
+  /// Merge the oldest epoch of `file` through the scheduler, handling the
+  /// merge gate, yields and resubmissions. Returns true when an epoch
+  /// merged, false when there was nothing mergeable (empty backlog, pinned
+  /// gate, or an interrupt from `stopper`).
   StatusOr<bool> MergeOneEpoch(StreamingFile* file, CancelToken* stopper);
 
   /// Interruptible wait: true when cancelled or `stopper` fired.

@@ -66,6 +66,12 @@ void StreamingFile::EnsureOpenEpochLocked(int64_t now_us) {
   open_->parts.resize(num_partitions());
 }
 
+bool StreamingFile::OpenEpochAgedLocked(int64_t now_us) const {
+  return open_ != nullptr && options_.seal_epoch_age_us > 0 &&
+         now_us - open_->opened_us >=
+             static_cast<int64_t>(options_.seal_epoch_age_us);
+}
+
 void StreamingFile::SealOpenLocked(rede::ExecMetricsCounters* metrics) {
   LH_CHECK(open_ != nullptr && open_->records > 0);
   open_->sealed = true;
@@ -133,11 +139,7 @@ StatusOr<Lsn> StreamingFile::StreamAppend(const std::string& partition_key,
     std::unique_lock<std::shared_mutex> part_lock(ps.mu);
     std::lock_guard<std::mutex> lock(ingest_mu_);
     const int64_t now_us = NowMicros();
-    if (open_ != nullptr && options_.seal_epoch_age_us > 0 &&
-        now_us - open_->opened_us >=
-            static_cast<int64_t>(options_.seal_epoch_age_us)) {
-      SealOpenLocked(metrics);
-    }
+    if (OpenEpochAgedLocked(now_us)) SealOpenLocked(metrics);
     EnsureOpenEpochLocked(now_us);
     lsn = next_lsn_++;
     EpochBatch& batch = *open_;
@@ -176,6 +178,13 @@ std::optional<uint64_t> StreamingFile::SealOpenEpoch(
   const uint64_t epoch = open_->epoch;
   SealOpenLocked(metrics);
   return epoch;
+}
+
+bool StreamingFile::SealAgedEpoch() {
+  std::lock_guard<std::mutex> lock(ingest_mu_);
+  if (!OpenEpochAgedLocked(NowMicros())) return false;
+  SealOpenLocked(/*metrics=*/nullptr);
+  return true;
 }
 
 Status StreamingFile::FlushOpLog() {

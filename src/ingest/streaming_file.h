@@ -63,8 +63,9 @@ struct IngestOptions {
   uint64_t seal_epoch_records = 4096;
   /// ...or this many payload bytes...
   uint64_t seal_epoch_bytes = 1ull << 20;
-  /// ...or once it is this old (checked at the next append; 0 = no age
-  /// threshold, epochs seal on size alone or via SealOpenEpoch()).
+  /// ...or once it is this old (checked at the next append and by the
+  /// LogMerger pump's idle polls, so a quiet stream still seals; 0 = no
+  /// age threshold, epochs seal on size alone or via SealOpenEpoch()).
   uint64_t seal_epoch_age_us = 0;
   /// Group-commit page of the durable op-log: appends buffer per partition
   /// segment and one replicated write is charged per filled page. A failed
@@ -143,6 +144,11 @@ class StreamingFile : public io::PartitionedFile {
   /// Returns the sealed epoch id.
   std::optional<uint64_t> SealOpenEpoch(
       rede::ExecMetricsCounters* metrics = nullptr);
+
+  /// Seal the open epoch if it has reached seal_epoch_age_us (no-op when
+  /// the age threshold is 0 or there is no open epoch that old). Lets the
+  /// merger seal a stream that stopped appending. True when it sealed.
+  bool SealAgedEpoch();
 
   /// Charge the op-log's partially-filled group-commit pages (an fsync of
   /// every partition segment). Benches call this between phases so baseline
@@ -287,6 +293,8 @@ class StreamingFile : public io::PartitionedFile {
   std::vector<std::shared_ptr<EpochBatch>> SnapshotBatches() const;
 
   void EnsureOpenEpochLocked(int64_t now_us);
+  /// The open epoch has reached the age threshold (ingest mutex held).
+  bool OpenEpochAgedLocked(int64_t now_us) const;
   void SealOpenLocked(rede::ExecMetricsCounters* metrics);
 
   /// Resolve `key` at `snapshot`: tree matches are appended to `*out`

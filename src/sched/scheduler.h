@@ -104,8 +104,9 @@ struct SchedulerOptions {
   /// Disk-slot cost of one scrub job (a single-partition verify stream —
   /// lighter than a migration's copy, so it contends less for slots).
   size_t scrub_io_tokens = 1;
-  /// Disk-slot cost of one epoch-merge job (a sequential log read plus
-  /// buffered index-page writes — copy-shaped work, like a migration).
+  /// Disk-slot cost of one epoch-merge job (sequential log reads plus
+  /// buffered index-page writes — copy-shaped work, like a migration). The
+  /// job is broadcast, so it reads and writes on every node at once.
   size_t maintenance_io_tokens = 2;
 
   /// Deadline applied to jobs whose spec leaves deadline_ms == 0. Measured

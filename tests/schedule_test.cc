@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "index/index_entry.h"
+#include "ingest/log_merger.h"
 #include "ingest/snapshot_view.h"
 #include "ingest/streaming_file.h"
 #include "io/key_codec.h"
@@ -15,6 +16,7 @@
 #include "rede/builtin_refs.h"
 #include "rede/engine.h"
 #include "rede/smpe_executor.h"
+#include "sched/scheduler.h"
 #include "sim/cluster.h"
 
 namespace lakeharbor::rede {
@@ -484,6 +486,90 @@ TEST(StreamingSchedule, SeededRunsAgreeAtEveryMergeProgressMidIngest) {
   }
   EXPECT_EQ(file->backlog_epochs(), 0u);
   check_all("fully merged");
+}
+
+TEST(StreamingSchedule, SeededMergerFinishesEachEpochOnceWhateverNodeOrder) {
+  // The merger itself under seeded schedules: each epoch's broadcast merge
+  // job runs one task per node, and the seed picks the order those tasks
+  // (and their yields) interleave. A byte budget this small lets a node
+  // task fold one partition and yield before its next one, so epochs
+  // finish across several submissions. Whatever the order, the last fold
+  // finishes each epoch exactly once and the records fold exactly once.
+  constexpr int kStreamed = 48;
+  for (const bool async : {false, true}) {
+    for (const uint64_t seed : {1ull, 42ull}) {
+      SCOPED_TRACE(std::string(async ? "async" : "smpe") + " seed " +
+                   std::to_string(seed));
+      sim::Cluster cluster(sim::ClusterOptions::ForNodes(4));
+      ingest::IngestOptions ingest_options;
+      ingest_options.seal_epoch_records = 16;
+      ingest::StreamingFile file("stream",
+                                 std::make_shared<io::HashPartitioner>(8),
+                                 &cluster, ingest_options);
+      file.SetReplicationFactor(2);
+      for (int i = 0; i < 40; ++i) {
+        std::string key = io::EncodeInt64Key(i);
+        LH_CHECK(file.Append(key, key,
+                             io::Record(StrFormat("%d|base%d", i, i)))
+                     .ok());
+      }
+      file.Seal();
+      for (int i = 40; i < 40 + kStreamed; ++i) {
+        std::string key = io::EncodeInt64Key(i);
+        ASSERT_TRUE(file.StreamAppend(key, key,
+                                      io::Record(StrFormat("%d|tail%d", i, i)))
+                        .ok());
+      }
+      file.SealOpenEpoch();
+      const uint64_t backlog = file.backlog_epochs();
+      ASSERT_EQ(backlog, 3u);
+      auto scan_latest = [&file] {
+        std::multiset<std::string> rows;
+        for (uint32_t p = 0; p < file.num_partitions(); ++p) {
+          LH_CHECK(file.ScanPartitionKeyedAt(
+                           ingest::kLsnLatest, /*compute_node=*/0, p,
+                           [&](const std::string&, const io::Record& r) {
+                             rows.insert(r.bytes());
+                             return true;
+                           })
+                       .ok());
+        }
+        return rows;
+      };
+      const std::multiset<std::string> expected = scan_latest();
+
+      std::unique_ptr<Executor> executor;
+      if (async) {
+        executor = std::make_unique<AsyncExecutor>(
+            &cluster, ScheduleFixture::Seeded(seed));
+      } else {
+        executor = std::make_unique<SmpeExecutor>(
+            &cluster, ScheduleFixture::Seeded(seed));
+      }
+      sched::JobScheduler scheduler(executor.get(), sched::SchedulerOptions{});
+      ingest::MergeOptions merge_options;
+      merge_options.throttle_bytes_per_sec = 100000;  // ~0.5 ms a partition
+      ingest::LogMerger merger(&cluster, &scheduler, merge_options);
+      merger.RegisterFile(&file);
+      auto report = merger.DrainBacklog();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+      EXPECT_EQ(report->epochs_merged, backlog);
+      EXPECT_EQ(file.ingest_stats().epochs_merged, backlog);
+      EXPECT_EQ(report->partitions_folded, backlog * file.num_partitions());
+      EXPECT_EQ(report->records_folded, static_cast<uint64_t>(kStreamed));
+      EXPECT_EQ(file.backlog_epochs(), 0u);
+      EXPECT_EQ(file.merged_lsn(), file.tail_lsn());
+      EXPECT_EQ(scan_latest(), expected);
+      // Node tasks really yielded mid-epoch, and each yielded submission
+      // counts once: every submission either finished its epoch or yielded.
+      EXPECT_GT(report->throttle_yields, 0u);
+      EXPECT_EQ(report->gate_deferrals, 0u);
+      EXPECT_EQ(report->job_resubmissions, 0u);
+      EXPECT_EQ(report->throttle_yields,
+                scheduler.stats().submitted - report->epochs_merged);
+    }
+  }
 }
 
 }  // namespace

@@ -13,13 +13,17 @@
 //   - injected device faults make appends and merges retry without ever
 //     double-applying a record (charge-then-fold exactly-once);
 //   - the LogMerger drains backlogs through the scheduler's kMaintenance
-//     class, on demand and as a background pump;
+//     class, on demand and as a background pump, on every executor, with
+//     the exact device charges of one replay read and one replicated write
+//     per non-empty partition, and the pump seals a quiet stream's epoch;
 //   - the Scrubber skips (and reports) partitions with unmerged tails; the
 //     Rebalancer re-queues them and aborts when the tail never drains;
 //   - ingest counters flow into MetricsSnapshot.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
@@ -36,6 +40,7 @@
 #include "rede/async_executor.h"
 #include "rede/builtin_derefs.h"
 #include "rede/metrics.h"
+#include "rede/partitioned_executor.h"
 #include "rede/smpe_executor.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
@@ -396,7 +401,67 @@ TEST(StreamingIngest, FaultInjectedAppendsRetryWithoutDuplicates) {
   }
 }
 
-TEST(StreamingIngest, FaultInjectedMergesResubmitAndFoldExactlyOnce) {
+// ---------------------------------------------- the merger on every engine
+
+/// Device and network totals of merging streamed rows [first, last) with
+/// SmallEpochs(): per non-empty (epoch, partition), one replay read of
+/// max(bytes, 64) at the primary, one write of that size per replica, and
+/// one message per replica other than the primary. Assumes `first` opened
+/// a fresh epoch.
+sim::ResourceTotals ExpectedMergeCharges(const StreamLab& lab, int first,
+                                         int last, const std::string& tag) {
+  const uint64_t per_epoch = SmallEpochs().seal_epoch_records;
+  std::vector<std::vector<uint64_t>> bytes;  // [epoch][partition]
+  for (int i = first; i < last; ++i) {
+    const size_t epoch = static_cast<size_t>(i - first) / per_epoch;
+    if (bytes.size() <= epoch) bytes.emplace_back(kPartitions, 0);
+    const uint32_t p =
+        lab.file->partitioner().PartitionOf(io::EncodeInt64Key(i));
+    bytes[epoch][p] += Row(i, tag).size();
+  }
+  sim::ResourceTotals expected;
+  for (const std::vector<uint64_t>& epoch : bytes) {
+    for (uint32_t p = 0; p < kPartitions; ++p) {
+      if (epoch[p] == 0) continue;
+      const uint64_t charged = std::max<uint64_t>(epoch[p], 64);
+      expected.bytes_sequential += charged;
+      for (sim::NodeId replica : lab.file->placement().ReplicaNodes(p)) {
+        ++expected.writes;
+        expected.bytes_written += charged;
+        if (replica != lab.file->NodeOfPartition(p)) {
+          ++expected.network_messages;
+        }
+      }
+    }
+  }
+  return expected;
+}
+
+/// The merger's broadcast job on each executor behind the scheduler: the
+/// threaded SMPE engine, the async engine, and the partitioned executor.
+class StreamingMerge : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<rede::Executor> MakeExecutor(sim::Cluster* cluster) {
+    rede::SmpeOptions smpe;
+    smpe.threads_per_node = 2;
+    if (GetParam() == "threaded") {
+      return std::make_unique<rede::SmpeExecutor>(cluster, smpe);
+    }
+    if (GetParam() == "async") {
+      return std::make_unique<rede::AsyncExecutor>(cluster, smpe);
+    }
+    return std::make_unique<rede::PartitionedExecutor>(cluster);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, StreamingMerge,
+    ::testing::Values("threaded", "async", "partitioned"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST_P(StreamingMerge, FaultInjectedMergesResubmitAndFoldExactlyOnce) {
   StreamLab lab;
   for (int i = 60; i < 92; ++i) {
     ASSERT_TRUE(lab.Stream(i, "m").ok());
@@ -406,10 +471,8 @@ TEST(StreamingIngest, FaultInjectedMergesResubmitAndFoldExactlyOnce) {
   ASSERT_GE(backlog, 4u);
   const std::multiset<std::string> expected = lab.ScanAllAt(kLsnLatest);
 
-  rede::SmpeOptions smpe;
-  smpe.threads_per_node = 2;
-  rede::SmpeExecutor executor(&lab.cluster, smpe);
-  sched::JobScheduler scheduler(&executor, sched::SchedulerOptions{});
+  std::unique_ptr<rede::Executor> executor = MakeExecutor(&lab.cluster);
+  sched::JobScheduler scheduler(executor.get(), sched::SchedulerOptions{});
 
   for (uint32_t n = 0; n < lab.cluster.num_nodes(); ++n) {
     lab.cluster.node(n).disk().InjectFaultEvery(4);
@@ -426,17 +489,17 @@ TEST(StreamingIngest, FaultInjectedMergesResubmitAndFoldExactlyOnce) {
     lab.cluster.node(n).disk().ClearFault();
   }
   EXPECT_EQ(report->epochs_merged, backlog);
+  EXPECT_EQ(report->partitions_folded, backlog * kPartitions);
   EXPECT_EQ(report->records_folded, 32u);  // every record folded ONCE
   EXPECT_GT(report->charge_retries, 0u);   // the faults really hit
   EXPECT_EQ(lab.file->backlog_epochs(), 0u);
+  EXPECT_EQ(lab.file->ingest_stats().epochs_merged, backlog);
   EXPECT_EQ(lab.file->merged_lsn(), lab.file->tail_lsn());
   // The folded structure answers exactly what the pre-merge tail did.
   EXPECT_EQ(lab.ScanAllAt(kLsnLatest), expected);
 }
 
-// ------------------------------------------- the merger end to end
-
-TEST(StreamingIngest, MergerDrainsBacklogThroughSchedulerMaintenanceClass) {
+TEST_P(StreamingMerge, MergerDrainsBacklogThroughSchedulerMaintenanceClass) {
   StreamLab lab;
   for (int i = 60; i < 84; ++i) {
     ASSERT_TRUE(lab.Stream(i, "m").ok());
@@ -446,15 +509,15 @@ TEST(StreamingIngest, MergerDrainsBacklogThroughSchedulerMaintenanceClass) {
   const uint64_t backlog = lab.file->backlog_epochs();
   ASSERT_EQ(backlog, 3u);
 
-  rede::SmpeOptions smpe;
-  smpe.threads_per_node = 2;
-  rede::SmpeExecutor executor(&lab.cluster, smpe);
-  sched::JobScheduler scheduler(&executor, sched::SchedulerOptions{});
+  std::unique_ptr<rede::Executor> executor = MakeExecutor(&lab.cluster);
+  sched::JobScheduler scheduler(executor.get(), sched::SchedulerOptions{});
   LogMerger merger(&lab.cluster, &scheduler, MergeOptions{});
   merger.RegisterFile(lab.file.get());
 
+  const sim::ResourceTotals before = lab.cluster.TotalStats();
   auto report = merger.DrainBacklog();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const sim::ResourceTotals after = lab.cluster.TotalStats();
   EXPECT_EQ(report->epochs_merged, backlog);
   EXPECT_EQ(report->records_folded, 24u);
   EXPECT_EQ(report->partitions_folded, backlog * kPartitions);
@@ -463,11 +526,77 @@ TEST(StreamingIngest, MergerDrainsBacklogThroughSchedulerMaintenanceClass) {
   EXPECT_EQ(lab.file->merged_lsn(), lab.file->tail_lsn());
   EXPECT_EQ(lab.ScanAllAt(kLsnLatest), expected);
 
+  // Same charges as a serial merge, now spread over the nodes: the
+  // broadcast seed itself sends no message.
+  const sim::ResourceTotals charges =
+      ExpectedMergeCharges(lab, 60, 84, "m");
+  EXPECT_EQ(after.writes - before.writes, charges.writes);
+  EXPECT_EQ(after.bytes_written - before.bytes_written, charges.bytes_written);
+  EXPECT_EQ(after.bytes_sequential - before.bytes_sequential,
+            charges.bytes_sequential);
+  EXPECT_EQ(after.network_messages - before.network_messages,
+            charges.network_messages);
+  EXPECT_GT(charges.network_messages, 0u);  // rf=2: remote replica writes
+
   // An empty drain is a clean no-op.
   auto empty = merger.DrainBacklog();
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->epochs_merged, 0u);
 }
+
+TEST_P(StreamingMerge, PumpFoldsWhileAppendsAndPinnedReadsRace) {
+  // Node tasks fold different partitions at once while an appender seals
+  // new epochs and a reader pins snapshots: every pinned view keeps its
+  // answer, and once appends stop the pump merges every record once.
+  constexpr int kFirst = 60;
+  constexpr int kLast = 220;
+  StreamLab lab;
+  std::unique_ptr<rede::Executor> executor = MakeExecutor(&lab.cluster);
+  sched::JobScheduler scheduler(executor.get(), sched::SchedulerOptions{});
+  LogMerger merger(&lab.cluster, &scheduler, MergeOptions{});
+  merger.RegisterFile(lab.file.get());
+  ASSERT_TRUE(merger.Start().ok());
+
+  std::atomic<bool> appended{false};
+  std::thread appender([&] {
+    for (int i = kFirst; i < kLast; ++i) {
+      LH_CHECK(lab.Stream(i, "r").ok());
+      if (i % 8 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    appended.store(true);
+  });
+  int pins = 0;
+  while (!appended.load()) {
+    auto view = MakeSnapshotView(lab.file);
+    const std::multiset<std::string> pinned = lab.ScanView(view.get());
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    EXPECT_EQ(lab.ScanView(view.get()), pinned) << "pin " << pins;
+    ++pins;
+  }
+  appender.join();
+  lab.file->SealOpenEpoch();
+  for (int i = 0; i < 5000 && lab.file->merged_lsn() < lab.file->tail_lsn();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  merger.Stop();
+  ASSERT_FALSE(merger.cancelled()) << merger.cancel_cause().ToString();
+  EXPECT_GT(pins, 0);
+  EXPECT_EQ(lab.file->backlog_epochs(), 0u);
+  EXPECT_EQ(lab.file->merged_lsn(), lab.file->tail_lsn());
+  EXPECT_EQ(merger.progress().records_folded.load(),
+            static_cast<uint64_t>(kLast - kFirst));
+  const std::multiset<std::string> rows = lab.ScanAllAt(kLsnLatest);
+  EXPECT_EQ(rows.size(),
+            static_cast<size_t>(StreamLab::kLoaded + kLast - kFirst));
+  for (int i = kFirst; i < kLast; ++i) {
+    EXPECT_EQ(rows.count(Row(i, "r")), 1u) << i;
+  }
+}
+
+// ------------------------------------------- the merger end to end
 
 TEST(StreamingIngest, BackgroundPumpWaitsOutPinThenCatchesUp) {
   StreamLab lab;
@@ -499,6 +628,7 @@ TEST(StreamingIngest, BackgroundPumpWaitsOutPinThenCatchesUp) {
     EXPECT_EQ(lab.file->backlog_epochs(), backlog);
   }
   EXPECT_GT(merger.progress().gate_deferrals.load(), 0u);
+  EXPECT_EQ(scheduler.stats().submitted, 0u);  // a gated poll submits nothing
   EXPECT_EQ(lab.ScanView(view.get()), expected);
 
   // Unpin: the pump drains the backlog on its own.
@@ -513,6 +643,38 @@ TEST(StreamingIngest, BackgroundPumpWaitsOutPinThenCatchesUp) {
   EXPECT_EQ(lab.file->merged_lsn(), lab.file->tail_lsn());
   EXPECT_EQ(lab.ScanAllAt(kLsnLatest).size(),
             static_cast<size_t>(StreamLab::kLoaded) + 16);
+}
+
+TEST(StreamingIngest, PumpSealsAQuietStreamsAgedEpoch) {
+  IngestOptions options = SmallEpochs();
+  options.seal_epoch_age_us = 2000;
+  StreamLab lab(options);
+  // Fewer rows than seal_epoch_records, then silence: no append ever
+  // checks the age again, and nobody calls SealOpenEpoch.
+  for (int i = 60; i < 63; ++i) {
+    ASSERT_TRUE(lab.Stream(i, "q").ok());
+  }
+  ASSERT_EQ(lab.file->backlog_epochs(), 0u);
+  ASSERT_EQ(lab.file->ingest_stats().open_epoch_records, 3u);
+
+  rede::SmpeOptions smpe;
+  smpe.threads_per_node = 2;
+  rede::SmpeExecutor executor(&lab.cluster, smpe);
+  sched::JobScheduler scheduler(&executor, sched::SchedulerOptions{});
+  LogMerger merger(&lab.cluster, &scheduler, MergeOptions{});
+  merger.RegisterFile(lab.file.get());
+  ASSERT_TRUE(merger.Start().ok());
+  for (int i = 0; i < 5000 && lab.file->merged_lsn() < lab.file->tail_lsn();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  merger.Stop();
+  ASSERT_FALSE(merger.cancelled()) << merger.cancel_cause().ToString();
+  EXPECT_EQ(lab.file->merged_lsn(), lab.file->tail_lsn());
+  const IngestFileStats stats = lab.file->ingest_stats();
+  EXPECT_EQ(stats.epochs_sealed, 1u);
+  EXPECT_EQ(stats.open_epoch_records, 0u);
+  EXPECT_EQ(merger.progress().records_folded.load(), 3u);
 }
 
 // ------------------------------------- maintenance-loop coordination
