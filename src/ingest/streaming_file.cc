@@ -446,6 +446,11 @@ void StreamingFile::GetInPartitionOnReplicaAsyncAt(
     Lsn snapshot, sim::NodeId compute_node, uint32_t partition,
     uint32_t replica, const std::string& key, std::vector<io::Record>* out,
     sim::CompletionQueue* cq, AsyncReadDone done) {
+  if (cq == nullptr) {
+    done(GetInPartitionOnReplicaAt(snapshot, compute_node, partition, replica,
+                                   key, out));
+    return;
+  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {
@@ -486,6 +491,11 @@ void StreamingFile::GetBatchInPartitionOnReplicaAsyncAt(
     uint32_t replica, const std::vector<std::string>& keys,
     std::vector<std::vector<io::Record>>* out, sim::CompletionQueue* cq,
     AsyncReadDone done) {
+  if (cq == nullptr) {
+    done(GetBatchInPartitionOnReplicaAt(snapshot, compute_node, partition,
+                                        replica, keys, out));
+    return;
+  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {

@@ -207,7 +207,8 @@ class StreamingFile : public io::PartitionedFile {
   /// pinned LSN. Charges, counters, bit-rot, and verification mirror the
   /// base paths exactly and apply to the TREE portion of the result (the
   /// device-resident bytes); tail records are memory-resident and are
-  /// appended after the verification verdict, never before.
+  /// appended after the verification verdict, never before. The async
+  /// reads run the blocking ones in place when `cq` is null (see io::File).
 
   Status GetInPartitionOnReplicaAt(Lsn snapshot, sim::NodeId compute_node,
                                    uint32_t partition, uint32_t replica,

@@ -167,15 +167,20 @@ class File {
 
   /// --- Asynchronous reads --------------------------------------------------
   ///
-  /// Continuation-passing analogues of the replica-addressed reads, used by
-  /// the async engine. Record resolution (the in-memory structure descent)
-  /// happens synchronously at submission; only the simulated device charge
-  /// is asynchronous, delivered through `cq`. `done` fires exactly once;
-  /// `out` (and `keys`) must stay valid until then. On a non-OK status,
-  /// `out` contents are unspecified, exactly like the blocking paths —
-  /// callers clear and retry. The base implementations run the blocking
-  /// read and complete inline, which keeps every File subclass correct
-  /// under the async engine by default.
+  /// Continuation-passing analogues of the replica-addressed reads, the
+  /// only reads the built-in dereferencers make. `done` fires exactly
+  /// once; `out` (and `keys`) must stay valid until then. On a non-OK
+  /// status, `out` contents are unspecified, exactly like the blocking
+  /// paths — callers clear and retry.
+  ///
+  /// With a completion queue, record resolution (the in-memory structure
+  /// descent) happens synchronously at submission and only the simulated
+  /// device charge is asynchronous, delivered through `cq`. A null `cq`
+  /// means "read here": the call runs the blocking replica read — the same
+  /// charges, fault and rot draws, and (timing on) device sleep on this
+  /// thread — and `done` fires before it returns. That is how a blocking
+  /// Execute runs the dereference state machines. The base implementations
+  /// always read this way, which keeps every File subclass correct.
   using AsyncReadDone = std::function<void(Status)>;
 
   virtual void GetInPartitionOnReplicaAsync(sim::NodeId compute_node,

@@ -266,6 +266,10 @@ void PartitionedFile::GetInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::string& key, std::vector<Record>* out, sim::CompletionQueue* cq,
     AsyncReadDone done) {
+  if (cq == nullptr) {
+    done(GetInPartitionOnReplica(compute_node, partition, replica, key, out));
+    return;
+  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {
@@ -302,6 +306,11 @@ void PartitionedFile::GetBatchInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::vector<std::string>& keys, std::vector<std::vector<Record>>* out,
     sim::CompletionQueue* cq, AsyncReadDone done) {
+  if (cq == nullptr) {
+    done(GetBatchInPartitionOnReplica(compute_node, partition, replica, keys,
+                                      out));
+    return;
+  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {
@@ -502,6 +511,11 @@ void BtreeFile::GetRangeInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::string& lo, const std::string& hi, RecordVisitor visit,
     sim::CompletionQueue* cq, AsyncReadDone done) {
+  if (cq == nullptr) {
+    done(GetRangeInPartitionOnReplica(compute_node, partition, replica, lo, hi,
+                                      visit));
+    return;
+  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {

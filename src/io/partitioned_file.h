@@ -64,6 +64,7 @@ class PartitionedFile : public File {
   /// placement matches the blocking path exactly — lookups/batched_gets are
   /// bumped before the charge where the blocking path bumps them before,
   /// records_read and epoch attribution land only on a successful charge.
+  /// A null `cq` runs the blocking read in place (see File).
   void GetInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                     uint32_t partition, uint32_t replica,
                                     const std::string& key,
@@ -156,8 +157,9 @@ class BtreeFile final : public PartitionedFile {
                                       const RecordVisitor& visit) override;
 
   /// Async range read: descent charge suspends, then the B-tree range is
-  /// visited synchronously on the delivering thread (emitting records),
-  /// then the leaf-stream sequential charge suspends again.
+  /// collected on the delivering thread, then the leaf-stream sequential
+  /// charge suspends again; records reach `visit` only once both charges
+  /// landed and verified. A null `cq` runs the blocking read in place.
   void GetRangeInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                          uint32_t partition, uint32_t replica,
                                          const std::string& lo,

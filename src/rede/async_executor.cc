@@ -142,9 +142,6 @@ struct AsyncExecutor::TaskFrame {
 class AsyncExecutor::Runtime final : public AsyncRuntime {
  public:
   Runtime(AsyncExecutor* exec, RunState* run) : exec_(exec), run_(run) {}
-  void Post(std::function<void()> fn) override {
-    exec_->ready_.Push(std::move(fn));
-  }
   void After(uint64_t delay_us, std::function<void()> fn) override {
     // The timer thread only enqueues; the continuation runs on a worker.
     exec_->timers_.After(delay_us,
@@ -239,8 +236,8 @@ void AsyncExecutor::RunTaskAsync(const std::shared_ptr<RunState>& run,
   ctx.completion_queue = run->cqs[node].get();
   if (options_.deterministic_seed == 0) {
     ctx.async = run->runtime.get();
-    // Hedging needs the runtime (deadline timers); ctx.stragglers stays
-    // null — the async hedge pins the run instead of parking a thread.
+    // Hedging needs the runtime: deadline timers, and the run pin its
+    // loser arm holds.
     if (options_.hedge.enabled) ctx.hedge = options_.hedge;
   }
   frame->ctx = ctx;

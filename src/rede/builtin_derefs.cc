@@ -1,13 +1,9 @@
 #include "rede/builtin_derefs.h"
 
-#include <chrono>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +13,8 @@
 namespace lakeharbor::rede {
 
 namespace {
+
+using AsyncDone = StageFunction::AsyncDone;
 
 /// Count one event on the run metrics, tolerating contexts without metrics
 /// (direct stage-function calls in tests).
@@ -89,245 +87,225 @@ void RepairCorruptReplicas(const ExecContext& ctx, const io::File& file,
   }
 }
 
-/// Issue a partition read with transparent replica failover. `read` is
-/// invoked with a replica index and must be restartable (clear its outputs
-/// on entry): replicas known to be down are skipped without a probe, and a
-/// replica answering kUnavailable (outage raced the liveness check) hands
-/// the read to the next one — BEFORE any retry backoff, which is what keeps
-/// a whole-node outage from burning the retry budget against a dead disk.
-/// A replica answering kCorruption (checksum mismatch) is treated exactly
-/// like a dead one — the read advances and is NEVER re-issued against the
-/// rotten replica (kCorruption is non-retryable) — and once a later
-/// replica serves a clean copy, every corrupt replica passed over is
-/// rewritten in place (read repair; `result_bytes`, when provided, sizes
-/// the repair write from the clean result). Other errors (kIoError) are a
-/// device hiccup, not a dead node, and stay with the retry policy.
-/// When every replica is down the primary is probed anyway so the caller
-/// sees the real outage error; when every replica is corrupt or
-/// unreachable the read fails kCorruption (counted unrepairable).
-template <typename ReadFn>
-Status ReadWithFailover(const ExecContext& ctx, const io::File& file,
-                        uint32_t partition, const ReadFn& read,
-                        const std::function<uint64_t()>& result_bytes = {}) {
-  // Per-PARTITION slot count, not the file-level rf: during a rebalance a
-  // flipped partition exposes new replicas first with the old set appended
-  // as a failover tail (old-or-new reads; see io::PlacementManager).
-  const uint32_t rf = file.ReplicaCountFor(partition);
-  if (rf <= 1 || ctx.cluster == nullptr) {
-    Status s = read(0);
-    CountUnrepairable(ctx, s);
-    return s;
+/// Append `record` to a copy of `input`'s bundle, run the filter, and emit.
+Status EmitFetched(const Tuple& input, const io::Record& record,
+                   const Filter& filter, std::vector<Tuple>* out) {
+  Tuple next;
+  next.records.reserve(input.records.size() + 1);
+  next.records = input.records;
+  next.records.push_back(record);
+  if (filter) {
+    LH_ASSIGN_OR_RETURN(bool keep, filter(next));
+    if (!keep) return Status::OK();
   }
-  Status last;
-  std::vector<uint32_t> corrupt_replicas;
-  bool attempted = false;
-  for (uint32_t r = 0; r < rf; ++r) {
-    if (ctx.cluster->NodeIsDown(file.NodeOfReplica(partition, r))) {
-      Bump(ctx, &ExecMetricsCounters::failovers);
-      const int64_t now_us = ctx.trace != nullptr ? NowMicros() : 0;
-      RecordFailoverSpan(ctx, r, now_us, now_us, /*skipped=*/true);
-      continue;
-    }
-    const bool is_hop = attempted;  // a prior replica already answered
-    if (attempted) Bump(ctx, &ExecMetricsCounters::failovers);
-    if (r > 0) Bump(ctx, &ExecMetricsCounters::replica_reads);
-    const int64_t start_us =
-        (is_hop && ctx.trace != nullptr) ? NowMicros() : 0;
-    Status status = read(r);
-    if (is_hop && ctx.trace != nullptr) {
-      RecordFailoverSpan(ctx, r, start_us, NowMicros(), /*skipped=*/false);
-    }
-    attempted = true;
-    if (status.ok()) {
-      if (!corrupt_replicas.empty()) {
-        RepairCorruptReplicas(ctx, file, partition, corrupt_replicas,
-                              result_bytes ? result_bytes() : 0);
-      }
-      return status;
-    }
-    if (status.IsCorruption()) {
-      Bump(ctx, &ExecMetricsCounters::corruptions_detected);
-      corrupt_replicas.push_back(r);
-      last = status;
-      continue;
-    }
-    if (!status.IsUnavailable()) return status;
-    last = status;
-  }
-  if (!attempted) {
-    Status s = read(0);
-    CountUnrepairable(ctx, s);
-    return s;
-  }
-  // Corruption was seen and no replica ever served a clean copy: the
-  // caller gets an error (usually kCorruption), never rotten bytes.
-  if (!corrupt_replicas.empty()) {
-    Bump(ctx, &ExecMetricsCounters::unrepairable);
-  }
-  return last;
+  out->push_back(std::move(next));
+  return Status::OK();
 }
 
-/// One side of a hedged read: the spawned primary arm publishes its result
-/// here; the calling thread waits with a deadline.
-struct HedgeArm {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
+/// Run a continuation-passing invocation to completion on the calling
+/// thread. Without a completion queue every io read completes before it
+/// returns (io::File's async contract), and without a runtime nothing
+/// hedges, so `done` has fired by the time `start` returns. This is the
+/// whole of the built-in dereferencers' blocking Execute/ExecuteBatch.
+template <typename Start>
+Status RunInline(const ExecContext& ctx, const Start& start) {
+  ExecContext inline_ctx = ctx;
+  inline_ctx.completion_queue = nullptr;
+  inline_ctx.async = nullptr;
   Status status;
-  std::vector<io::Record> records;
-};
+  bool finished = false;
+  start(inline_ctx, [&status, &finished](Status s) {
+    status = std::move(s);
+    finished = true;
+  });
+  LH_CHECK_MSG(finished, "inline dereference suspended without a queue");
+  return status;
+}
 
-/// Continuation-passing mirror of ReadWithFailover: the same replica walk,
-/// metric bumps, and span placement, but each attempt suspends across its
-/// device completion instead of blocking. `read(replica, cb)` must be
-/// restartable (clear its outputs on entry) and invoke `cb` exactly once.
-/// The state is shared_ptr-owned because the resume path runs on whichever
-/// worker drains the completion.
-struct AsyncFailoverState
-    : public std::enable_shared_from_this<AsyncFailoverState> {
-  ExecContext ctx;
-  const io::File* file = nullptr;
-  uint32_t partition = 0;
-  std::function<void(uint32_t, std::function<void(Status)>)> read;
-  std::function<void(Status)> done;
-  std::function<uint64_t()> result_bytes;
-  uint32_t rf = 0;
-  uint32_t r = 0;
-  Status last;
-  std::vector<uint32_t> corrupt_replicas;
-  bool attempted = false;
-  bool is_hop = false;
-  int64_t hop_start_us = 0;
+/// State of one dereference invocation across its suspensions. Every
+/// ExecuteAsync / ExecuteBatchAsync call allocates exactly one frame, which
+/// holds the walk state and the read buffers; each continuation it hands
+/// to the io layer captures only the frame pointer (so std::function keeps
+/// it inline, without an allocation). The frame deletes itself in Finish,
+/// before `done` runs. The caller's `input`/`inputs` and `out` are
+/// borrowed, valid until `done` fires.
+///
+/// Read completions run wherever the io layer delivers them: before the
+/// read call returns without a completion queue (inline Execute), later on
+/// a worker otherwise. A chain of inline completions recurses, bounded by
+/// the partitions one invocation reads.
+struct Frame {
+  Frame(const ExecContext& context, AsyncDone on_done)
+      : ctx(context), done(std::move(on_done)) {}
+  virtual ~Frame() = default;
+  LH_DISALLOW_COPY_AND_ASSIGN(Frame);
 
-  void Run() {
-    rf = file->ReplicaCountFor(partition);
-    if (rf <= 1 || ctx.cluster == nullptr) {
-      NoFailoverRead();
+  /// Submit the read of the walked partition against `replica`. Resets the
+  /// shape's read buffers first (the walk re-submits failed reads) and
+  /// delivers the verdict through ReadDone().
+  virtual void SubmitRead(uint32_t replica) = 0;
+  /// Bytes of the clean result just read; sizes read-repair writes.
+  virtual uint64_t ResultBytes() const { return 0; }
+  /// The walked partition's read finished, failover included.
+  virtual void OnPartitionRead(Status status) = 0;
+
+  void Finish(Status status) {
+    AsyncDone on_done = std::move(done);
+    delete this;
+    on_done(std::move(status));
+  }
+
+  io::File::AsyncReadDone ReadDone() {
+    return [this](Status s) { OnReplicaRead(std::move(s)); };
+  }
+
+  /// Read one partition with transparent replica failover, then call
+  /// OnPartitionRead. Replicas known to be down are skipped without a
+  /// probe, and a replica answering kUnavailable (outage raced the
+  /// liveness check) hands the read to the next one — BEFORE any retry
+  /// backoff, which is what keeps a whole-node outage from burning the
+  /// retry budget against a dead disk. A replica answering kCorruption
+  /// (checksum mismatch) is treated exactly like a dead one and never
+  /// re-read; once a later replica serves a clean copy, every corrupt
+  /// replica passed over is rewritten in place (read repair). Other errors
+  /// (kIoError) are a device hiccup, not a dead node, and stay with the
+  /// retry policy. When every replica is down the primary is probed anyway
+  /// so the caller sees the real outage error; when every replica is
+  /// corrupt or unreachable the read fails kCorruption (counted
+  /// unrepairable). A one-replica partition is read directly.
+  ///
+  /// The slot count is per PARTITION, not the file-level rf: during a
+  /// rebalance a flipped partition exposes new replicas first with the old
+  /// set appended as a failover tail (see io::PlacementManager).
+  void ReadPartition(const io::File& file, uint32_t partition) {
+    walk_file = &file;
+    walk_partition = partition;
+    walk_rf = file.ReplicaCountFor(partition);
+    walk_direct = walk_rf <= 1 || ctx.cluster == nullptr;
+    if (walk_direct) {
+      SubmitRead(0);
       return;
     }
-    Step();
+    walk_replica = 0;
+    walk_attempted = false;
+    walk_last = Status::OK();
+    corrupt_replicas.clear();
+    NextReplica();
   }
 
-  /// Single-replica (or every-replica-down) read: no failover possible, so
-  /// a corrupt verdict is unrepairable by construction.
-  void NoFailoverRead() {
-    auto self = shared_from_this();
-    read(0, [self](Status s) {
-      CountUnrepairable(self->ctx, s);
-      self->done(std::move(s));
-    });
-  }
-
-  void Step() {
-    while (r < rf) {
-      if (ctx.cluster->NodeIsDown(file->NodeOfReplica(partition, r))) {
+  void NextReplica() {
+    while (walk_replica < walk_rf) {
+      const uint32_t r = walk_replica;
+      if (ctx.cluster->NodeIsDown(walk_file->NodeOfReplica(walk_partition,
+                                                           r))) {
         Bump(ctx, &ExecMetricsCounters::failovers);
         const int64_t now_us = ctx.trace != nullptr ? NowMicros() : 0;
         RecordFailoverSpan(ctx, r, now_us, now_us, /*skipped=*/true);
-        ++r;
+        ++walk_replica;
         continue;
       }
-      is_hop = attempted;
-      if (attempted) Bump(ctx, &ExecMetricsCounters::failovers);
+      walk_is_hop = walk_attempted;  // a prior replica already answered
+      if (walk_attempted) Bump(ctx, &ExecMetricsCounters::failovers);
       if (r > 0) Bump(ctx, &ExecMetricsCounters::replica_reads);
-      hop_start_us = (is_hop && ctx.trace != nullptr) ? NowMicros() : 0;
-      auto self = shared_from_this();
-      read(r, [self](Status s) { self->OnResult(std::move(s)); });
+      walk_hop_start_us =
+          (walk_is_hop && ctx.trace != nullptr) ? NowMicros() : 0;
+      SubmitRead(r);
       return;
     }
-    if (!attempted) {
-      NoFailoverRead();
+    if (!walk_attempted) {
+      walk_direct = true;
+      SubmitRead(0);
       return;
     }
+    // Corruption was seen and no replica ever served a clean copy: the
+    // caller gets an error (usually kCorruption), never rotten bytes.
     if (!corrupt_replicas.empty()) {
       Bump(ctx, &ExecMetricsCounters::unrepairable);
     }
-    done(last);
+    OnPartitionRead(std::move(walk_last));
   }
 
-  void OnResult(Status s) {
-    if (is_hop && ctx.trace != nullptr) {
-      RecordFailoverSpan(ctx, r, hop_start_us, NowMicros(), /*skipped=*/false);
+  void OnReplicaRead(Status status) {
+    if (walk_direct) {
+      CountUnrepairable(ctx, status);
+      OnPartitionRead(std::move(status));
+      return;
     }
-    attempted = true;
-    if (s.ok()) {
+    if (walk_is_hop && ctx.trace != nullptr) {
+      RecordFailoverSpan(ctx, walk_replica, walk_hop_start_us, NowMicros(),
+                         /*skipped=*/false);
+    }
+    walk_attempted = true;
+    if (status.ok()) {
       if (!corrupt_replicas.empty()) {
-        RepairCorruptReplicas(ctx, *file, partition, corrupt_replicas,
-                              result_bytes ? result_bytes() : 0);
+        RepairCorruptReplicas(ctx, *walk_file, walk_partition,
+                              corrupt_replicas, ResultBytes());
       }
-      done(std::move(s));
+      OnPartitionRead(std::move(status));
       return;
     }
-    if (s.IsCorruption()) {
-      // Same rule as the blocking walk: a rotten replica is a dead one.
+    if (status.IsCorruption()) {
       Bump(ctx, &ExecMetricsCounters::corruptions_detected);
-      corrupt_replicas.push_back(r);
-      last = std::move(s);
-      ++r;
-      Step();
+      corrupt_replicas.push_back(walk_replica);
+    } else if (!status.IsUnavailable()) {
+      OnPartitionRead(std::move(status));
       return;
     }
-    if (!s.IsUnavailable()) {
-      done(std::move(s));
-      return;
-    }
-    last = std::move(s);
-    ++r;
-    Step();
+    walk_last = std::move(status);
+    ++walk_replica;
+    NextReplica();
   }
+
+  ExecContext ctx;
+  AsyncDone done;
+  // Replica walk of the partition being read.
+  const io::File* walk_file = nullptr;
+  uint32_t walk_partition = 0;
+  uint32_t walk_rf = 0;
+  uint32_t walk_replica = 0;
+  bool walk_direct = false;  // one read, nothing to fail over to
+  bool walk_attempted = false;
+  bool walk_is_hop = false;
+  int64_t walk_hop_start_us = 0;
+  Status walk_last;
+  std::vector<uint32_t> corrupt_replicas;
 };
 
-void ReadWithFailoverAsync(
-    const ExecContext& ctx, const io::File& file, uint32_t partition,
-    std::function<void(uint32_t, std::function<void(Status)>)> read,
-    std::function<void(Status)> done,
-    std::function<uint64_t()> result_bytes = {}) {
-  auto state = std::make_shared<AsyncFailoverState>();
-  state->ctx = ctx;
-  state->file = &file;
-  state->partition = partition;
-  state->read = std::move(read);
-  state->done = std::move(done);
-  state->result_bytes = std::move(result_bytes);
-  state->Run();
-}
-
-/// State of one async hedged read. Both arms read into buffers owned here
-/// (shared_ptr) so the LOSER's completion — which can arrive after the
-/// caller's continuation has long moved on — touches only this state. The
-/// primary arm holds a RetainIo pin on the run for exactly that window, so
-/// the run cannot tear down under a straggler completion: the async
-/// equivalent of the threaded engine's straggler reaper, with no thread to
-/// park.
-struct AsyncHedgeState {
+/// State of one hedged read, shared by its two arms. Both arms read into
+/// buffers owned here, so the loser's completion — which can arrive after
+/// the adopting frame has finished — touches only this state. Once the
+/// second arm is launched the primary no longer adopts on its own: the
+/// second arm's verdict always lands before `done`, and only the primary
+/// can outlive the read. It holds a RetainIo pin on the runtime until it
+/// lands, so the run (or the threaded engine's task) cannot end under it.
+struct HedgeState {
   std::mutex mutex;
   ExecContext ctx;
   std::shared_ptr<io::File> file;
   uint32_t partition = 0;
   const std::string* key = nullptr;
-  std::vector<io::Record>* read = nullptr;  // caller's adopted-result buffer
-  std::function<void(Status)> done;
+  std::vector<io::Record>* read = nullptr;  // the adopting frame's buffer
+  AsyncDone done;
   uint32_t primary = 0;
   uint32_t secondary = 0;
   std::vector<io::Record> primary_records;
   std::vector<io::Record> secondary_records;
   Status primary_status;
   bool primary_done = false;
-  bool timer_fired = false;
+  bool hedged = false;  // the second arm was launched
   bool secondary_failed = false;
   bool finished = false;
   int64_t hedge_start_us = 0;
 };
 
-void HedgeOnPrimary(const std::shared_ptr<AsyncHedgeState>& st, Status s) {
+void HedgeOnPrimary(const std::shared_ptr<HedgeState>& st, Status s) {
   bool adopt = false;
   Status adopt_status;
   {
     std::lock_guard<std::mutex> lock(st->mutex);
     st->primary_done = true;
     st->primary_status = std::move(s);
-    if (!st->finished &&
-        (!st->timer_fired || st->secondary_failed)) {
+    if (!st->finished && (!st->hedged || st->secondary_failed)) {
       // Primary beat the deadline — or the hedge already failed and was
       // waiting for the authoritative primary. Adopt it.
       st->finished = true;
@@ -344,7 +322,7 @@ void HedgeOnPrimary(const std::shared_ptr<AsyncHedgeState>& st, Status s) {
   st->ctx.async->ReleaseIo();
 }
 
-void HedgeOnSecondary(const std::shared_ptr<AsyncHedgeState>& st, Status s) {
+void HedgeOnSecondary(const std::shared_ptr<HedgeState>& st, Status s) {
   if (st->ctx.trace != nullptr) {
     obs::Span span;
     span.name = "hedge";
@@ -384,76 +362,47 @@ void HedgeOnSecondary(const std::shared_ptr<AsyncHedgeState>& st, Status s) {
   }
 }
 
-void HedgeOnDeadline(const std::shared_ptr<AsyncHedgeState>& st) {
-  {
-    std::lock_guard<std::mutex> lock(st->mutex);
-    if (st->finished || st->primary_done) return;  // primary won in time
-    st->timer_fired = true;
-    Bump(st->ctx, &ExecMetricsCounters::hedged_reads);
-    if (st->primary != st->secondary && st->secondary > 0) {
-      Bump(st->ctx, &ExecMetricsCounters::replica_reads);
-    }
-    st->hedge_start_us = st->ctx.trace != nullptr ? NowMicros() : 0;
+/// Launch the second arm (the caller has set `hedged`).
+void LaunchSecondary(const std::shared_ptr<HedgeState>& st) {
+  Bump(st->ctx, &ExecMetricsCounters::hedged_reads);
+  if (st->primary != st->secondary && st->secondary > 0) {
+    Bump(st->ctx, &ExecMetricsCounters::replica_reads);
   }
+  st->hedge_start_us = st->ctx.trace != nullptr ? NowMicros() : 0;
   st->file->GetInPartitionOnReplicaAsync(
       st->ctx.node, st->partition, st->secondary, *st->key,
       &st->secondary_records, st->ctx.completion_queue,
       [st](Status s) { HedgeOnSecondary(st, std::move(s)); });
 }
 
-/// Append `record` to a copy of `input`'s bundle, run the filter, and emit.
-Status EmitFetched(const Tuple& input, const io::Record& record,
-                   const Filter& filter, std::vector<Tuple>* out) {
-  Tuple next;
-  next.records.reserve(input.records.size() + 1);
-  next.records = input.records;
-  next.records.push_back(record);
-  if (filter) {
-    LH_ASSIGN_OR_RETURN(bool keep, filter(next));
-    if (!keep) return Status::OK();
+void HedgeOnDeadline(const std::shared_ptr<HedgeState>& st) {
+  {
+    std::lock_guard<std::mutex> lock(st->mutex);
+    if (st->finished || st->primary_done) return;  // primary won in time
+    st->hedged = true;
   }
-  out->push_back(std::move(next));
-  return Status::OK();
+  LaunchSecondary(st);
 }
 
-/// Continuation frames of the async dereference state machines. Each frame
-/// owns the cross-suspension state of one ExecuteAsync invocation (the
-/// blocking path keeps the same state on its thread's stack); `input` and
-/// `out` are borrowed from the caller, valid until `done` fires.
-struct PointFrame {
-  ExecContext ctx;
-  const Tuple* input = nullptr;
-  std::vector<Tuple>* out = nullptr;
-  StageFunction::AsyncDone done;
-  std::vector<io::Record> fetched;
-  uint32_t p = 0;  // broadcast partition cursor
-  sim::NodeId owner = 0;
-};
-
-struct BatchFrame {
-  using LookupKey = std::pair<uint32_t, std::string>;
-  ExecContext ctx;
-  const std::vector<Tuple>* inputs = nullptr;
-  std::vector<Tuple>* out = nullptr;
-  StageFunction::AsyncDone done;
-  std::map<LookupKey, std::vector<io::Record>> resolved;
-  std::vector<std::pair<uint32_t, std::vector<std::string>>> missing;
-  size_t mi = 0;  // missing-partition cursor
-  std::vector<std::string> pinned;
-  std::vector<std::string> admitted;
-  std::vector<std::vector<io::Record>> results;  // current partition's read
-};
-
-struct RangeFrame {
-  ExecContext ctx;
-  const Tuple* input = nullptr;
-  std::vector<Tuple>* out = nullptr;
-  StageFunction::AsyncDone done;
-  Status emit_status;
-  std::vector<uint32_t> partitions;
-  size_t pi = 0;  // partition cursor
-  size_t out_mark = 0;
-};
+/// First two live replicas of `partition`, or false when fewer than two
+/// are live (the read then takes the failover walk).
+bool PickHedgeReplicas(const ExecContext& ctx, const io::File& file,
+                       uint32_t partition, uint32_t* primary,
+                       uint32_t* secondary) {
+  const uint32_t rf = file.ReplicaCountFor(partition);
+  if (rf < 2 || ctx.cluster == nullptr) return false;
+  uint32_t live[2] = {0, 0};
+  uint32_t n = 0;
+  for (uint32_t r = 0; r < rf && n < 2; ++r) {
+    if (!ctx.cluster->NodeIsDown(file.NodeOfReplica(partition, r))) {
+      live[n++] = r;
+    }
+  }
+  if (n < 2) return false;
+  *primary = live[0];
+  *secondary = live[1];
+  return true;
+}
 
 class PointDereferencer final : public Dereferencer {
  public:
@@ -479,210 +428,40 @@ class PointDereferencer final : public Dereferencer {
 
   Status Execute(const ExecContext& ctx, const Tuple& input,
                  std::vector<Tuple>* out) const override {
-    if (input.is_range) {
-      return Status::InvalidArgument(
-          "point dereferencer '" + name() +
-          "' received a range pointer; use a range dereferencer");
-    }
-    std::vector<io::Record> fetched;
-    if (input.pointer.has_partition) {
-      uint32_t partition = PartitionOfPointer(input.pointer);
-      LH_RETURN_NOT_OK(
-          FetchOne(ctx, partition, input.pointer.key, &fetched));
-    } else {
-      // Broadcast pointer. Under SMPE the executor replicated this tuple to
-      // every node and marked it resolve_local, so we consult only the
-      // partitions local to this node (Algorithm 1: SETPARTITION(input,
-      // LOCAL)). Without the mark (partitioned executor: no cross-node task
-      // shipping) the single owner consults every partition, paying remote
-      // reads instead of broadcast messages. A redirected copy (its target
-      // node was down at fan-out) carries that node's id in resolve_owner:
-      // this node stands in for it, resolving ITS partitions via failover.
-      const sim::NodeId owner = input.resolve_owner == Tuple::kResolveOnSelf
-                                    ? ctx.node
-                                    : input.resolve_owner;
-      for (uint32_t p = 0; p < file_->num_partitions(); ++p) {
-        // Ownership is resolved against the tuple's fan-out epoch so a
-        // rebalance commit racing this job cannot duplicate or drop a
-        // partition across nodes.
-        if (input.resolve_local &&
-            file_->BroadcastOwner(p, input.resolve_epoch) != owner) {
-          continue;
-        }
-        if (bloom_ != nullptr &&
-            !bloom_->MightContain(p, input.pointer.key)) {
-          // Membership structure rules this partition out: no probe.
-          file_->mutable_access_stats().bloom_skips.fetch_add(
-              1, std::memory_order_relaxed);
-          continue;
-        }
-        LH_RETURN_NOT_OK(FetchOne(ctx, p, input.pointer.key, &fetched));
-      }
-    }
-    for (const io::Record& record : fetched) {
-      LH_RETURN_NOT_OK(EmitFetched(input, record, filter_, out));
-    }
-    return Status::OK();
+    return RunInline(ctx, [&](const ExecContext& c, AsyncDone done) {
+      ExecuteAsync(c, input, out, std::move(done));
+    });
   }
 
   Status ExecuteBatch(const ExecContext& ctx, const std::vector<Tuple>& inputs,
                       std::vector<Tuple>* out) const override {
-    // The executor only batches keyed point tuples, but a direct caller
-    // might not: anything else degrades to the per-tuple loop.
-    for (const Tuple& t : inputs) {
-      if (t.is_range || !t.pointer.has_partition) {
-        return StageFunction::ExecuteBatch(ctx, inputs, out);
-      }
-    }
-    if (inputs.empty()) return Status::OK();
-    RecordCache* cache =
-        file_->CacheableReads() ? ctx.record_cache : nullptr;
-
-    // Resolve each DISTINCT (partition, key) once; duplicate pointers in the
-    // batch share the result. Cache hits are pinned for the duration of the
-    // call so concurrent evictions cannot churn the working set mid-batch.
-    using LookupKey = std::pair<uint32_t, std::string>;
-    std::map<LookupKey, std::vector<io::Record>> resolved;
-    std::map<uint32_t, std::vector<std::string>> missing;  // per partition
-    std::vector<std::string> pinned;
-    for (const Tuple& input : inputs) {
-      uint32_t partition = PartitionOfPointer(input.pointer);
-      LookupKey lk{partition, input.pointer.key};
-      if (resolved.count(lk) != 0) continue;
-      if (cache != nullptr) {
-        std::string ck =
-            RecordCache::MakeKey(file_->name(), partition, input.pointer.key);
-        if (auto hit = cache->Lookup(ck)) {
-          Bump(ctx, &ExecMetricsCounters::cache_hits);
-          resolved.emplace(std::move(lk), std::move(*hit));
-          if (cache->Pin(ck)) pinned.push_back(std::move(ck));
-          continue;
-        }
-        Bump(ctx, &ExecMetricsCounters::cache_misses);
-      }
-      resolved.emplace(std::move(lk), std::vector<io::Record>{});
-      missing[partition].push_back(input.pointer.key);
-    }
-
-    // Entries admitted by THIS call, invalidated wholesale if a later
-    // partition's read fails: the executor's retry must re-read the whole
-    // batch, never observe (or double-admit) a partial one.
-    std::vector<std::string> admitted;
-    auto unwind = [&](const Status& error) {
-      for (const std::string& ck : admitted) {
-        if (cache->Invalidate(ck)) {
-          Bump(ctx, &ExecMetricsCounters::cache_invalidations);
-        }
-      }
-      for (const std::string& ck : pinned) cache->Unpin(ck);
-      return error;
-    };
-    for (auto& [partition, keys] : missing) {
-      // The fused batch read fails over like a point read (hedging is a
-      // point-lookup latency tool and does not apply to batches).
-      std::vector<std::vector<io::Record>> results;
-      Status read = ReadWithFailover(
-          ctx, *file_, partition,
-          [&](uint32_t replica) {
-            results.clear();
-            return file_->GetBatchInPartitionOnReplica(ctx.node, partition,
-                                                       replica, keys,
-                                                       &results);
-          },
-          [&results]() {
-            uint64_t bytes = 0;
-            for (const auto& bucket : results) {
-              for (const io::Record& rec : bucket) bytes += rec.size();
-            }
-            return bytes;
-          });
-      if (!read.ok()) return unwind(read);
-      LH_CHECK(results.size() == keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (cache != nullptr) {
-          std::string ck =
-              RecordCache::MakeKey(file_->name(), partition, keys[i]);
-          if (cache->StartAdmission(ck)) {
-            CountAdmission(ctx, cache->CommitAdmission(ck, results[i]));
-            admitted.push_back(std::move(ck));
-          }
-        }
-        resolved[LookupKey{partition, keys[i]}] = std::move(results[i]);
-      }
-    }
-
-    for (const Tuple& input : inputs) {
-      const std::vector<io::Record>& fetched =
-          resolved[LookupKey{PartitionOfPointer(input.pointer),
-                             input.pointer.key}];
-      for (const io::Record& record : fetched) {
-        Status emit = EmitFetched(input, record, filter_, out);
-        // Emission failures (filter errors) are permanent, not transient:
-        // keep the admitted entries (the reads succeeded) but drop pins.
-        if (!emit.ok()) {
-          for (const std::string& ck : pinned) cache->Unpin(ck);
-          return emit;
-        }
-      }
-    }
-    if (cache != nullptr) {
-      for (const std::string& ck : pinned) cache->Unpin(ck);
-    }
-    return Status::OK();
+    return RunInline(ctx, [&](const ExecContext& c, AsyncDone done) {
+      ExecuteBatchAsync(c, inputs, out, std::move(done));
+    });
   }
 
-  /// Async mirror of Execute: identical cache/metric/span behavior, but
-  /// every device charge suspends the state machine instead of blocking the
-  /// worker. Cache hits complete their continuation inline, so the
-  /// broadcast-partition chain can recurse — bounded by num_partitions().
+  /// Every device read suspends the state machine on the context's
+  /// completion queue (or completes in place without one). Cache hits
+  /// continue inline.
   void ExecuteAsync(const ExecContext& ctx, const Tuple& input,
                     std::vector<Tuple>* out, AsyncDone done) const override {
-    if (ctx.completion_queue == nullptr) {
-      done(Execute(ctx, input, out));
-      return;
-    }
     if (input.is_range) {
       done(Status::InvalidArgument(
           "point dereferencer '" + name() +
           "' received a range pointer; use a range dereferencer"));
       return;
     }
-    auto f = std::make_shared<PointFrame>();
-    f->ctx = ctx;
-    f->input = &input;
-    f->out = out;
-    f->done = std::move(done);
-    if (input.pointer.has_partition) {
-      const uint32_t partition = PartitionOfPointer(input.pointer);
-      FetchOneAsync(f->ctx, partition, f->input->pointer.key, &f->fetched,
-                    [this, f](Status s) {
-                      if (!s.ok()) {
-                        f->done(std::move(s));
-                        return;
-                      }
-                      EmitPointAsync(f);
-                    });
-      return;
-    }
-    f->owner = input.resolve_owner == Tuple::kResolveOnSelf
-                   ? ctx.node
-                   : input.resolve_owner;
-    NextBroadcastPartition(f);
+    (new PointFrame(ctx, std::move(done), *this, input, out))->Start();
   }
 
   void ExecuteBatchAsync(const ExecContext& ctx,
                          const std::vector<Tuple>& inputs,
                          std::vector<Tuple>* out,
                          AsyncDone done) const override {
-    if (ctx.completion_queue == nullptr) {
-      done(ExecuteBatch(ctx, inputs, out));
-      return;
-    }
     for (const Tuple& t : inputs) {
       if (t.is_range || !t.pointer.has_partition) {
         // The executor only batches keyed point tuples; a direct caller's
-        // degenerate batch takes the blocking per-tuple loop (occupying
-        // this worker), which is correct and keeps the degraded path one.
+        // degenerate batch takes the per-tuple loop (each tuple inline).
         done(StageFunction::ExecuteBatch(ctx, inputs, out));
         return;
       }
@@ -691,483 +470,334 @@ class PointDereferencer final : public Dereferencer {
       done(Status::OK());
       return;
     }
-    auto f = std::make_shared<BatchFrame>();
-    f->ctx = ctx;
-    f->inputs = &inputs;
-    f->out = out;
-    f->done = std::move(done);
-    // Dedup + cache-probe prologue is pure CPU: identical to the blocking
-    // path, run synchronously at submission.
-    RecordCache* cache =
-        file_->CacheableReads() ? ctx.record_cache : nullptr;
-    std::map<uint32_t, std::vector<std::string>> missing;
-    for (const Tuple& input : inputs) {
-      uint32_t partition = PartitionOfPointer(input.pointer);
-      BatchFrame::LookupKey lk{partition, input.pointer.key};
-      if (f->resolved.count(lk) != 0) continue;
-      if (cache != nullptr) {
-        std::string ck =
-            RecordCache::MakeKey(file_->name(), partition, input.pointer.key);
-        if (auto hit = cache->Lookup(ck)) {
-          Bump(ctx, &ExecMetricsCounters::cache_hits);
-          f->resolved.emplace(std::move(lk), std::move(*hit));
-          if (cache->Pin(ck)) f->pinned.push_back(std::move(ck));
-          continue;
-        }
-        Bump(ctx, &ExecMetricsCounters::cache_misses);
-      }
-      f->resolved.emplace(std::move(lk), std::vector<io::Record>{});
-      missing[partition].push_back(input.pointer.key);
-    }
-    for (auto& [partition, keys] : missing) {
-      f->missing.emplace_back(partition, std::move(keys));
-    }
-    NextBatchPartition(f);
+    (new BatchFrame(ctx, std::move(done), *this, inputs, out))->Start();
   }
 
  private:
-  /// Broadcast resolution loop of ExecuteAsync: walk partitions, applying
-  /// the same ownership and bloom skips as the blocking path, suspending
-  /// across each probed partition's device charge.
-  void NextBroadcastPartition(const std::shared_ptr<PointFrame>& f) const {
-    while (f->p < file_->num_partitions()) {
-      const uint32_t p = f->p;
-      if (f->input->resolve_local &&
-          file_->BroadcastOwner(p, f->input->resolve_epoch) != f->owner) {
-        ++f->p;
-        continue;
-      }
-      if (bloom_ != nullptr &&
-          !bloom_->MightContain(p, f->input->pointer.key)) {
-        file_->mutable_access_stats().bloom_skips.fetch_add(
-            1, std::memory_order_relaxed);
-        ++f->p;
-        continue;
-      }
-      ++f->p;
-      FetchOneAsync(f->ctx, p, f->input->pointer.key, &f->fetched,
-                    [this, f](Status s) {
-                      if (!s.ok()) {
-                        f->done(std::move(s));
-                        return;
-                      }
-                      NextBroadcastPartition(f);
-                    });
-      return;
-    }
-    EmitPointAsync(f);
-  }
+  /// One point dereference. A keyed pointer reads its one partition; a
+  /// broadcast copy walks the partitions this node resolves. Each partition
+  /// probe consults the record cache first and, on a miss, admits the read
+  /// two-phase (reserve → read → commit or abort) so a concurrent admitter
+  /// of the same key cannot double-admit.
+  struct PointFrame final : Frame {
+    PointFrame(const ExecContext& context, AsyncDone on_done,
+               const PointDereferencer& d, const Tuple& in,
+               std::vector<Tuple>* o)
+        : Frame(context, std::move(on_done)),
+          deref(d),
+          input(in),
+          out(o),
+          cache(d.file_->CacheableReads() ? context.record_cache : nullptr) {}
 
-  void EmitPointAsync(const std::shared_ptr<PointFrame>& f) const {
-    for (const io::Record& record : f->fetched) {
-      Status emit = EmitFetched(*f->input, record, filter_, f->out);
-      if (!emit.ok()) {
-        f->done(std::move(emit));
+    void Start() {
+      if (input.pointer.has_partition) {
+        Fetch(deref.PartitionOfPointer(input.pointer));
         return;
       }
+      // Broadcast pointer. Under SMPE the executor replicated this tuple
+      // to every node and marked it resolve_local, so only the partitions
+      // local to this node are consulted (Algorithm 1: SETPARTITION(input,
+      // LOCAL)). Without the mark (partitioned executor: no cross-node task
+      // shipping) the single owner consults every partition, paying remote
+      // reads instead of broadcast messages. A redirected copy (its target
+      // node was down at fan-out) carries that node's id in resolve_owner:
+      // this node stands in for it, resolving ITS partitions via failover.
+      owner = input.resolve_owner == Tuple::kResolveOnSelf
+                  ? ctx.node
+                  : input.resolve_owner;
+      NextBroadcastPartition();
     }
-    f->done(Status::OK());
-  }
 
-  /// Per-missing-partition chain of ExecuteBatchAsync: one failover batch
-  /// read per partition, then admissions, then the next partition — the
-  /// same sequential order as the blocking loop, so admission/unwind
-  /// semantics are identical.
-  void NextBatchPartition(const std::shared_ptr<BatchFrame>& f) const {
-    if (f->mi == f->missing.size()) {
-      EmitBatchAsync(f);
-      return;
+    void NextBroadcastPartition() {
+      const io::File& file = *deref.file_;
+      while (next_partition < file.num_partitions()) {
+        const uint32_t p = next_partition++;
+        // Ownership is resolved against the tuple's fan-out epoch so a
+        // rebalance commit racing this job cannot duplicate or drop a
+        // partition across nodes.
+        if (input.resolve_local &&
+            file.BroadcastOwner(p, input.resolve_epoch) != owner) {
+          continue;
+        }
+        if (deref.bloom_ != nullptr &&
+            !deref.bloom_->MightContain(p, input.pointer.key)) {
+          // Membership structure rules this partition out: no probe.
+          deref.file_->mutable_access_stats().bloom_skips.fetch_add(
+              1, std::memory_order_relaxed);
+          continue;
+        }
+        Fetch(p);
+        return;
+      }
+      Emit();
     }
-    const uint32_t partition = f->missing[f->mi].first;
-    const std::vector<std::string>* keys = &f->missing[f->mi].second;
-    ReadWithFailoverAsync(
-        f->ctx, *file_, partition,
-        [this, f, partition, keys](uint32_t replica,
-                                   std::function<void(Status)> cb) {
-          f->results.clear();
-          file_->GetBatchInPartitionOnReplicaAsync(
-              f->ctx.node, partition, replica, *keys, &f->results,
-              f->ctx.completion_queue, std::move(cb));
-        },
-        [this, f, partition, keys](Status read) {
-          if (!read.ok()) {
-            UnwindBatchAsync(f, std::move(read));
-            return;
-          }
-          LH_CHECK(f->results.size() == keys->size());
-          RecordCache* cache =
-        file_->CacheableReads() ? f->ctx.record_cache : nullptr;
-          for (size_t i = 0; i < keys->size(); ++i) {
-            if (cache != nullptr) {
-              std::string ck = RecordCache::MakeKey(file_->name(), partition,
-                                                    (*keys)[i]);
-              if (cache->StartAdmission(ck)) {
-                CountAdmission(f->ctx,
-                               cache->CommitAdmission(ck, f->results[i]));
-                f->admitted.push_back(std::move(ck));
-              }
-            }
-            f->resolved[BatchFrame::LookupKey{partition, (*keys)[i]}] =
-                std::move(f->results[i]);
-          }
-          ++f->mi;
-          NextBatchPartition(f);
-        },
-        [f]() {
-          uint64_t bytes = 0;
-          for (const auto& bucket : f->results) {
-            for (const io::Record& rec : bucket) bytes += rec.size();
-          }
-          return bytes;
-        });
-  }
 
-  void UnwindBatchAsync(const std::shared_ptr<BatchFrame>& f,
-                        Status error) const {
-    RecordCache* cache =
-        file_->CacheableReads() ? f->ctx.record_cache : nullptr;
-    for (const std::string& ck : f->admitted) {
-      if (cache->Invalidate(ck)) {
-        Bump(f->ctx, &ExecMetricsCounters::cache_invalidations);
+    void Fetch(uint32_t p) {
+      partition = p;
+      if (cache != nullptr) {
+        cache_key =
+            RecordCache::MakeKey(deref.file_->name(), p, input.pointer.key);
+        if (auto hit = cache->Lookup(cache_key)) {
+          Bump(ctx, &ExecMetricsCounters::cache_hits);
+          fetched.insert(fetched.end(), hit->begin(), hit->end());
+          Fetched();
+          return;
+        }
+        Bump(ctx, &ExecMetricsCounters::cache_misses);
+        admitting = cache->StartAdmission(cache_key);
+      }
+      // Hedged when the run hedges (it needs the runtime's timers and run
+      // pin, so inline calls and deterministic replay never hedge) and two
+      // replicas are live; the failover walk otherwise.
+      uint32_t primary = 0;
+      uint32_t secondary = 0;
+      if (ctx.hedge.enabled && ctx.async != nullptr &&
+          PickHedgeReplicas(ctx, *deref.file_, p, &primary, &secondary)) {
+        StartHedgedRead(primary, secondary);
+        return;
+      }
+      ReadPartition(*deref.file_, p);
+    }
+
+    void SubmitRead(uint32_t replica) override {
+      read.clear();
+      deref.file_->GetInPartitionOnReplicaAsync(
+          ctx.node, partition, replica, input.pointer.key, &read,
+          ctx.completion_queue, ReadDone());
+    }
+
+    uint64_t ResultBytes() const override {
+      uint64_t bytes = 0;
+      for (const io::Record& rec : read) bytes += rec.size();
+      return bytes;
+    }
+
+    void OnPartitionRead(Status status) override {
+      if (!status.ok()) {
+        if (admitting) cache->AbortAdmission(cache_key);
+        Finish(std::move(status));
+        return;
+      }
+      if (admitting) {
+        CountAdmission(ctx, cache->CommitAdmission(cache_key, read));
+      }
+      if (fetched.empty()) {
+        fetched.swap(read);
+      } else {
+        fetched.insert(fetched.end(), read.begin(), read.end());
+      }
+      Fetched();
+    }
+
+    /// One partition's records are in `fetched`.
+    void Fetched() {
+      if (input.pointer.has_partition) {
+        Emit();
+      } else {
+        NextBroadcastPartition();
       }
     }
-    for (const std::string& ck : f->pinned) cache->Unpin(ck);
-    f->done(std::move(error));
-  }
 
-  void EmitBatchAsync(const std::shared_ptr<BatchFrame>& f) const {
-    RecordCache* cache =
-        file_->CacheableReads() ? f->ctx.record_cache : nullptr;
-    for (const Tuple& input : *f->inputs) {
-      const std::vector<io::Record>& fetched =
-          f->resolved[BatchFrame::LookupKey{PartitionOfPointer(input.pointer),
-                                            input.pointer.key}];
+    /// Race two live replicas. The primary is submitted at once; the second
+    /// arm follows after hedge.deadline_us, or right away when the deadline
+    /// is 0 ("hedge immediately"). See HedgeState for the protocol.
+    void StartHedgedRead(uint32_t primary, uint32_t secondary) {
+      auto st = std::make_shared<HedgeState>();
+      st->ctx = ctx;
+      st->file = deref.file_;
+      st->partition = partition;
+      st->key = &input.pointer.key;
+      st->read = &read;
+      st->done = [this](Status s) { OnHedgedRead(std::move(s)); };
+      st->primary = primary;
+      st->secondary = secondary;
+      // With deadline 0 the hedge is decided before the primary is in
+      // flight, so the primary can never adopt ahead of the second arm.
+      const bool immediate = ctx.hedge.deadline_us == 0;
+      st->hedged = immediate;
+      // Pin the run before the primary is in flight: its completion may
+      // arrive after this read adopted the second arm, and must still find
+      // the runtime alive.
+      ctx.async->RetainIo();
+      deref.file_->GetInPartitionOnReplicaAsync(
+          ctx.node, partition, primary, input.pointer.key,
+          &st->primary_records, ctx.completion_queue,
+          [st](Status s) { HedgeOnPrimary(st, std::move(s)); });
+      if (immediate) {
+        LaunchSecondary(st);
+      } else {
+        ctx.async->After(ctx.hedge.deadline_us,
+                         [st]() { HedgeOnDeadline(st); });
+      }
+    }
+
+    void OnHedgedRead(Status status) {
+      if (status.ok() ||
+          (!status.IsUnavailable() && !status.IsCorruption())) {
+        OnPartitionRead(std::move(status));
+        return;
+      }
+      // An outage — or a checksum mismatch — surfaced mid-hedge: fall back
+      // to the failover walk, which owns the skip-the-bad-replica and
+      // read-repair logic.
+      ReadPartition(*deref.file_, partition);
+    }
+
+    void Emit() {
       for (const io::Record& record : fetched) {
-        Status emit = EmitFetched(input, record, filter_, f->out);
-        // Emission failures are permanent: keep admissions, drop pins —
-        // exactly like the blocking path.
+        Status emit = EmitFetched(input, record, deref.filter_, out);
         if (!emit.ok()) {
-          for (const std::string& ck : f->pinned) cache->Unpin(ck);
-          f->done(std::move(emit));
+          Finish(std::move(emit));
           return;
         }
       }
+      Finish(Status::OK());
     }
-    if (cache != nullptr) {
-      for (const std::string& ck : f->pinned) cache->Unpin(ck);
-    }
-    f->done(Status::OK());
-  }
 
-  /// Async mirror of FetchOne: two-phase admission with the read suspended
-  /// between reserve and commit/abort.
-  void FetchOneAsync(const ExecContext& ctx, uint32_t partition,
-                     const std::string& key, std::vector<io::Record>* fetched,
-                     std::function<void(Status)> done) const {
-    RecordCache* cache =
-        file_->CacheableReads() ? ctx.record_cache : nullptr;
-    if (cache == nullptr) {
-      auto read = std::make_shared<std::vector<io::Record>>();
-      auto* read_ptr = read.get();
-      ReadReplicatedAsync(
-          ctx, partition, key, read_ptr,
-          [read, fetched, done = std::move(done)](Status s) mutable {
-            if (s.ok()) {
-              fetched->insert(fetched->end(), read->begin(), read->end());
-            }
-            done(std::move(s));
-          });
-      return;
-    }
-    std::string ck = RecordCache::MakeKey(file_->name(), partition, key);
-    if (auto hit = cache->Lookup(ck)) {
-      Bump(ctx, &ExecMetricsCounters::cache_hits);
-      fetched->insert(fetched->end(), hit->begin(), hit->end());
-      done(Status::OK());
-      return;
-    }
-    Bump(ctx, &ExecMetricsCounters::cache_misses);
-    const bool admitting = cache->StartAdmission(ck);
-    auto read = std::make_shared<std::vector<io::Record>>();
-    auto* read_ptr = read.get();
-    ReadReplicatedAsync(
-        ctx, partition, key, read_ptr,
-        [ctx, cache, admitting, ck = std::move(ck), read = std::move(read),
-         fetched, done = std::move(done)](Status s) mutable {
-          if (!s.ok()) {
-            if (admitting) cache->AbortAdmission(ck);
-            done(std::move(s));
-            return;
-          }
-          if (admitting) {
-            CountAdmission(ctx, cache->CommitAdmission(ck, *read));
-          }
-          fetched->insert(fetched->end(), read->begin(), read->end());
-          done(std::move(s));
-        });
-  }
+    const PointDereferencer& deref;
+    const Tuple& input;
+    std::vector<Tuple>* out;
+    RecordCache* cache;  // null when caching is off or the file is not cacheable
+    std::vector<io::Record> fetched;  // every probed partition's records
+    std::vector<io::Record> read;     // the current partition's read
+    uint32_t partition = 0;
+    std::string cache_key;
+    bool admitting = false;
+    uint32_t next_partition = 0;  // broadcast cursor
+    sim::NodeId owner = 0;
+  };
 
-  /// Async mirror of ReadReplicated. Hedging additionally requires the
-  /// continuation runtime (deadline timer + run pin); deterministic replay
-  /// never sets ctx.async, so replayed runs take the sequential-failover
-  /// path — same rule as the threaded engine disabling hedges under
-  /// deterministic_seed.
-  void ReadReplicatedAsync(const ExecContext& ctx, uint32_t partition,
-                           const std::string& key,
-                           std::vector<io::Record>* read,
-                           std::function<void(Status)> done) const {
-    if (ctx.hedge.enabled && ctx.async != nullptr) {
-      uint32_t primary = 0;
-      uint32_t secondary = 0;
-      if (PickHedgeReplicas(ctx, partition, &primary, &secondary)) {
-        const std::string* keyp = &key;
-        auto fallback = [this, ctx, partition, keyp, read,
-                         done = std::move(done)](Status hedged) mutable {
-          if (hedged.ok() ||
-              (!hedged.IsUnavailable() && !hedged.IsCorruption())) {
-            done(std::move(hedged));
-            return;
+  /// One fused batch of keyed point tuples. Each DISTINCT (partition, key)
+  /// is resolved once; duplicate pointers in the batch share the result.
+  /// Cache hits are pinned for the duration of the call so concurrent
+  /// evictions cannot churn the working set mid-batch. Each missing
+  /// partition is one failover batch read (hedging is a point-lookup
+  /// latency tool and does not apply to batches), read in partition order.
+  struct BatchFrame final : Frame {
+    using LookupKey = std::pair<uint32_t, std::string>;
+
+    BatchFrame(const ExecContext& context, AsyncDone on_done,
+               const PointDereferencer& d, const std::vector<Tuple>& in,
+               std::vector<Tuple>* o)
+        : Frame(context, std::move(on_done)),
+          deref(d),
+          inputs(in),
+          out(o),
+          cache(d.file_->CacheableReads() ? context.record_cache : nullptr) {}
+
+    void Start() {
+      for (const Tuple& input : inputs) {
+        const uint32_t partition = deref.PartitionOfPointer(input.pointer);
+        LookupKey lk{partition, input.pointer.key};
+        if (resolved.count(lk) != 0) continue;
+        if (cache != nullptr) {
+          std::string ck = RecordCache::MakeKey(deref.file_->name(),
+                                                partition, input.pointer.key);
+          if (auto hit = cache->Lookup(ck)) {
+            Bump(ctx, &ExecMetricsCounters::cache_hits);
+            resolved.emplace(std::move(lk), std::move(*hit));
+            if (cache->Pin(ck)) pinned.push_back(std::move(ck));
+            continue;
           }
-          // An outage — or a checksum mismatch — surfaced mid-hedge: fall
-          // back to sequential failover, which owns the skip-the-bad-
-          // replica and read-repair logic.
-          read->clear();
-          FailoverPointReadAsync(ctx, partition, *keyp, read,
-                                 std::move(done));
-        };
-        StartHedgedReadAsync(ctx, partition, primary, secondary, key, read,
-                             std::move(fallback));
+          Bump(ctx, &ExecMetricsCounters::cache_misses);
+        }
+        resolved.emplace(std::move(lk), std::vector<io::Record>{});
+        missing[partition].push_back(input.pointer.key);
+      }
+      next_missing = missing.begin();
+      NextPartition();
+    }
+
+    void NextPartition() {
+      if (next_missing == missing.end()) {
+        Emit();
         return;
       }
+      ReadPartition(*deref.file_, next_missing->first);
     }
-    FailoverPointReadAsync(ctx, partition, key, read, std::move(done));
-  }
 
-  void FailoverPointReadAsync(const ExecContext& ctx, uint32_t partition,
-                              const std::string& key,
-                              std::vector<io::Record>* read,
-                              std::function<void(Status)> done) const {
-    const std::string* keyp = &key;
-    io::File* file = file_.get();
-    ReadWithFailoverAsync(
-        ctx, *file_, partition,
-        [file, ctx, partition, keyp, read](uint32_t replica,
-                                           std::function<void(Status)> cb) {
-          read->clear();
-          file->GetInPartitionOnReplicaAsync(ctx.node, partition, replica,
-                                             *keyp, read,
-                                             ctx.completion_queue,
-                                             std::move(cb));
-        },
-        std::move(done),
-        [read]() {
-          uint64_t bytes = 0;
-          for (const io::Record& rec : *read) bytes += rec.size();
-          return bytes;
-        });
-  }
+    void SubmitRead(uint32_t replica) override {
+      results.clear();
+      deref.file_->GetBatchInPartitionOnReplicaAsync(
+          ctx.node, next_missing->first, replica, next_missing->second,
+          &results, ctx.completion_queue, ReadDone());
+    }
 
-  /// First two live replicas of `partition`, or false when fewer than two
-  /// are live (the hedge falls back to sequential failover) — the same
-  /// applicability rule TryHedgedRead evaluates.
-  bool PickHedgeReplicas(const ExecContext& ctx, uint32_t partition,
-                         uint32_t* primary, uint32_t* secondary) const {
-    const uint32_t rf = file_->ReplicaCountFor(partition);
-    if (rf < 2 || ctx.cluster == nullptr) return false;
-    uint32_t live[2] = {0, 0};
-    uint32_t n = 0;
-    for (uint32_t r = 0; r < rf && n < 2; ++r) {
-      if (!ctx.cluster->NodeIsDown(file_->NodeOfReplica(partition, r))) {
-        live[n++] = r;
+    uint64_t ResultBytes() const override {
+      uint64_t bytes = 0;
+      for (const auto& bucket : results) {
+        for (const io::Record& rec : bucket) bytes += rec.size();
       }
+      return bytes;
     }
-    if (n < 2) return false;
-    *primary = live[0];
-    *secondary = live[1];
-    return true;
-  }
 
-  /// Async hedged read: the primary arm is issued immediately and a timer
-  /// stands in for the blocking deadline wait; see AsyncHedgeState for the
-  /// decision protocol. The loser arm's run pin is what replaces the
-  /// threaded engine's parked thread + straggler reaper.
-  void StartHedgedReadAsync(const ExecContext& ctx, uint32_t partition,
-                            uint32_t primary, uint32_t secondary,
-                            const std::string& key,
-                            std::vector<io::Record>* read,
-                            std::function<void(Status)> done) const {
-    auto st = std::make_shared<AsyncHedgeState>();
-    st->ctx = ctx;
-    st->file = file_;
-    st->partition = partition;
-    st->key = &key;
-    st->read = read;
-    st->done = std::move(done);
-    st->primary = primary;
-    st->secondary = secondary;
-    // Pin the run before the primary is in flight: its completion may
-    // arrive after this task's logical result was adopted from the
-    // secondary, and must still find the runtime alive.
-    ctx.async->RetainIo();
-    file_->GetInPartitionOnReplicaAsync(
-        ctx.node, partition, primary, key, &st->primary_records,
-        ctx.completion_queue,
-        [st](Status s) { HedgeOnPrimary(st, std::move(s)); });
-    ctx.async->After(ctx.hedge.deadline_us,
-                     [st]() { HedgeOnDeadline(st); });
-  }
-
-  /// Probe one partition for `key`, consulting the record cache when the
-  /// context carries one. Admission is two-phase (reserve → read → commit or
-  /// abort) so a concurrent admitter of the same key cannot double-admit.
-  /// Device reads go through ReadReplicated (failover + optional hedging).
-  Status FetchOne(const ExecContext& ctx, uint32_t partition,
-                  const std::string& key,
-                  std::vector<io::Record>* fetched) const {
-    RecordCache* cache =
-        file_->CacheableReads() ? ctx.record_cache : nullptr;
-    if (cache == nullptr) {
-      std::vector<io::Record> read;
-      LH_RETURN_NOT_OK(ReadReplicated(ctx, partition, key, &read));
-      fetched->insert(fetched->end(), read.begin(), read.end());
-      return Status::OK();
-    }
-    std::string ck = RecordCache::MakeKey(file_->name(), partition, key);
-    if (auto hit = cache->Lookup(ck)) {
-      Bump(ctx, &ExecMetricsCounters::cache_hits);
-      fetched->insert(fetched->end(), hit->begin(), hit->end());
-      return Status::OK();
-    }
-    Bump(ctx, &ExecMetricsCounters::cache_misses);
-    const bool admitting = cache->StartAdmission(ck);
-    std::vector<io::Record> read;
-    Status status = ReadReplicated(ctx, partition, key, &read);
-    if (!status.ok()) {
-      if (admitting) cache->AbortAdmission(ck);
-      return status;
-    }
-    if (admitting) CountAdmission(ctx, cache->CommitAdmission(ck, read));
-    fetched->insert(fetched->end(), read.begin(), read.end());
-    return status;
-  }
-
-  /// Replica-aware point read of one (partition, key): hedged when the run
-  /// enables hedging and >= 2 replicas are live, sequential failover
-  /// otherwise. `read` is cleared and receives the adopted result.
-  Status ReadReplicated(const ExecContext& ctx, uint32_t partition,
-                        const std::string& key,
-                        std::vector<io::Record>* read) const {
-    if (ctx.hedge.enabled && ctx.stragglers != nullptr) {
-      if (std::optional<Status> hedged =
-              TryHedgedRead(ctx, partition, key, read)) {
-        if (hedged->ok() ||
-            (!hedged->IsUnavailable() && !hedged->IsCorruption())) {
-          return *hedged;
+    void OnPartitionRead(Status status) override {
+      if (!status.ok()) {
+        // Entries admitted by THIS call are invalidated wholesale: the
+        // executor's retry must re-read the whole batch, never observe (or
+        // double-admit) a partial one.
+        for (const std::string& ck : admitted) {
+          if (cache->Invalidate(ck)) {
+            Bump(ctx, &ExecMetricsCounters::cache_invalidations);
+          }
         }
-        // An outage — or a checksum mismatch — surfaced mid-hedge: fall
-        // back to sequential failover over the full replica set, which
-        // owns the skip-the-bad-replica and read-repair logic.
-        read->clear();
+        Unpin();
+        Finish(std::move(status));
+        return;
       }
-    }
-    return ReadWithFailover(
-        ctx, *file_, partition,
-        [&](uint32_t replica) {
-          read->clear();
-          return file_->GetInPartitionOnReplica(ctx.node, partition, replica,
-                                                key, read);
-        },
-        [read]() {
-          uint64_t bytes = 0;
-          for (const io::Record& rec : *read) bytes += rec.size();
-          return bytes;
-        });
-  }
-
-  /// Race two live replicas: the first (usually the primary) runs on a
-  /// spawned arm; if it is still quiet after hedge.deadline_us the second
-  /// is read synchronously and, on success, adopted — the straggler arm is
-  /// parked with the run's reaper and joined before Execute returns, and
-  /// its result is dropped without touching metrics or emissions (the
-  /// discarded arm's device charges remain: hedging trades device work for
-  /// tail latency). Returns nullopt when fewer than two replicas are live
-  /// (caller falls back to sequential failover).
-  std::optional<Status> TryHedgedRead(const ExecContext& ctx,
-                                      uint32_t partition,
-                                      const std::string& key,
-                                      std::vector<io::Record>* read) const {
-    const uint32_t rf = file_->ReplicaCountFor(partition);
-    if (rf < 2 || ctx.cluster == nullptr) return std::nullopt;
-    uint32_t live[2] = {0, 0};
-    uint32_t n = 0;
-    for (uint32_t r = 0; r < rf && n < 2; ++r) {
-      if (!ctx.cluster->NodeIsDown(file_->NodeOfReplica(partition, r))) {
-        live[n++] = r;
+      const uint32_t partition = next_missing->first;
+      const std::vector<std::string>& keys = next_missing->second;
+      LH_CHECK(results.size() == keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (cache != nullptr) {
+          std::string ck =
+              RecordCache::MakeKey(deref.file_->name(), partition, keys[i]);
+          if (cache->StartAdmission(ck)) {
+            CountAdmission(ctx, cache->CommitAdmission(ck, results[i]));
+            admitted.push_back(std::move(ck));
+          }
+        }
+        resolved[LookupKey{partition, keys[i]}] = std::move(results[i]);
       }
+      ++next_missing;
+      NextPartition();
     }
-    if (n < 2) return std::nullopt;
 
-    auto arm = std::make_shared<HedgeArm>();
-    // The arm captures everything it touches by value/shared_ptr: a parked
-    // straggler may outlive this call (but never the run).
-    std::shared_ptr<io::File> file = file_;
-    const sim::NodeId node = ctx.node;
-    const uint32_t primary = live[0];
-    std::thread runner([arm, file, node, partition, primary, key]() {
-      std::vector<io::Record> records;
-      Status status =
-          file->GetInPartitionOnReplica(node, partition, primary, key,
-                                        &records);
-      std::lock_guard<std::mutex> lock(arm->mutex);
-      arm->status = std::move(status);
-      arm->records = std::move(records);
-      arm->done = true;
-      arm->cv.notify_all();
-    });
-
-    {
-      std::unique_lock<std::mutex> lock(arm->mutex);
-      if (arm->cv.wait_for(lock,
-                           std::chrono::microseconds(ctx.hedge.deadline_us),
-                           [&] { return arm->done; })) {
-        lock.unlock();
-        runner.join();
-        *read = std::move(arm->records);
-        return arm->status;
+    void Emit() {
+      for (const Tuple& input : inputs) {
+        const std::vector<io::Record>& fetched =
+            resolved[LookupKey{deref.PartitionOfPointer(input.pointer),
+                               input.pointer.key}];
+        for (const io::Record& record : fetched) {
+          Status emit = EmitFetched(input, record, deref.filter_, out);
+          // Emission failures (filter errors) are permanent, not transient:
+          // keep the admitted entries (the reads succeeded) but drop pins.
+          if (!emit.ok()) {
+            Unpin();
+            Finish(std::move(emit));
+            return;
+          }
+        }
       }
+      Unpin();
+      Finish(Status::OK());
     }
-    // Deadline passed with the primary still in flight: hedge.
-    Bump(ctx, &ExecMetricsCounters::hedged_reads);
-    if (primary != live[1] && live[1] > 0) {
-      Bump(ctx, &ExecMetricsCounters::replica_reads);
+
+    void Unpin() {
+      for (const std::string& ck : pinned) cache->Unpin(ck);
     }
-    const int64_t hedge_start_us = ctx.trace != nullptr ? NowMicros() : 0;
-    std::vector<io::Record> secondary;
-    Status status = file_->GetInPartitionOnReplica(ctx.node, partition,
-                                                   live[1], key, &secondary);
-    if (ctx.trace != nullptr) {
-      obs::Span span;
-      span.name = "hedge";
-      span.kind = obs::SpanKind::kHedge;
-      span.stage = ctx.stage;
-      span.node = ctx.node;
-      span.t_start_us = hedge_start_us;
-      span.t_end_us = NowMicros();
-      span.AddAttr("replica", live[1]);
-      span.AddAttr("won", status.ok() ? 1 : 0);
-      ctx.trace->Record(std::move(span));
-    }
-    if (status.ok()) {
-      Bump(ctx, &ExecMetricsCounters::hedge_wins);
-      ctx.stragglers->Park(std::move(runner));
-      *read = std::move(secondary);
-      return status;
-    }
-    // The hedge failed; the primary arm is still authoritative.
-    runner.join();
-    *read = std::move(arm->records);
-    return arm->status;
-  }
+
+    const PointDereferencer& deref;
+    const std::vector<Tuple>& inputs;
+    std::vector<Tuple>* out;
+    RecordCache* cache;
+    std::map<LookupKey, std::vector<io::Record>> resolved;
+    std::map<uint32_t, std::vector<std::string>> missing;  // keys per partition
+    std::map<uint32_t, std::vector<std::string>>::const_iterator next_missing;
+    std::vector<std::string> pinned;
+    std::vector<std::string> admitted;
+    std::vector<std::vector<io::Record>> results;  // current partition's read
+  };
 
   std::shared_ptr<io::File> file_;
   Filter filter_;
@@ -1195,140 +825,108 @@ class RangeDereferencer final : public Dereferencer {
 
   Status Execute(const ExecContext& ctx, const Tuple& input,
                  std::vector<Tuple>* out) const override {
-    if (!input.is_range) {
-      return Status::InvalidArgument("range dereferencer '" + name() +
-                                     "' received a point pointer");
-    }
-    Status emit_status = Status::OK();
-    auto visit = [&](const io::Record& record) {
-      emit_status = EmitFetched(input, record, filter_, out);
-      return emit_status.ok();
-    };
-    // A range read emits WHILE iterating, so switching replicas must first
-    // retract what the failed attempt emitted: the wrapper snapshots the
-    // output size and truncates back before every attempt — exactly-once
-    // emission whatever replica ends up serving the range.
-    auto range_with_failover = [&](uint32_t partition) {
-      const size_t out_mark = out->size();
-      return ReadWithFailover(ctx, *file_, partition, [&](uint32_t replica) {
-        out->resize(out_mark);
-        emit_status = Status::OK();
-        return file_->GetRangeInPartitionOnReplica(ctx.node, partition,
-                                                   replica, input.pointer.key,
-                                                   input.pointer_hi.key,
-                                                   visit);
-      });
-    };
-    if (input.pointer.has_partition) {
-      uint32_t partition =
-          file_->partitioner().PartitionOf(input.pointer.partition_key);
-      LH_RETURN_NOT_OK(range_with_failover(partition));
-    } else if (routing_ == RangeRouting::kPruneByKeyRange) {
-      // The structure is partitioned by the indexed key with an
-      // order-preserving partitioner: only the partitions whose key range
-      // intersects [lo, hi] can hold matches.
-      uint32_t lo_p = file_->partitioner().PartitionOf(input.pointer.key);
-      uint32_t hi_p = file_->partitioner().PartitionOf(input.pointer_hi.key);
-      if (hi_p < lo_p) std::swap(lo_p, hi_p);  // defensive
-      for (uint32_t p = lo_p; p <= hi_p; ++p) {
-        LH_RETURN_NOT_OK(range_with_failover(p));
-      }
-    } else {
-      // Same broadcast-resolution (and redirect stand-in) rule as the point
-      // dereferencer above.
-      const sim::NodeId owner = input.resolve_owner == Tuple::kResolveOnSelf
-                                    ? ctx.node
-                                    : input.resolve_owner;
-      for (uint32_t p = 0; p < file_->num_partitions(); ++p) {
-        if (input.resolve_local &&
-            file_->BroadcastOwner(p, input.resolve_epoch) != owner) {
-          continue;
-        }
-        LH_RETURN_NOT_OK(range_with_failover(p));
-      }
-    }
-    return emit_status;
+    return RunInline(ctx, [&](const ExecContext& c, AsyncDone done) {
+      ExecuteAsync(c, input, out, std::move(done));
+    });
   }
 
-  /// Async mirror of Execute: partition routing is pure CPU and resolved
-  /// up front; the state machine then chains one failover range read per
-  /// partition, suspending across each partition's descent and leaf-stream
-  /// charges. Emission happens on the delivering thread (the visitor runs
-  /// when the descent charge completes), with the same truncate-on-retry
-  /// rule as the blocking path.
+  /// Partition routing is pure CPU and resolved up front; the state
+  /// machine then chains one failover range read per partition.
   void ExecuteAsync(const ExecContext& ctx, const Tuple& input,
                     std::vector<Tuple>* out, AsyncDone done) const override {
-    if (ctx.completion_queue == nullptr) {
-      done(Execute(ctx, input, out));
-      return;
-    }
     if (!input.is_range) {
       done(Status::InvalidArgument("range dereferencer '" + name() +
                                    "' received a point pointer"));
       return;
     }
-    auto f = std::make_shared<RangeFrame>();
-    f->ctx = ctx;
-    f->input = &input;
-    f->out = out;
-    f->done = std::move(done);
+    auto* f = new RangeFrame(ctx, std::move(done), *this, input, out);
     if (input.pointer.has_partition) {
-      f->partitions.push_back(
-          file_->partitioner().PartitionOf(input.pointer.partition_key));
+      f->next_partition = f->end_partition =
+          file_->partitioner().PartitionOf(input.pointer.partition_key);
     } else if (routing_ == RangeRouting::kPruneByKeyRange) {
-      uint32_t lo_p = file_->partitioner().PartitionOf(input.pointer.key);
-      uint32_t hi_p = file_->partitioner().PartitionOf(input.pointer_hi.key);
-      if (hi_p < lo_p) std::swap(lo_p, hi_p);  // defensive
-      for (uint32_t p = lo_p; p <= hi_p; ++p) f->partitions.push_back(p);
-    } else {
-      const sim::NodeId owner = input.resolve_owner == Tuple::kResolveOnSelf
-                                    ? ctx.node
-                                    : input.resolve_owner;
-      for (uint32_t p = 0; p < file_->num_partitions(); ++p) {
-        if (input.resolve_local &&
-            file_->BroadcastOwner(p, input.resolve_epoch) != owner) {
-          continue;
-        }
-        f->partitions.push_back(p);
+      // The structure is partitioned by the indexed key with an
+      // order-preserving partitioner: only the partitions whose key range
+      // intersects [lo, hi] can hold matches.
+      f->next_partition = file_->partitioner().PartitionOf(input.pointer.key);
+      f->end_partition =
+          file_->partitioner().PartitionOf(input.pointer_hi.key);
+      if (f->end_partition < f->next_partition) {
+        std::swap(f->next_partition, f->end_partition);  // defensive
       }
+    } else {
+      // Same broadcast-resolution (and redirect stand-in) rule as the point
+      // dereferencer.
+      f->owned_only = input.resolve_local;
+      f->owner = input.resolve_owner == Tuple::kResolveOnSelf
+                     ? ctx.node
+                     : input.resolve_owner;
+      f->next_partition = 0;
+      f->end_partition = file_->num_partitions() - 1;
     }
-    NextRangePartition(f);
+    f->NextPartition();
   }
 
  private:
-  void NextRangePartition(const std::shared_ptr<RangeFrame>& f) const {
-    if (f->pi == f->partitions.size()) {
-      f->done(f->emit_status);
-      return;
+  /// One range dereference over partitions [next_partition, end_partition].
+  /// A range read emits WHILE iterating (on the delivering thread, once the
+  /// read's charges landed and verified), so switching replicas first
+  /// retracts what the failed attempt emitted: exactly-once emission
+  /// whatever replica ends up serving the range.
+  struct RangeFrame final : Frame {
+    RangeFrame(const ExecContext& context, AsyncDone on_done,
+               const RangeDereferencer& d, const Tuple& in,
+               std::vector<Tuple>* o)
+        : Frame(context, std::move(on_done)), deref(d), input(in), out(o) {}
+
+    void NextPartition() {
+      while (next_partition <= end_partition &&
+             next_partition < deref.file_->num_partitions()) {
+        const uint32_t p = next_partition++;
+        if (owned_only &&
+            deref.file_->BroadcastOwner(p, input.resolve_epoch) != owner) {
+          continue;
+        }
+        partition = p;
+        out_mark = out->size();
+        ReadPartition(*deref.file_, p);
+        return;
+      }
+      Finish(Status::OK());
     }
-    const uint32_t partition = f->partitions[f->pi];
-    f->out_mark = f->out->size();
-    ReadWithFailoverAsync(
-        f->ctx, *file_, partition,
-        [this, f, partition](uint32_t replica,
-                             std::function<void(Status)> cb) {
-          // Exactly-once emission across replica switches: truncate what
-          // the failed attempt emitted before re-issuing.
-          f->out->resize(f->out_mark);
-          f->emit_status = Status::OK();
-          io::RecordVisitor visit = [this, f](const io::Record& record) {
-            f->emit_status = EmitFetched(*f->input, record, filter_, f->out);
-            return f->emit_status.ok();
-          };
-          file_->GetRangeInPartitionOnReplicaAsync(
-              f->ctx.node, partition, replica, f->input->pointer.key,
-              f->input->pointer_hi.key, std::move(visit),
-              f->ctx.completion_queue, std::move(cb));
-        },
-        [this, f](Status read) {
-          if (!read.ok()) {
-            f->done(std::move(read));
-            return;
-          }
-          ++f->pi;
-          NextRangePartition(f);
-        });
-  }
+
+    void SubmitRead(uint32_t replica) override {
+      out->resize(out_mark);
+      emit_status = Status::OK();
+      deref.file_->GetRangeInPartitionOnReplicaAsync(
+          ctx.node, partition, replica, input.pointer.key,
+          input.pointer_hi.key,
+          [this](const io::Record& record) {
+            emit_status = EmitFetched(input, record, deref.filter_, out);
+            return emit_status.ok();
+          },
+          ctx.completion_queue, ReadDone());
+    }
+
+    void OnPartitionRead(Status status) override {
+      if (status.ok()) status = std::move(emit_status);
+      if (!status.ok()) {
+        Finish(std::move(status));
+        return;
+      }
+      NextPartition();
+    }
+
+    const RangeDereferencer& deref;
+    const Tuple& input;
+    std::vector<Tuple>* out;
+    uint32_t next_partition = 0;
+    uint32_t end_partition = 0;  // inclusive
+    bool owned_only = false;     // broadcast copy: this node's partitions
+    sim::NodeId owner = 0;
+    uint32_t partition = 0;
+    size_t out_mark = 0;
+    Status emit_status;
+  };
 
   std::shared_ptr<io::BtreeFile> file_;
   Filter filter_;

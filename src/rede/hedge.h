@@ -1,62 +1,31 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <utility>
-#include <vector>
 
 /// \file hedge.h
-/// Hedged-read plumbing. A hedged read races a second replica after the
-/// primary has been quiet for `deadline_us`: first success wins, the loser
-/// is discarded without touching run metrics or emitting records. The
-/// discarded arm may still be executing inside the simulated device stack,
-/// so its thread cannot be abandoned — the StragglerReaper parks losers and
-/// joins them before Execute returns, keeping teardown (and TSan) clean.
+/// Hedged-read knobs. A hedged read races a second replica after the
+/// primary has been quiet for `deadline_us`; the loser is discarded without
+/// touching run metrics or emitting records. Both SMPE engines run the one
+/// continuation protocol in builtin_derefs.cc: the deadline is an
+/// AsyncRuntime timer, and the primary arm pins the runtime (RetainIo)
+/// until its possibly late completion has landed. The async engine's
+/// runtime is the run; the threaded engine's is a driver local to the
+/// task, on the task's own pool thread. No thread is spawned per hedge.
 
 namespace lakeharbor::rede {
 
 /// Per-run hedging knobs (SmpeOptions::hedge). Hedging only applies to
-/// point dereferences against files with >= 2 live replicas, and only in
-/// the threaded SMPE mode — the deterministic scheduler never races.
+/// point dereferences against files with >= 2 live replicas, and only when
+/// the executor supplies an AsyncRuntime: deterministic replay, the
+/// partitioned executor and direct Execute calls never race.
 struct HedgeOptions {
   bool enabled = false;
   /// How long the primary read may run before a hedge is launched against
-  /// a different replica. With timing simulation off, reads complete in
-  /// microseconds and virtually never hedge unless this is 0 (hedge
-  /// immediately — useful in tests).
+  /// a different replica. 0 hedges immediately: the second arm is sent
+  /// right after the primary, so every eligible read races (useful in
+  /// tests). With timing simulation off, reads complete in microseconds and
+  /// virtually never hedge at a nonzero deadline.
   uint64_t deadline_us = 2000;
-};
-
-/// Holds threads whose result lost a hedge race. Join happens in two
-/// places: opportunistically via Park() callers finishing their task, and
-/// definitively via JoinAll() before the executor returns.
-class StragglerReaper {
- public:
-  StragglerReaper() = default;
-  ~StragglerReaper() { JoinAll(); }
-  StragglerReaper(const StragglerReaper&) = delete;
-  StragglerReaper& operator=(const StragglerReaper&) = delete;
-
-  void Park(std::thread t) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    threads_.push_back(std::move(t));
-  }
-
-  void JoinAll() {
-    std::vector<std::thread> drained;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      drained.swap(threads_);
-    }
-    for (std::thread& t : drained) {
-      if (t.joinable()) t.join();
-    }
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace lakeharbor::rede

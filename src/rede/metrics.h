@@ -56,7 +56,7 @@ struct ExecMetricsCounters {
   /// Replica failover/hedging accounting. `failovers` counts replicas a
   /// read moved past (skipped as known-down, or answered kUnavailable);
   /// `replica_reads` counts reads actually issued against a non-primary
-  /// replica; `hedged_reads` counts hedge timers that fired (a second
+  /// replica; `hedged_reads` counts second arms launched (a second
   /// request raced another replica) and `hedge_wins` the races the hedge
   /// won; `broadcast_redirects` counts broadcast copies re-homed because
   /// their target node was down.

@@ -1,10 +1,13 @@
 #include "rede/smpe_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/cancel.h"
@@ -12,6 +15,7 @@
 #include "common/random.h"
 #include "obs/trace.h"
 #include "rede/deref_batch.h"
+#include "sim/completion_queue.h"
 
 namespace lakeharbor::rede {
 
@@ -37,6 +41,109 @@ void RecordQueueWaitSpan(obs::TraceRecorder* trace, size_t stage,
   span.t_end_us = dequeue_us;
   trace->Record(std::move(span));
 }
+
+/// Continuation runtime of one task of a hedging run. The dereference runs
+/// as its state machine on the task's own pool thread: device completions
+/// land on a listener-mode queue that appends them to a ready list, hedge
+/// deadlines are timers on a local list, and the pool thread runs both —
+/// waiting on a condition variable in between — until the state machine is
+/// done. Nothing is spawned and nothing outlives the task: before the task
+/// releases its in-flight count it drives until every retained loser arm
+/// has landed. Timers still pending then are dropped unrun; the hedge
+/// deadline is the only one, and it is moot once its read was adopted.
+class TaskDriver final : public AsyncRuntime {
+ public:
+  TaskDriver() {
+    // Completions arrive on the device timer thread, or on this thread
+    // while it submits (timing off); either way they only queue up here.
+    // Notify under the lock: the driver is destroyed as soon as the pool
+    // thread sees the last completion.
+    cq_.SetListener([this](const sim::Completion& c) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ready_.push_back(c);
+      cv_.notify_one();
+    });
+  }
+  LH_DISALLOW_COPY_AND_ASSIGN(TaskDriver);
+
+  sim::CompletionQueue* completion_queue() { return &cq_; }
+
+  // After, RetainIo and ReleaseIo run only on the pool thread: at
+  // submission, or in a completion or timer this driver runs.
+  void After(uint64_t delay_us, std::function<void()> fn) override {
+    timers_.push_back(
+        Timer{NowMicros() + static_cast<int64_t>(delay_us), std::move(fn)});
+  }
+  void RetainIo() override { ++retained_; }
+  void ReleaseIo() override { --retained_; }
+
+  /// One dereference attempt, driven to completion on this thread.
+  Status Run(const StageFunction& fn, const ExecContext& ctx,
+             const std::vector<Tuple>& tuples, std::vector<Tuple>* outs) {
+    Status status;
+    bool finished = false;
+    auto done = [&status, &finished](Status s) {
+      status = std::move(s);
+      finished = true;
+    };
+    if (tuples.size() > 1) {
+      fn.ExecuteBatchAsync(ctx, tuples, outs, done);
+    } else {
+      fn.ExecuteAsync(ctx, tuples.front(), outs, done);
+    }
+    DriveUntil([&finished] { return finished; });
+    return status;
+  }
+
+  /// Drive until every retained loser arm has landed.
+  void Drain() {
+    DriveUntil([this] { return retained_ == 0; });
+  }
+
+ private:
+  struct Timer {
+    int64_t due_us;
+    std::function<void()> fn;
+  };
+
+  template <typename Stop>
+  void DriveUntil(const Stop& stop) {
+    while (!stop()) {
+      auto next = std::min_element(
+          timers_.begin(), timers_.end(),
+          [](const Timer& a, const Timer& b) { return a.due_us < b.due_us; });
+      const int64_t wait_us =
+          next == timers_.end() ? 0 : next->due_us - NowMicros();
+      if (next != timers_.end() && wait_us <= 0) {
+        std::function<void()> fn = std::move(next->fn);
+        timers_.erase(next);
+        fn();
+        continue;
+      }
+      std::optional<sim::Completion> completion;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const auto has_ready = [this] { return !ready_.empty(); };
+        if (next == timers_.end()) {
+          cv_.wait(lock, has_ready);
+        } else if (!cv_.wait_for(lock, std::chrono::microseconds(wait_us),
+                                 has_ready)) {
+          continue;  // the timer fell due first
+        }
+        completion = std::move(ready_.front());
+        ready_.pop_front();
+      }
+      sim::DeliverCallbackTag(*completion);
+    }
+  }
+
+  sim::CompletionQueue cq_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<sim::Completion> ready_;  // guarded by mutex_
+  std::vector<Timer> timers_;
+  size_t retained_ = 0;
+};
 }  // namespace
 
 /// All state of one Execute() call. Kept off the executor object so that
@@ -74,8 +181,6 @@ struct SmpeExecutor::RunState {
   /// unless the caller injected a token (scheduler-managed jobs).
   CancelToken* cancel = nullptr;
   CancelToken owned_cancel;
-  /// Hedge-race losers parked here; joined before Execute returns.
-  StragglerReaper stragglers;
 
   void RecordError(const Status& status, const std::string& where) {
     cancel->Cancel(status.WithContext(where));
@@ -144,9 +249,15 @@ void SmpeExecutor::RunTask(RunState& state, sim::NodeId node,
   ctx.cancel = state.cancel;
   ctx.trace = state.trace;
   ctx.stage = static_cast<uint32_t>(task.stage);
+  // A hedging run drives each dereference as its state machine on this
+  // pool thread (deterministic replay never hedges); otherwise Execute runs
+  // the same state machine inline.
+  std::optional<TaskDriver> driver;
   if (options_.deterministic_seed == 0 && options_.hedge.enabled) {
+    driver.emplace();
     ctx.hedge = options_.hedge;
-    ctx.stragglers = &state.stragglers;
+    ctx.completion_queue = driver->completion_queue();
+    ctx.async = &*driver;
   }
   std::vector<Tuple> outs;
   Status status;
@@ -167,8 +278,12 @@ void SmpeExecutor::RunTask(RunState& state, sim::NodeId node,
       // A failed ExecuteBatch invalidated its own cache admissions, so a
       // retry below re-reads the whole batch instead of re-admitting it.
       const int64_t attempt_start_us = NowMicros();
-      status = batched ? fn.ExecuteBatch(ctx, task.tuples, &outs)
-                       : fn.Execute(ctx, task.tuples.front(), &outs);
+      if (driver.has_value()) {
+        status = driver->Run(fn, ctx, task.tuples, &outs);
+      } else {
+        status = batched ? fn.ExecuteBatch(ctx, task.tuples, &outs)
+                         : fn.Execute(ctx, task.tuples.front(), &outs);
+      }
       const int64_t attempt_us = NowMicros() - attempt_start_us;
       state.metrics.deref_latency_us.Record(
           attempt_us > 0 ? static_cast<uint64_t>(attempt_us) : 0);
@@ -252,6 +367,9 @@ void SmpeExecutor::RunTask(RunState& state, sim::NodeId node,
     state.metrics.CountStage(task.stage, outs.size());
     Route(state, node, task.stage + 1, std::move(outs));
   }
+  // A hedge loser still in flight pins the task: land it before the run can
+  // see zero in flight and tear down.
+  if (driver.has_value()) driver->Drain();
   state.inflight.Done();
 }
 
@@ -554,9 +672,6 @@ StatusOr<JobResult> SmpeExecutor::Execute(const Job& job,
     for (auto& queue : state.queues) queue->Close();
     for (auto& dispatcher : dispatchers) dispatcher.join();
   }
-  // Hedge-race losers may still be inside the simulated device stack; they
-  // must finish before this run's state is torn down. Zero leaked tasks.
-  state.stragglers.JoinAll();
   // Cache activity was charged per call site into state.metrics by the
   // dereferencers (builtin_derefs.cc), so the counters are exact for THIS
   // run even with other Execute() calls overlapping on the shared cache.

@@ -70,8 +70,12 @@ struct SmpeOptions {
   RecordCacheOptions cache;
 
   /// Hedged reads against a second replica when the primary is slow (off
-  /// by default). Both engines honor it; under deterministic_seed schedules
-  /// are single-threaded and never race, so the knob is ignored there.
+  /// by default). Both engines run the same hedge protocol: the async
+  /// engine on its run's runtime, the threaded engine on a driver local to
+  /// each dereference task, on the task's pool thread (no thread per
+  /// hedge; the task lands its loser arm before it completes). Under
+  /// deterministic_seed schedules are single-threaded and never race, so
+  /// the knob is ignored there; the partitioned executor never hedges.
   HedgeOptions hedge;
 
   /// Wall-clock deadline of one Execute() call in milliseconds (0 = no

@@ -19,20 +19,19 @@ namespace lakeharbor::rede {
 
 class RecordCache;
 
-/// Minimal runtime surface the async executor exposes to stage functions
-/// running in continuation-passing style:
-///  - Post() hands a continuation to the executor's worker pool (used by
-///    callbacks that arrive on a timer thread and must not do real work
-///    there);
+/// Minimal runtime surface an executor exposes to stage functions running
+/// in continuation-passing style:
 ///  - After() schedules a delayed continuation (hedge deadlines);
-///  - RetainIo()/ReleaseIo() pin the run against teardown for an I/O whose
-///    completion outlives its task's logical result — the hedge loser arm —
-///    so no continuation frame is ever leaked at run end.
-/// Null in the threaded executor and in deterministic replay.
+///  - RetainIo()/ReleaseIo() pin the runtime against teardown for an I/O
+///    whose completion outlives its task's logical result — the hedge loser
+///    arm — so no continuation frame is ever leaked.
+/// Provided per run by the async engine, and per task by the threaded
+/// engine when its run hedges (a driver on the task's pool thread). Null in
+/// deterministic replay, in the partitioned executor and in inline Execute
+/// calls, which therefore never hedge.
 class AsyncRuntime {
  public:
   virtual ~AsyncRuntime() = default;
-  virtual void Post(std::function<void()> fn) = 0;
   virtual void After(uint64_t delay_us, std::function<void()> fn) = 0;
   virtual void RetainIo() = 0;
   virtual void ReleaseIo() = 0;
@@ -47,10 +46,9 @@ struct ExecContext {
   /// Node-local record cache, or nullptr when caching is disabled.
   /// Dereferencers consult it before touching simulated storage.
   RecordCache* record_cache = nullptr;
-  /// Hedged-read knobs; hedging is off unless the executor enables it
-  /// (threaded SMPE mode only) AND supplies a straggler reaper.
+  /// Hedged-read knobs; hedging is off unless the executor enables it AND
+  /// supplies an AsyncRuntime (`async` below).
   HedgeOptions hedge{};
-  StragglerReaper* stragglers = nullptr;
   /// Run-wide cancellation token, or nullptr when the executor does not
   /// support cooperative cancellation. Long-running stage functions should
   /// poll it and bail out early with its cause.
@@ -61,10 +59,12 @@ struct ExecContext {
   /// stage the invocation belongs to.
   obs::TraceRecorder* trace = nullptr;
   uint32_t stage = 0;
-  /// Async execution surface, set only by the async engine: the per-node
-  /// completion queue device charges deliver into, and the continuation
-  /// runtime. When `completion_queue` is null, ExecuteAsync implementations
-  /// must fall back to their blocking path.
+  /// Async execution surface: the completion queue device charges deliver
+  /// into, and the continuation runtime. A null `completion_queue` means
+  /// "run here": every io read completes on the calling thread before it
+  /// returns (see io::File), so an ExecuteAsync call finishes — `done`
+  /// included — before it returns. The built-in dereferencers' Execute is
+  /// exactly that call.
   sim::CompletionQueue* completion_queue = nullptr;
   AsyncRuntime* async = nullptr;
 };
@@ -132,12 +132,12 @@ class StageFunction {
   /// `ctx`, `input`/`inputs`, and `out` must stay valid until then.
   using AsyncDone = std::function<void(Status)>;
 
-  /// Continuation-passing form of Execute, used by the async engine. The
-  /// built-in dereferencers override it with real state machines that
-  /// suspend across device completions instead of blocking; the default
-  /// falls back to the blocking path and completes inline, which keeps
-  /// custom stage functions correct (they merely occupy a worker while
-  /// blocked, like one thread of the threaded engine).
+  /// Continuation-passing form of Execute. The built-in dereferencers
+  /// implement only this form — state machines that suspend across device
+  /// completions — and their Execute runs it inline without a completion
+  /// queue. The default falls back to Execute and completes inline, which
+  /// keeps custom stage functions correct (they merely occupy a worker
+  /// while blocked, like one thread of the threaded engine).
   virtual void ExecuteAsync(const ExecContext& ctx, const Tuple& input,
                             std::vector<Tuple>* out, AsyncDone done) const {
     done(Execute(ctx, input, out));

@@ -263,10 +263,11 @@ INSTANTIATE_TEST_SUITE_P(Cells, HandoffMatrix,
                                             ::testing::Bool()),
                          HandoffCellName);
 
-// ----------------------------------------- faults, outages, hedged reads
+// ------------------------------------------------------- faults, outages
 
 /// The failover_test employee/department lab, reused for the async engine's
-/// retry/failover/hedge paths.
+/// retry and failover paths (failover_test's HedgedReads cells cover both
+/// engines' hedging).
 struct AsyncLab {
   static constexpr int kEmployees = 120;
   static constexpr int kDepts = 10;
@@ -404,36 +405,6 @@ TEST(AsyncFaults, WholeNodeOutageFailsOverToReplicas) {
   EXPECT_GT(outage_metrics.failovers, 0u);
   EXPECT_GT(outage_metrics.replica_reads, 0u);
   EXPECT_EQ(outage_metrics.retries, 0u);  // failover alone carried the job
-}
-
-TEST(AsyncFaults, HedgedReadsRaceReplicasWithoutChangingResults) {
-  sim::ClusterOptions timed = sim::ClusterOptions::ForNodes(4);
-  // Timed disks make the primary genuinely slow, so an immediate hedge
-  // deadline always fires; a small time scale keeps the test fast.
-  timed.EnableTiming(true, 0.05);
-  AsyncLab lab(2, timed);
-  auto job = lab.DeptJoinJob();
-  ASSERT_TRUE(job.ok());
-
-  SmpeOptions plain;
-  plain.async_workers = 2;
-  AsyncExecutor clean_exec(&lab.cluster, plain);
-  auto clean = Collect(clean_exec, *job);
-  ASSERT_TRUE(clean.ok());
-
-  SmpeOptions hedged = plain;
-  hedged.hedge.enabled = true;
-  hedged.hedge.deadline_us = 0;  // hedge every point read
-  AsyncExecutor hedge_exec(&lab.cluster, hedged);
-  MetricsSnapshot metrics;
-  auto result = Collect(hedge_exec, *job, &metrics);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Canonical(*result), Canonical(*clean));
-  EXPECT_GT(metrics.hedged_reads, 0u);
-  EXPECT_LE(metrics.hedge_wins, metrics.hedged_reads);
-  // Execute() returning proves every hedge loser's continuation was
-  // consumed: the loser arm holds the run in flight (RetainIo) until its
-  // late completion lands, so quiescence == zero leaked frames.
 }
 
 // ------------------------- cancellation, deadlines, zero leaked frames

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/clock.h"
@@ -304,17 +308,23 @@ TEST(Failover, RfTwoCompletesWithWholeNodeDownBeforeTheQuery) {
             static_cast<size_t>(ReplicatedLab::kEmployees));
   EXPECT_EQ(clean->metrics.failovers, 0u);
 
-  ReplicatedLab lab(2);
-  auto job = lab.DeptJoinJob();
-  ASSERT_TRUE(job.ok());
-  lab.cluster.SetNodeOutage(2, true);
-  auto result = lab.engine->ExecuteCollect(*job, ExecutionMode::kSmpe);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(ReplicatedLab::Canonical(result->tuples),
-            ReplicatedLab::Canonical(clean->tuples));
-  EXPECT_GT(result->metrics.failovers, 0u);
-  EXPECT_GT(result->metrics.replica_reads, 0u);
-  lab.cluster.SetNodeOutage(2, false);
+  // SMPE and Fig 7's w/o-SMPE executor fail over through the same
+  // dereferencers.
+  for (ExecutionMode mode : {ExecutionMode::kSmpe,
+                             ExecutionMode::kPartitioned}) {
+    SCOPED_TRACE(ExecutionModeToString(mode));
+    ReplicatedLab lab(2);
+    auto job = lab.DeptJoinJob();
+    ASSERT_TRUE(job.ok());
+    lab.cluster.SetNodeOutage(2, true);
+    auto result = lab.engine->ExecuteCollect(*job, mode);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(ReplicatedLab::Canonical(result->tuples),
+              ReplicatedLab::Canonical(clean->tuples));
+    EXPECT_GT(result->metrics.failovers, 0u);
+    EXPECT_GT(result->metrics.replica_reads, 0u);
+    lab.cluster.SetNodeOutage(2, false);
+  }
 }
 
 TEST(Failover, RfTwoSurvivesAnOutageStrikingMidQueryDeterministically) {
@@ -496,13 +506,32 @@ TEST(Failover, AllReplicasDownSurfacesTheOutageError) {
 
 // ------------------------------------------------------------ hedged reads
 
-TEST(HedgedReads, SecondReplicaRacesTheSlowPrimaryWithoutChangingResults) {
+/// Threads of this process per /proc/self/status, or -1 when unreadable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+/// Engine x device timing. Both engines run the one hedge protocol; a
+/// deadline of 0 hedges every eligible point read, on either engine,
+/// whatever the timing.
+class HedgedReads
+    : public ::testing::TestWithParam<std::tuple<SmpeEngine, bool>> {};
+
+TEST_P(HedgedReads, SecondReplicaRacesTheSlowPrimaryWithoutChangingResults) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "/proc/self/status unreadable";
+  const auto [engine, timed] = GetParam();
   sim::ClusterOptions cluster_options = sim::ClusterOptions::ForNodes(4);
-  // Timed disks make the primary genuinely slow, so an immediate hedge
-  // deadline always fires; a small time scale keeps the test fast.
-  cluster_options.EnableTiming(true, 0.05);
+  // Timed disks make the primary genuinely slow; a small time scale keeps
+  // the test fast.
+  cluster_options.EnableTiming(timed, 0.05);
 
   EngineOptions plain;
+  plain.smpe.engine = engine;
   ReplicatedLab clean_lab(2, plain);
   auto clean_job = clean_lab.DeptJoinJob();
   ASSERT_TRUE(clean_job.ok());
@@ -510,21 +539,53 @@ TEST(HedgedReads, SecondReplicaRacesTheSlowPrimaryWithoutChangingResults) {
                                                 ExecutionMode::kSmpe);
   ASSERT_TRUE(clean.ok());
 
-  EngineOptions hedged;
+  EngineOptions hedged = plain;
   hedged.smpe.hedge.enabled = true;
   hedged.smpe.hedge.deadline_us = 0;  // hedge every point read
   ReplicatedLab lab(2, hedged, cluster_options);
   auto job = lab.DeptJoinJob();
   ASSERT_TRUE(job.ok());
+
+  // Sample the thread count about every millisecond while the run races.
+  std::atomic<bool> stop{false};
+  std::atomic<int> peak{0};
+  std::thread sampler([&] {
+    while (!stop.load()) {
+      peak.store(std::max(peak.load(), ProcessThreads()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const int before = ProcessThreads();
   auto result = lab.engine->ExecuteCollect(*job, ExecutionMode::kSmpe);
+  stop.store(true);
+  sampler.join();
+
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(ReplicatedLab::Canonical(result->tuples),
             ReplicatedLab::Canonical(clean->tuples));
-  EXPECT_GT(result->metrics.hedged_reads, 0u);
+  // One hedge per point dereference: 120 emp reads and 120 dept reads.
+  EXPECT_EQ(result->metrics.hedged_reads,
+            static_cast<uint64_t>(2 * ReplicatedLab::kEmployees));
   // Winners on either side are fine; what is not fine is double emission —
   // the canonical equality above rules that out.
   EXPECT_LE(result->metrics.hedge_wins, result->metrics.hedged_reads);
+  // No thread per hedge: at most the run's own dispatcher and watchdog
+  // threads (one per node, plus two) come and go.
+  EXPECT_LE(peak.load(),
+            before + static_cast<int>(lab.cluster.num_nodes()) + 2);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, HedgedReads,
+    ::testing::Combine(::testing::Values(SmpeEngine::kThreaded,
+                                         SmpeEngine::kAsync),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<SmpeEngine, bool>>& info) {
+      return std::string(std::get<0>(info.param) == SmpeEngine::kThreaded
+                             ? "threaded"
+                             : "async") +
+             (std::get<1>(info.param) ? "_timed" : "_untimed");
+    });
 
 TEST(HedgedReads, DisabledUnderDeterministicSchedules) {
   EngineOptions options;

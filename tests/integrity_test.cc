@@ -336,6 +336,51 @@ TEST(Integrity, RfTwoReadRepairMatchesFaultFreeBaselineExactly) {
       << (profile.warnings().empty() ? "" : profile.warnings().front());
 }
 
+TEST(Integrity, OneRottenNodeIsRepairedOnEveryExecutor) {
+  // rf=2 with every read of one node rotten and the others clean: each
+  // partition keeps one clean replica, so the verdicts do not depend on
+  // how threads interleave. The threaded and async engines and Fig 7's
+  // w/o-SMPE executor run the same dereferencers, so each must fail over,
+  // repair and answer exactly like the fault-free run.
+  constexpr sim::NodeId kRotten = 1;
+  struct Executor {
+    const char* name;
+    SmpeEngine engine;
+    ExecutionMode mode;
+  };
+  for (const Executor& executor :
+       {Executor{"threaded", SmpeEngine::kThreaded, ExecutionMode::kSmpe},
+        Executor{"async", SmpeEngine::kAsync, ExecutionMode::kSmpe},
+        Executor{"partitioned", SmpeEngine::kThreaded,
+                 ExecutionMode::kPartitioned}}) {
+    SCOPED_TRACE(executor.name);
+    EngineOptions options;
+    options.smpe.engine = executor.engine;
+    IntegrityLab lab(2, options);
+    auto job = lab.DeptJoinJob();
+    ASSERT_TRUE(job.ok());
+    auto clean = lab.engine->ExecuteCollect(*job, executor.mode);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_EQ(clean->tuples.size(),
+              static_cast<size_t>(IntegrityLab::kEmployees));
+
+    lab.cluster.node(kRotten).disk().ConfigureFaults(CorruptionOnly(1.0, 3));
+    auto result = lab.engine->ExecuteCollect(*job, executor.mode);
+    lab.cluster.node(kRotten).disk().ConfigureFaults(sim::FaultOptions{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(IntegrityLab::Canonical(result->tuples),
+              IntegrityLab::Canonical(clean->tuples));
+    EXPECT_GT(result->metrics.corruptions_detected, 0u);
+    EXPECT_GT(result->metrics.read_repairs, 0u);
+    EXPECT_EQ(result->metrics.unrepairable, 0u);
+    for (const Tuple& t : result->tuples) {
+      for (const io::Record& r : t.records) {
+        ASSERT_TRUE(r.ChecksumValid());
+      }
+    }
+  }
+}
+
 TEST(Integrity, VerificationOffDeliversRottenBytesThatFailTheEnvelope) {
   // The negative control: with verification disabled a corrupted read
   // completes "successfully" and hands rotten payloads to the query —

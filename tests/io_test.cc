@@ -13,6 +13,7 @@
 #include "io/key_codec.h"
 #include "io/partitioned_file.h"
 #include "sim/cluster.h"
+#include "inline_read_check.h"
 
 namespace lakeharbor::io {
 namespace {
@@ -381,6 +382,121 @@ TEST_F(FileFixture, PartitionAccountingSumsToTotals) {
   EXPECT_EQ(bytes, file->total_bytes());
   EXPECT_EQ(records, 300u);
 }
+
+// ------------------------------------------- async reads without a queue
+
+using inline_read_check::AppendPayloads;
+using inline_read_check::ExpectInPlaceReadMatchesBlocking;
+using inline_read_check::RunWithoutQueue;
+
+/// A null completion queue makes every async read run the blocking read in
+/// place: `done` fires before the call returns, with the blocking read's
+/// records, charges and counters (timed: its in-thread device sleep too).
+class InPlaceAsyncReads : public ::testing::TestWithParam<bool> {
+ protected:
+  sim::Cluster cluster{
+      sim::ClusterOptions::ForNodes(4).EnableTiming(GetParam(), 0.05)};
+};
+
+TEST_P(InPlaceAsyncReads, PartitionedFilePointAndBatchReadsMatchBlocking) {
+  auto file = std::make_shared<PartitionedFile>(
+      "t", std::make_shared<HashPartitioner>(8), &cluster);
+  for (int i = 0; i < 64; ++i) {
+    std::string key = EncodeInt64Key(i);
+    ASSERT_TRUE(
+        file->Append(key, key, Record(StrFormat("%d|payload", i))).ok());
+  }
+  file->Seal();
+  const std::string key = EncodeInt64Key(7);
+  const uint32_t p = file->partitioner().PartitionOf(key);
+  const sim::NodeId storage = file->NodeOfReplica(p, 0);
+  // A remote reader, so the reads charge the network too.
+  const sim::NodeId reader = (storage + 1) % cluster.num_nodes();
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) {
+    if (file->partitioner().PartitionOf(EncodeInt64Key(i)) == p) {
+      keys.push_back(EncodeInt64Key(i));
+    }
+  }
+  keys.push_back(EncodeInt64Key(999));  // a miss in the same batch
+
+  ExpectInPlaceReadMatchesBlocking(
+      cluster, *file, storage,
+      [&](std::vector<std::string>* payloads) {
+        std::vector<Record> out;
+        Status s = file->GetInPartitionOnReplica(reader, p, 0, key, &out);
+        AppendPayloads(out, payloads);
+        return s;
+      },
+      [&](std::vector<std::string>* payloads) {
+        std::vector<Record> out;
+        Status s = RunWithoutQueue([&](File::AsyncReadDone done) {
+          file->GetInPartitionOnReplicaAsync(reader, p, 0, key, &out,
+                                             nullptr, std::move(done));
+        });
+        AppendPayloads(out, payloads);
+        return s;
+      });
+
+  ExpectInPlaceReadMatchesBlocking(
+      cluster, *file, storage,
+      [&](std::vector<std::string>* payloads) {
+        std::vector<std::vector<Record>> out;
+        Status s =
+            file->GetBatchInPartitionOnReplica(reader, p, 0, keys, &out);
+        for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+        return s;
+      },
+      [&](std::vector<std::string>* payloads) {
+        std::vector<std::vector<Record>> out;
+        Status s = RunWithoutQueue([&](File::AsyncReadDone done) {
+          file->GetBatchInPartitionOnReplicaAsync(reader, p, 0, keys, &out,
+                                                  nullptr, std::move(done));
+        });
+        for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+        return s;
+      });
+}
+
+TEST_P(InPlaceAsyncReads, BtreeFileRangeReadsMatchBlocking) {
+  auto file = std::make_shared<BtreeFile>(
+      "idx", std::make_shared<HashPartitioner>(4), &cluster);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(file->AppendToPartition(i % 4,
+                                        StrFormat("2024-%02d", i % 12 + 1),
+                                        Record(StrFormat("v%d", i)))
+                    .ok());
+  }
+  file->Seal();
+  const uint32_t p = 1;
+  const sim::NodeId storage = file->NodeOfReplica(p, 0);
+  const sim::NodeId reader = (storage + 1) % cluster.num_nodes();
+  ExpectInPlaceReadMatchesBlocking(
+      cluster, *file, storage,
+      [&](std::vector<std::string>* payloads) {
+        return file->GetRangeInPartitionOnReplica(
+            reader, p, 0, "2024-03", "2024-07", [&](const Record& r) {
+              payloads->push_back(r.bytes());
+              return true;
+            });
+      },
+      [&](std::vector<std::string>* payloads) {
+        return RunWithoutQueue([&](File::AsyncReadDone done) {
+          file->GetRangeInPartitionOnReplicaAsync(
+              reader, p, 0, "2024-03", "2024-07",
+              [payloads](const Record& r) {
+                payloads->push_back(r.bytes());
+                return true;
+              },
+              nullptr, std::move(done));
+        });
+      });
+}
+
+INSTANTIATE_TEST_SUITE_P(Timing, InPlaceAsyncReads, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "timed" : "untimed";
+                         });
 
 TEST(Catalog, TotalRecordAccessesSumsFiles) {
   sim::Cluster cluster(sim::ClusterOptions::ForNodes(2));

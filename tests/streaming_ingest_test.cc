@@ -44,6 +44,7 @@
 #include "rede/smpe_executor.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
+#include "inline_read_check.h"
 
 namespace lakeharbor::ingest {
 namespace {
@@ -205,6 +206,89 @@ TEST(StreamingIngest, LatestReadsSeeTailAndKeepPerKeyLsnOrder) {
   ASSERT_EQ(buckets[0].size(), 1u);
   EXPECT_EQ(buckets[0][0].bytes(), Row(60, "new"));
 }
+
+/// A null completion queue makes the streaming reads run the blocking read
+/// in place — at the latest LSN and at a snapshot pin alike: `done` fires
+/// before the call returns, with the blocking read's tree-plus-tail
+/// records, charges and counters.
+class InPlaceStreamingReads : public ::testing::TestWithParam<bool> {};
+
+TEST_P(InPlaceStreamingReads, LatestAndPinnedReadsMatchBlocking) {
+  using inline_read_check::AppendPayloads;
+  using inline_read_check::ExpectInPlaceReadMatchesBlocking;
+  using inline_read_check::RunWithoutQueue;
+  StreamLab lab;
+  lab.cluster.SetTimingEnabled(GetParam());
+  ASSERT_TRUE(lab.Stream(5, "before-pin").ok());
+  auto view = MakeSnapshotView(lab.file);
+  ASSERT_TRUE(lab.Stream(5, "after-pin").ok());
+
+  const std::string key = io::EncodeInt64Key(5);
+  const uint32_t p = lab.file->partitioner().PartitionOf(key);
+  const sim::NodeId storage = lab.file->NodeOfReplica(p, 0);
+  const sim::NodeId reader = (storage + 1) % lab.cluster.num_nodes();
+  std::vector<std::string> keys;
+  for (int i = 0; i < StreamLab::kLoaded; ++i) {
+    if (lab.file->partitioner().PartitionOf(io::EncodeInt64Key(i)) == p) {
+      keys.push_back(io::EncodeInt64Key(i));
+    }
+  }
+
+  // The latest-LSN overrides and the snapshot view both reach the
+  // snapshot-parameterized reads of the base file, which keeps the stats.
+  for (io::File* reads : {static_cast<io::File*>(lab.file.get()),
+                          static_cast<io::File*>(view.get())}) {
+    SCOPED_TRACE(reads == view.get() ? "pinned" : "latest");
+    ExpectInPlaceReadMatchesBlocking(
+        lab.cluster, *lab.file, storage,
+        [&](std::vector<std::string>* payloads) {
+          std::vector<io::Record> out;
+          Status s = reads->GetInPartitionOnReplica(reader, p, 0, key, &out);
+          AppendPayloads(out, payloads);
+          return s;
+        },
+        [&](std::vector<std::string>* payloads) {
+          std::vector<io::Record> out;
+          Status s = RunWithoutQueue([&](io::File::AsyncReadDone done) {
+            reads->GetInPartitionOnReplicaAsync(reader, p, 0, key, &out,
+                                                nullptr, std::move(done));
+          });
+          AppendPayloads(out, payloads);
+          return s;
+        });
+    ExpectInPlaceReadMatchesBlocking(
+        lab.cluster, *lab.file, storage,
+        [&](std::vector<std::string>* payloads) {
+          std::vector<std::vector<io::Record>> out;
+          Status s =
+              reads->GetBatchInPartitionOnReplica(reader, p, 0, keys, &out);
+          for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+          return s;
+        },
+        [&](std::vector<std::string>* payloads) {
+          std::vector<std::vector<io::Record>> out;
+          Status s = RunWithoutQueue([&](io::File::AsyncReadDone done) {
+            reads->GetBatchInPartitionOnReplicaAsync(
+                reader, p, 0, keys, &out, nullptr, std::move(done));
+          });
+          for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+          return s;
+        });
+  }
+  // The pin saw one tail copy of key 5, the latest read both.
+  std::vector<io::Record> pinned;
+  std::vector<io::Record> latest;
+  ASSERT_TRUE(view->GetInPartitionOnReplica(reader, p, 0, key, &pinned).ok());
+  ASSERT_TRUE(
+      lab.file->GetInPartitionOnReplica(reader, p, 0, key, &latest).ok());
+  EXPECT_EQ(pinned.size(), 2u);
+  EXPECT_EQ(latest.size(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Timing, InPlaceStreamingReads, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "timed" : "untimed";
+                         });
 
 TEST(StreamingIngest, ThresholdsSealEpochsAndManualSealFlushesTheRest) {
   IngestOptions options = SmallEpochs();
