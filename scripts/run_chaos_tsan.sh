@@ -11,8 +11,9 @@
 # scrubber driving verify/repair jobs through the shared scheduler
 # (integrity_test), and streaming ingest: concurrent StreamAppend vs
 # epoch folds vs pinned-snapshot reads vs the background merger pump
-# (streaming_ingest_test) — so a TSan-clean pass is the "zero leaked inflight
-# tasks, no torn state" acceptance gate. The obs-labeled suite (trace recorder, histograms,
+# (streaming_ingest_test), and the lock-free in-flight count and listener-mode
+# completion queue racing their destroyers (concurrent_test) — so a TSan-clean
+# pass is the "zero leaked inflight tasks, no torn state" acceptance gate. The obs-labeled suite (trace recorder, histograms,
 # profiler) rides along: its lock-free thread-local span buffers are exactly
 # the kind of code TSan exists for.
 #

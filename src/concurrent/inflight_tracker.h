@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -15,23 +16,38 @@ namespace lakeharbor {
 /// flight must be registered *before* it is enqueued, and a task spawning
 /// children registers the children before finishing itself, so the count can
 /// only reach zero when the whole task DAG has drained.
+///
+/// Lock-free above zero: Add is a relaxed fetch_add, and Done decrements
+/// with a CAS that only succeeds while the result stays positive. The
+/// decrement that reaches zero takes the mutex instead, so zero is only ever
+/// produced under the mutex — which is what lets AwaitZero's caller (and the
+/// NotifyOnZero callback) destroy the tracker the moment it sees zero: the
+/// thread that produced it has notified and let go of the mutex by then, and
+/// every other Done finished with the tracker at its successful decrement.
 class InflightTracker {
  public:
   InflightTracker() = default;
   LH_DISALLOW_COPY_AND_ASSIGN(InflightTracker);
 
-  void Add(int64_t n = 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    count_ += n;
-  }
+  void Add(int64_t n = 1) { count_.fetch_add(n, std::memory_order_relaxed); }
 
+  /// Every decrement is an acq_rel RMW, so whatever a task wrote before its
+  /// Done happens-before the thread that observes zero.
   void Done(int64_t n = 1) {
+    int64_t seen = count_.load(std::memory_order_relaxed);
+    while (seen > n) {
+      if (count_.compare_exchange_weak(seen, seen - n,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+        return;
+      }
+    }
     std::function<void()> on_zero;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      count_ -= n;
-      LH_CHECK_MSG(count_ >= 0, "InflightTracker underflow");
-      if (count_ != 0) return;
+      const int64_t left = count_.fetch_sub(n, std::memory_order_acq_rel) - n;
+      LH_CHECK_MSG(left >= 0, "InflightTracker underflow");
+      if (left != 0) return;  // an Add raced in after the CAS loop gave up
       // Notify while still holding the mutex: the waiter in AwaitZero() often
       // destroys this tracker as soon as it observes zero, and it cannot
       // re-acquire the mutex (and return) until this thread has finished
@@ -49,10 +65,11 @@ class InflightTracker {
     if (on_zero) on_zero();
   }
 
-  /// Blocks until the in-flight count reaches zero.
+  /// Blocks until the in-flight count reaches zero. The count is read under
+  /// the mutex that the zero-producing Done holds while it notifies.
   void AwaitZero() {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return count_ == 0; });
+    cv_.wait(lock, [&] { return count_.load(std::memory_order_acquire) == 0; });
   }
 
   /// Completion-callback mode for engines that must not park a thread on
@@ -65,7 +82,7 @@ class InflightTracker {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       LH_CHECK_MSG(!on_zero_, "NotifyOnZero: a callback is already armed");
-      if (count_ != 0) {
+      if (count_.load(std::memory_order_acquire) != 0) {
         on_zero_ = std::move(fn);
         return;
       }
@@ -73,16 +90,13 @@ class InflightTracker {
     fn();
   }
 
-  int64_t count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-  }
+  int64_t count() const { return count_.load(std::memory_order_acquire); }
 
  private:
-  mutable std::mutex mutex_;
+  std::atomic<int64_t> count_{0};
+  std::mutex mutex_;
   std::condition_variable cv_;
-  int64_t count_ = 0;
-  std::function<void()> on_zero_;
+  std::function<void()> on_zero_;  // guarded by mutex_
 };
 
 }  // namespace lakeharbor

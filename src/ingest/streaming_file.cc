@@ -384,7 +384,7 @@ Status StreamingFile::GetInPartitionOnReplicaAt(Lsn snapshot,
   LH_RETURN_NOT_OK(
       ChargeLookup(compute_node, partition, replica, bytes, found, &outcome));
   RotRecords(outcome, out, before);
-  LH_RETURN_NOT_OK(VerifyRecords(out, before, "key '" + key + "'", partition,
+  LH_RETURN_NOT_OK(VerifyRecords(out, before, key, nullptr, partition,
                                  replica));
   for (io::Record& record : tail) out->push_back(std::move(record));
   return Status::OK();
@@ -475,7 +475,7 @@ void StreamingFile::GetInPartitionOnReplicaAsyncAt(
               access_stats_.records_read.fetch_add(found,
                                                    std::memory_order_relaxed);
               RotRecords(c.outcome, out, before);
-              s = VerifyRecords(out, before, "key '" + key + "'", partition,
+              s = VerifyRecords(out, before, key, nullptr, partition,
                                 replica);
             }
             if (s.ok()) {

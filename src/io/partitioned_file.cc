@@ -130,12 +130,16 @@ Status PartitionedFile::ChargeLookup(sim::NodeId compute_node,
 }
 
 Status PartitionedFile::VerifyRecords(std::vector<Record>* out, size_t begin,
-                                      const std::string& what,
+                                      const std::string& key,
+                                      const std::string* range_hi,
                                       uint32_t partition, uint32_t replica) {
   if (!verify_checksums()) return Status::OK();
   for (size_t i = begin; i < out->size(); ++i) {
     if ((*out)[i].ChecksumValid()) continue;
     access_stats_.corrupt_reads.fetch_add(1, std::memory_order_relaxed);
+    const std::string what = range_hi == nullptr
+                                 ? "key '" + key + "'"
+                                 : "range ['" + key + "', '" + *range_hi + "']";
     Status corrupt = Status::Corruption(
         "checksum mismatch reading " + what + " in file '" + name_ +
         "' partition " + std::to_string(partition) + " replica " +
@@ -206,7 +210,7 @@ Status PartitionedFile::GetInPartitionOnReplica(sim::NodeId compute_node,
   LH_RETURN_NOT_OK(
       ChargeLookup(compute_node, partition, replica, bytes, found, &outcome));
   ApplyBitRot(outcome, out, before);
-  return VerifyRecords(out, before, "key '" + key + "'", partition, replica);
+  return VerifyRecords(out, before, key, nullptr, partition, replica);
 }
 
 Status File::GetBatchInPartition(sim::NodeId compute_node, uint32_t partition,
@@ -294,7 +298,7 @@ void PartitionedFile::GetInPartitionOnReplicaAsync(
               access_stats_.records_read.fetch_add(found,
                                                    std::memory_order_relaxed);
               ApplyBitRot(c.outcome, out, before);
-              s = VerifyRecords(out, before, "key '" + key + "'", partition,
+              s = VerifyRecords(out, before, key, nullptr, partition,
                                 replica);
             }
             done(std::move(s));
@@ -498,9 +502,8 @@ Status BtreeFile::GetRangeInPartitionOnReplica(sim::NodeId compute_node,
     outcome.MergeFrom(leaf_outcome);
   }
   ApplyBitRot(outcome, &matched, 0);
-  LH_RETURN_NOT_OK(VerifyRecords(&matched, 0,
-                                 "range ['" + lo + "', '" + hi + "']",
-                                 partition, replica));
+  LH_RETURN_NOT_OK(
+      VerifyRecords(&matched, 0, lo, &hi, partition, replica));
   for (const Record& record : matched) {
     if (!visit(record)) break;
   }
@@ -536,7 +539,7 @@ void BtreeFile::GetRangeInPartitionOnReplicaAsync(
           [this, compute_node, partition, replica, storage_node,
            lo = std::move(lo_copy), hi = std::move(hi_copy),
            visit = std::move(visit), cq,
-           done = std::move(done)](const sim::Completion& c) {
+           done = std::move(done)](const sim::Completion& c) mutable {
             if (!c.status.ok()) {
               done(c.status);
               return;
@@ -552,14 +555,13 @@ void BtreeFile::GetRangeInPartitionOnReplicaAsync(
                 });
             access_stats_.records_read.fetch_add(matched->size(),
                                                  std::memory_order_relaxed);
-            const std::string what =
-                "range ['" + lo + "', '" + hi + "']";
-            auto finish = [this, partition, replica, what,
+            auto finish = [this, partition, replica, lo = std::move(lo),
+                           hi = std::move(hi),
                            matched](const sim::ReadOutcome& outcome,
                                     const RecordVisitor& deliver) {
               ApplyBitRot(outcome, matched.get(), 0);
-              Status verdict =
-                  VerifyRecords(matched.get(), 0, what, partition, replica);
+              Status verdict = VerifyRecords(matched.get(), 0, lo, &hi,
+                                             partition, replica);
               if (verdict.ok()) {
                 for (const Record& record : *matched) {
                   if (!deliver(record)) break;

@@ -116,11 +116,13 @@ class PartitionedFile : public File {
   /// Checksum-verify records [begin, out->size()) (no-op when
   /// verify_checksums() is off). On a mismatch: count it, truncate `out`
   /// back to `begin` so the caller never sees rotten bytes, and return
-  /// kCorruption naming the read (`what`), partition, replica, and storage
-  /// node — the context the repair layer and the error surface need.
+  /// kCorruption naming the read (key `key`, or range [`key`, `*range_hi`]
+  /// when `range_hi` is set), partition, replica, and storage node — the
+  /// context the repair layer and the error surface need. The message is
+  /// only built on a mismatch.
   Status VerifyRecords(std::vector<Record>* out, size_t begin,
-                       const std::string& what, uint32_t partition,
-                       uint32_t replica);
+                       const std::string& key, const std::string* range_hi,
+                       uint32_t partition, uint32_t replica);
   /// Batch analogue: verify every bucket; on a mismatch the whole batch is
   /// cleared (the caller must treat it as unread) and the error names the
   /// offending key.

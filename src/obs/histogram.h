@@ -78,6 +78,16 @@ struct HistogramSnapshot {
   uint64_t P95() const { return Quantile(0.95); }
   uint64_t P99() const { return Quantile(0.99); }
 
+  /// Plain single-writer Record, for a snapshot kept as one thread's shard
+  /// of a histogram and folded into the total with Merge.
+  void Record(uint64_t value) {
+    ++counts[HistogramBucketOf(value)];
+    if (count == 0 || value < min) min = value;
+    if (value > max) max = value;
+    ++count;
+    sum += value;
+  }
+
   void Merge(const HistogramSnapshot& other) {
     for (size_t i = 0; i < kHistogramBuckets; ++i) counts[i] += other.counts[i];
     if (other.count > 0) {

@@ -59,18 +59,74 @@ void RecordBackoffSpan(obs::TraceRecorder* trace, size_t stage,
 
 /// The one-item local slot of the async worker running on this thread; null
 /// on every other thread. `owner` keeps a thunk that reaches another
-/// executor (a scheduler callback submitting there) off this worker.
+/// executor (a scheduler callback submitting there) off this worker. The
+/// slot holds either a dispatched task's thunk or a completion by value.
 struct LocalSlot {
   const AsyncExecutor* owner = nullptr;
+  size_t worker = 0;  // the worker's index: its counter shard in every run
   std::function<void()> thunk;
+  std::optional<sim::Completion> completion;
+
+  bool empty() const { return !thunk && !completion.has_value(); }
 };
 thread_local LocalSlot* tls_local_slot = nullptr;
+
+/// The calling thread's local slot when it is one of `exec`'s workers and
+/// the slot is empty; null otherwise.
+LocalSlot* EmptyLocalSlot(const AsyncExecutor* exec) {
+  LocalSlot* slot = tls_local_slot;
+  return slot != nullptr && slot->owner == exec && slot->empty() ? slot
+                                                                  : nullptr;
+}
+
+/// One stage's invocation and emission counts on a line of its own.
+struct alignas(64) StageCount {
+  uint64_t invocations = 0;
+  uint64_t emitted = 0;
+};
 }  // namespace
 
-/// All state of one submission. shared_ptr-owned: task thunks, suspended
-/// continuation frames, the completion-queue listeners' pending thunks, and
-/// the armed NotifyOnZero callback all keep it alive; the last reference
-/// drops shortly after FinalizeRun delivers the result.
+/// The engine's own per-task counters of one run, as one worker bumps them
+/// (DESIGN §11). Plain single-writer fields on cache lines of their own,
+/// folded into the MetricsSnapshot when the run finalizes: every task ends
+/// with an acq_rel decrement of the in-flight count, so whatever a worker
+/// wrote happens-before the thread that sees the count drain. Only the
+/// engine's per-task counters live here; the stage functions' rare events
+/// (cache, failover, hedge, repair), the fan-out and retry counters and the
+/// active/peak dereference gauge stay on the run's shared
+/// ExecMetricsCounters.
+struct alignas(64) AsyncExecutor::CounterShard {
+  uint64_t deref_invocations = 0;
+  uint64_t ref_invocations = 0;
+  uint64_t tuples_emitted = 0;
+  obs::HistogramSnapshot deref_latency_us;
+  obs::HistogramSnapshot queue_dwell_us;
+  std::vector<StageCount> per_stage;
+
+  void CountStage(size_t stage, uint64_t emitted) {
+    if (stage >= per_stage.size()) return;
+    ++per_stage[stage].invocations;
+    per_stage[stage].emitted += emitted;
+  }
+
+  void FoldInto(MetricsSnapshot* s) const {
+    s->deref_invocations += deref_invocations;
+    s->ref_invocations += ref_invocations;
+    s->tuples_emitted += tuples_emitted;
+    s->deref_latency_us.Merge(deref_latency_us);
+    s->queue_dwell_us.Merge(queue_dwell_us);
+    for (size_t i = 0; i < per_stage.size() && i < s->per_stage.size(); ++i) {
+      s->per_stage[i].invocations += per_stage[i].invocations;
+      s->per_stage[i].emitted += per_stage[i].emitted;
+    }
+  }
+};
+
+/// All state of one submission. shared_ptr-owned by the armed NotifyOnZero
+/// callback (and the submitting call); tasks, continuations and the
+/// runtime refer to it by plain pointer, kept alive by the in-flight count
+/// they hold. The last reference drops shortly after FinalizeRun delivers
+/// the result; the deadline watchdog holds a weak_ptr.
 struct AsyncExecutor::RunState {
   const Job* job = nullptr;
   std::string job_name;
@@ -80,6 +136,8 @@ struct AsyncExecutor::RunState {
   obs::TraceRecorder* trace = nullptr;
   std::unique_ptr<obs::TraceRecorder> recorder;
   ExecMetricsCounters metrics;
+  /// One per worker (one under deterministic replay); see CounterShard.
+  std::vector<CounterShard> shards;
   InflightTracker inflight;
   StopWatch watch;
 
@@ -99,12 +157,13 @@ struct AsyncExecutor::RunState {
   /// null under deterministic replay, which makes the builtin state
   /// machines skip hedging — same rule as the threaded engine).
   std::unique_ptr<Runtime> runtime;
-  /// One completion queue per node: listener mode in real time (forwarding
-  /// to the worker pool), pull mode under deterministic replay.
+  /// One completion queue per node: listener mode in real time (parking or
+  /// queueing the completion for a worker), pull mode under deterministic
+  /// replay.
   std::vector<std::unique_ptr<sim::CompletionQueue>> cqs;
   /// Deterministic mode only: per-node task queues drained by the seeded
   /// single-threaded driver.
-  std::vector<std::unique_ptr<MpmcQueue<Task>>> det_queues;
+  std::vector<std::unique_ptr<MpmcQueue<TaskFrame*>>> det_queues;
 
   void RecordError(const Status& status, const std::string& where) {
     cancel->Cancel(status.WithContext(where));
@@ -123,13 +182,17 @@ struct AsyncExecutor::RunState {
   }
 };
 
-/// One task's continuation state machine — the async analogue of the
-/// threaded engine's RunTask stack frame. Owns the task's tuples, emission
-/// buffer, and retry counter across suspensions.
+/// One task: its tuples, and its continuation state machine — the async
+/// analogue of the threaded engine's RunTask stack frame. Owns the task's
+/// tuples, emission buffer, and retry counter across suspensions. Allocated
+/// by Dispatch, deleted by FinishTask; it holds one in-flight count of its
+/// run from Dispatch until then.
 struct AsyncExecutor::TaskFrame {
-  std::shared_ptr<RunState> run;
+  RunState* run = nullptr;
   sim::NodeId node = 0;
-  Task task;
+  size_t stage = 0;
+  std::vector<Tuple> tuples;
+  int64_t enqueue_us = 0;
   const StageFunction* fn = nullptr;
   ExecContext ctx;
   std::vector<Tuple> outs;
@@ -170,7 +233,7 @@ AsyncExecutor::AsyncExecutor(sim::Cluster* cluster, SmpeOptions options)
     if (n == 0) n = 1;
     workers_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, i] { WorkerLoop(i); });
     }
   }
 }
@@ -184,78 +247,100 @@ AsyncExecutor::~AsyncExecutor() {
   for (auto& worker : workers_) worker.join();
 }
 
+AsyncExecutor::CounterShard& AsyncExecutor::ShardOf(RunState& run) const {
+  if (options_.deterministic_seed != 0) return run.shards.front();
+  const LocalSlot* slot = tls_local_slot;
+  LH_DCHECK(slot != nullptr && slot->owner == this);
+  return run.shards[slot->worker];
+}
+
 bool AsyncExecutor::Handoff(std::function<void()> thunk) {
-  LocalSlot* slot = tls_local_slot;
-  if (slot != nullptr && slot->owner == this && !slot->thunk) {
+  if (LocalSlot* slot = EmptyLocalSlot(this)) {
     slot->thunk = std::move(thunk);
     return true;
   }
   return ready_.Push(std::move(thunk));
 }
 
-void AsyncExecutor::WorkerLoop() {
-  LocalSlot slot{this, nullptr};
+void AsyncExecutor::Deliver(const sim::Completion& c) {
+  if (LocalSlot* slot = EmptyLocalSlot(this)) {
+    slot->completion = c;
+    return;
+  }
+  ready_.Push([c] { sim::DeliverCallbackTag(c); });
+}
+
+void AsyncExecutor::WorkerLoop(size_t worker) {
+  LocalSlot slot{this, worker, nullptr, std::nullopt};
   tls_local_slot = &slot;
   while (auto fn = ready_.Pop()) {
     (*fn)();
     // The slot is drained only after the thunk that filled it returned, so
     // a continuation never runs inside the device call that completed it.
-    while (slot.thunk) std::exchange(slot.thunk, nullptr)();
+    // It is emptied before its item runs, so that item can refill it.
+    for (;;) {
+      if (slot.thunk) {
+        std::exchange(slot.thunk, nullptr)();
+      } else if (slot.completion.has_value()) {
+        const sim::Completion c = std::move(*slot.completion);
+        slot.completion.reset();
+        sim::DeliverCallbackTag(c);
+      } else {
+        break;
+      }
+    }
   }
   tls_local_slot = nullptr;
 }
 
-void AsyncExecutor::RunTaskAsync(const std::shared_ptr<RunState>& run,
-                                 sim::NodeId node, Task task) {
-  if (run->Failed()) {
+void AsyncExecutor::RunTaskAsync(TaskFrame* frame) {
+  RunState& run = *frame->run;
+  if (run.Failed()) {
     // Fail-fast drain, identical to the threaded engine.
-    run->metrics.tasks_dropped_on_failure.fetch_add(1,
-                                                    std::memory_order_relaxed);
-    run->inflight.Done();
+    run.metrics.tasks_dropped_on_failure.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    delete frame;
+    run.inflight.Done();
     return;
   }
-  LH_CHECK(!task.tuples.empty());
+  LH_CHECK(!frame->tuples.empty());
   const int64_t dequeue_us = NowMicros();
-  if (task.enqueue_us > 0 && dequeue_us >= task.enqueue_us) {
-    run->metrics.queue_dwell_us.Record(
-        static_cast<uint64_t>(dequeue_us - task.enqueue_us));
+  if (frame->enqueue_us > 0 && dequeue_us >= frame->enqueue_us) {
+    ShardOf(run).queue_dwell_us.Record(
+        static_cast<uint64_t>(dequeue_us - frame->enqueue_us));
   }
-  RecordQueueWaitSpan(run->trace, task.stage, node, task.enqueue_us,
+  RecordQueueWaitSpan(run.trace, frame->stage, frame->node, frame->enqueue_us,
                       dequeue_us);
-  auto frame = std::make_shared<TaskFrame>();
-  frame->run = run;
-  frame->node = node;
-  frame->fn = run->job->stages()[task.stage].get();
-  frame->task = std::move(task);
+  frame->fn = run.job->stages()[frame->stage].get();
   frame->work_start_us = dequeue_us;
-  frame->batched = frame->task.tuples.size() > 1;
-  ExecContext ctx{node, cluster_, &run->metrics, cache_.get()};
-  ctx.cancel = run->cancel;
-  ctx.trace = run->trace;
-  ctx.stage = static_cast<uint32_t>(frame->task.stage);
-  ctx.completion_queue = run->cqs[node].get();
+  frame->batched = frame->tuples.size() > 1;
+  ExecContext& ctx = frame->ctx;
+  ctx = ExecContext{frame->node, cluster_, &run.metrics, cache_.get()};
+  ctx.cancel = run.cancel;
+  ctx.trace = run.trace;
+  ctx.stage = static_cast<uint32_t>(frame->stage);
+  ctx.completion_queue = run.cqs[frame->node].get();
   if (options_.deterministic_seed == 0) {
-    ctx.async = run->runtime.get();
-    // Hedging needs the runtime: deadline timers, and the run pin its
-    // loser arm holds.
+    ctx.async = run.runtime.get();
+    // Hedging needs the runtime: deadline timers, and the run pin each
+    // in-flight arm holds.
     if (options_.hedge.enabled) ctx.hedge = options_.hedge;
   }
-  frame->ctx = ctx;
   if (frame->batched) {
-    run->metrics.deref_batches.fetch_add(1, std::memory_order_relaxed);
-    run->metrics.deref_batched_pointers.fetch_add(frame->task.tuples.size(),
-                                                  std::memory_order_relaxed);
-    run->metrics.deref_batch_size.Record(frame->task.tuples.size());
+    run.metrics.deref_batches.fetch_add(1, std::memory_order_relaxed);
+    run.metrics.deref_batched_pointers.fetch_add(frame->tuples.size(),
+                                                 std::memory_order_relaxed);
+    run.metrics.deref_batch_size.Record(frame->tuples.size());
   }
   StartAttempt(frame);
 }
 
-void AsyncExecutor::StartAttempt(const std::shared_ptr<TaskFrame>& frame) {
+void AsyncExecutor::StartAttempt(TaskFrame* frame) {
   frame->outs.clear();  // discard partial emissions of a failed attempt
   RunState& run = *frame->run;
   const StageFunction& fn = *frame->fn;
   if (fn.IsDereferencer()) {
-    run.metrics.deref_invocations.fetch_add(1, std::memory_order_relaxed);
+    ++ShardOf(run).deref_invocations;
     // EnterDeref..ExitDeref spans the SUSPENSION: a dereference awaiting a
     // device completion is in flight without holding a worker, which is the
     // engine's headline observable (peak_parallel_derefs >> #workers).
@@ -263,31 +348,30 @@ void AsyncExecutor::StartAttempt(const std::shared_ptr<TaskFrame>& frame) {
     // the same span the threaded engine measures around its blocked call.
     run.metrics.EnterDeref();
     frame->attempt_start_us = NowMicros();
+    // 16 trivially copyable bytes: std::function keeps them inline.
     auto cb = [this, frame](Status s) { OnAttemptDone(frame, std::move(s)); };
     if (frame->batched) {
-      fn.ExecuteBatchAsync(frame->ctx, frame->task.tuples, &frame->outs,
+      fn.ExecuteBatchAsync(frame->ctx, frame->tuples, &frame->outs,
                            std::move(cb));
     } else {
-      fn.ExecuteAsync(frame->ctx, frame->task.tuples.front(), &frame->outs,
+      fn.ExecuteAsync(frame->ctx, frame->tuples.front(), &frame->outs,
                       std::move(cb));
     }
     return;
   }
   // Referencer tasks are always singletons and pure CPU: run them to
   // completion right here.
-  run.metrics.ref_invocations.fetch_add(1, std::memory_order_relaxed);
-  Status status =
-      fn.Execute(frame->ctx, frame->task.tuples.front(), &frame->outs);
+  ++ShardOf(run).ref_invocations;
+  Status status = fn.Execute(frame->ctx, frame->tuples.front(), &frame->outs);
   OnAttemptDone(frame, std::move(status));
 }
 
-void AsyncExecutor::OnAttemptDone(const std::shared_ptr<TaskFrame>& frame,
-                                  Status status) {
+void AsyncExecutor::OnAttemptDone(TaskFrame* frame, Status status) {
   RunState& run = *frame->run;
   const StageFunction& fn = *frame->fn;
   if (fn.IsDereferencer()) {
     const int64_t attempt_us = NowMicros() - frame->attempt_start_us;
-    run.metrics.deref_latency_us.Record(
+    ShardOf(run).deref_latency_us.Record(
         attempt_us > 0 ? static_cast<uint64_t>(attempt_us) : 0);
     run.metrics.ExitDeref();
   }
@@ -300,7 +384,7 @@ void AsyncExecutor::OnAttemptDone(const std::shared_ptr<TaskFrame>& frame,
   ++frame->retry;
   const uint64_t jitter_seed =
       run.job_id ^ (static_cast<uint64_t>(frame->node) << 32) ^
-      static_cast<uint64_t>(frame->task.stage);
+      static_cast<uint64_t>(frame->stage);
   const uint64_t backoff_us =
       options_.retry.JitteredBackoffUs(frame->retry, jitter_seed);
   run.metrics.retries.fetch_add(1, std::memory_order_relaxed);
@@ -330,7 +414,7 @@ void AsyncExecutor::OnAttemptDone(const std::shared_ptr<TaskFrame>& frame,
   // Deterministic replay: interruptible inline wait on the driver thread,
   // exactly like the threaded engine's deterministic mode.
   const bool interrupted = run.cancel->WaitFor(backoff_us);
-  RecordBackoffSpan(run.trace, frame->task.stage, frame->node, sleep_start_us,
+  RecordBackoffSpan(run.trace, frame->stage, frame->node, sleep_start_us,
                     frame->retry, backoff_us, interrupted);
   if (interrupted) {
     FinishTask(frame, std::move(status));
@@ -339,12 +423,12 @@ void AsyncExecutor::OnAttemptDone(const std::shared_ptr<TaskFrame>& frame,
   StartAttempt(frame);
 }
 
-void AsyncExecutor::ResumeAfterBackoff(const std::shared_ptr<TaskFrame>& frame,
-                                       Status status, int64_t sleep_start_us,
+void AsyncExecutor::ResumeAfterBackoff(TaskFrame* frame, Status status,
+                                       int64_t sleep_start_us,
                                        uint64_t backoff_us, size_t retry) {
   RunState& run = *frame->run;
   const bool interrupted = run.Failed();
-  RecordBackoffSpan(run.trace, frame->task.stage, frame->node, sleep_start_us,
+  RecordBackoffSpan(run.trace, frame->stage, frame->node, sleep_start_us,
                     retry, backoff_us, interrupted);
   if (interrupted) {
     FinishTask(frame, std::move(status));
@@ -353,8 +437,7 @@ void AsyncExecutor::ResumeAfterBackoff(const std::shared_ptr<TaskFrame>& frame,
   StartAttempt(frame);
 }
 
-void AsyncExecutor::FinishTask(const std::shared_ptr<TaskFrame>& frame,
-                               Status status) {
+void AsyncExecutor::FinishTask(TaskFrame* frame, Status status) {
   RunState& run = *frame->run;
   const StageFunction& fn = *frame->fn;
   if (run.trace != nullptr) {
@@ -365,14 +448,14 @@ void AsyncExecutor::FinishTask(const std::shared_ptr<TaskFrame>& frame,
     span.kind = frame->batched       ? obs::SpanKind::kDerefBatch
                 : fn.IsDereferencer() ? obs::SpanKind::kDereference
                                       : obs::SpanKind::kReferencer;
-    span.stage = static_cast<uint32_t>(frame->task.stage);
+    span.stage = static_cast<uint32_t>(frame->stage);
     span.node = frame->node;
     span.t_start_us = frame->work_start_us;
     span.t_end_us = NowMicros();
     span.AddAttr("emitted", static_cast<int64_t>(frame->outs.size()));
     span.AddAttr("attempts", static_cast<int64_t>(frame->retry + 1));
     if (frame->batched) {
-      span.AddAttr("batch", static_cast<int64_t>(frame->task.tuples.size()));
+      span.AddAttr("batch", static_cast<int64_t>(frame->tuples.size()));
     }
     if (!status.ok()) span.AddAttr("failed", 1);
     run.trace->Record(std::move(span));
@@ -380,29 +463,28 @@ void AsyncExecutor::FinishTask(const std::shared_ptr<TaskFrame>& frame,
   if (!status.ok()) {
     run.metrics.tasks_dropped_on_failure.fetch_add(1,
                                                    std::memory_order_relaxed);
-    run.RecordError(status, "stage " + std::to_string(frame->task.stage) +
-                                " (" + fn.name() + ") on node " +
+    run.RecordError(status, "stage " + std::to_string(frame->stage) + " (" +
+                                fn.name() + ") on node " +
                                 std::to_string(frame->node) + " after " +
                                 std::to_string(frame->retry + 1) +
                                 " attempts");
   } else {
-    run.metrics.CountStage(frame->task.stage, frame->outs.size());
-    Route(frame->run, frame->node, frame->task.stage + 1,
-          std::move(frame->outs));
+    ShardOf(run).CountStage(frame->stage, frame->outs.size());
+    Route(run, frame->node, frame->stage + 1, std::move(frame->outs));
   }
-  // May drive the count to zero and finalize the run on this thread.
-  frame->run->inflight.Done();
+  // Delete the frame, then release its count: the count is what keeps the
+  // run alive, and Done may finalize (and destroy) it on this thread.
+  delete frame;
+  run.inflight.Done();
 }
 
-void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
-                          sim::NodeId node, size_t next_stage,
-                          std::vector<Tuple>&& tuples) {
-  RunState& state = *runp;
-  state.metrics.tuples_emitted.fetch_add(tuples.size(),
-                                         std::memory_order_relaxed);
+void AsyncExecutor::Route(RunState& state, sim::NodeId node,
+                          size_t next_stage, std::vector<Tuple>&& tuples) {
+  CounterShard& shard = ShardOf(state);
+  shard.tuples_emitted += tuples.size();
   // Identical routing to the threaded engine (LIFO work stack, inline
   // referencers, broadcast redirects, batch coalescing); only the final
-  // handoff differs — Dispatch() enqueues a continuation thunk instead of
+  // handoff differs — Dispatch() hands a task frame to a worker instead of
   // pushing into a per-node dispatcher queue. Broadcast ChargeMessage stays
   // synchronous on the routing thread (a known, documented deviation: it
   // charges the identical cost, it just doesn't suspend).
@@ -430,7 +512,7 @@ void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
       ctx.trace = state.trace;
       ctx.stage = static_cast<uint32_t>(pending.stage);
       std::vector<Tuple> outs;
-      state.metrics.ref_invocations.fetch_add(1, std::memory_order_relaxed);
+      ++shard.ref_invocations;
       const int64_t start_us = state.trace != nullptr ? NowMicros() : 0;
       Status status = next_fn.Execute(ctx, pending.tuple, &outs);
       if (state.trace != nullptr) {
@@ -450,9 +532,8 @@ void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
         state.RecordError(status, next_fn.name());
         return;
       }
-      state.metrics.CountStage(pending.stage, outs.size());
-      state.metrics.tuples_emitted.fetch_add(outs.size(),
-                                             std::memory_order_relaxed);
+      shard.CountStage(pending.stage, outs.size());
+      shard.tuples_emitted += outs.size();
       for (auto it = outs.rbegin(); it != outs.rend(); ++it) {
         work.push_back(Pending{pending.stage + 1, std::move(*it)});
       }
@@ -493,8 +574,7 @@ void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
         copy.resolve_owner = owner;
         copy.resolve_epoch = state.fanout_epoch;
         state.inflight.Add();
-        Dispatch(runp, dest,
-                 Task{pending.stage, {std::move(copy)}, NowMicros()});
+        Dispatch(state, dest, pending.stage, std::move(copy));
       }
       continue;
     }
@@ -505,8 +585,7 @@ void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
       continue;
     }
     state.inflight.Add();
-    Dispatch(runp, node,
-             Task{pending.stage, {std::move(pending.tuple)}, NowMicros()});
+    Dispatch(state, node, pending.stage, std::move(pending.tuple));
   }
   for (auto& [stage, buffered] : batch_buffer) {
     if (state.Failed()) return;
@@ -514,41 +593,67 @@ void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
     for (PointerBatch& batch : CoalesceByPartition(
              std::move(buffered), fn, options_.batch.max_batch_size)) {
       state.inflight.Add();
-      Dispatch(runp, node, Task{stage, std::move(batch.tuples), NowMicros()});
+      Dispatch(state, node, stage, std::move(batch.tuples));
     }
   }
 }
 
-void AsyncExecutor::Dispatch(const std::shared_ptr<RunState>& run,
-                             sim::NodeId dest, Task task) {
-  // The caller registered the task in flight before handing it here.
-  if (options_.deterministic_seed != 0) {
-    if (!run->det_queues[dest]->Push(std::move(task))) {
-      run->inflight.Done();  // rejected enqueue: balance or hang
-    }
-    return;
-  }
-  bool pushed = Handoff([this, run, dest, t = std::move(task)]() mutable {
-    RunTaskAsync(run, dest, std::move(t));
-  });
-  if (!pushed) {
-    run->inflight.Done();  // executor shutting down under a live run
+void AsyncExecutor::Dispatch(RunState& run, sim::NodeId dest, size_t stage,
+                             Tuple&& tuple) {
+  std::vector<Tuple> tuples;
+  tuples.push_back(std::move(tuple));
+  Dispatch(run, dest, stage, std::move(tuples));
+}
+
+void AsyncExecutor::Dispatch(RunState& run, sim::NodeId dest, size_t stage,
+                             std::vector<Tuple>&& tuples) {
+  auto* frame = new TaskFrame;
+  frame->run = &run;
+  frame->node = dest;
+  frame->stage = stage;
+  frame->tuples = std::move(tuples);
+  frame->enqueue_us = NowMicros();
+  const bool handed_off =
+      options_.deterministic_seed != 0
+          ? run.det_queues[dest]->Push(frame)
+          : Handoff([this, frame] { RunTaskAsync(frame); });
+  if (!handed_off) {
+    // Rejected enqueue (the executor is shutting down under a live run):
+    // balance the count or the run hangs.
+    delete frame;
+    run.inflight.Done();
   }
 }
 
-void AsyncExecutor::SeedInitial(const std::shared_ptr<RunState>& run) {
-  const uint32_t num_nodes = run->num_nodes;
-  Tuple initial = run->job->initial_input();
-  initial.resolve_epoch = run->fanout_epoch;
+void AsyncExecutor::SeedInitial(RunState& run) {
+  const uint32_t num_nodes = run.num_nodes;
+  Tuple initial = run.job->initial_input();
+  initial.resolve_epoch = run.fanout_epoch;
   if (initial.resolve_local) {
-    run->inflight.Add(num_nodes);
+    run.inflight.Add(num_nodes);
     for (uint32_t n = 0; n < num_nodes; ++n) {
-      Dispatch(run, n, Task{0, {initial}, NowMicros()});
+      Dispatch(run, n, 0, Tuple(initial));
     }
   } else {
-    run->inflight.Add();
-    Dispatch(run, 0, Task{0, {std::move(initial)}, NowMicros()});
+    run.inflight.Add();
+    Dispatch(run, 0, 0, std::move(initial));
   }
+}
+
+JobResult AsyncExecutor::CollectResult(RunState& run) const {
+  JobResult jr;
+  jr.metrics = MetricsSnapshot::From(run.metrics, run.watch.ElapsedMillis());
+  for (const CounterShard& shard : run.shards) shard.FoldInto(&jr.metrics);
+  jr.metrics.job_id = run.job_id;
+  if (run.recorder != nullptr) {
+    auto log = std::make_shared<obs::TraceLog>();
+    log->job_id = run.job_id;
+    log->job_name = run.job_name;
+    log->executor = name_;
+    log->spans = run.recorder->Collect();
+    jr.trace = std::move(log);
+  }
+  return jr;
 }
 
 void AsyncExecutor::FinalizeRun(const std::shared_ptr<RunState>& run) {
@@ -556,24 +661,12 @@ void AsyncExecutor::FinalizeRun(const std::shared_ptr<RunState>& run) {
   // delivering the last completion, or the submitting thread when the run
   // finished during setup. Zero tasks, continuations, or device ops remain:
   // every suspended frame held an in-flight reference until its completion
-  // was consumed (hedge losers via RetainIo), so count == 0 is quiescence.
+  // was consumed (hedge arms via RetainIo), so count == 0 is quiescence.
   std::optional<StatusOr<JobResult>> result;
   if (run->cancel->cancelled()) {
     result.emplace(run->cancel->cause());
   } else {
-    JobResult jr;
-    jr.metrics =
-        MetricsSnapshot::From(run->metrics, run->watch.ElapsedMillis());
-    jr.metrics.job_id = run->job_id;
-    if (run->recorder != nullptr) {
-      auto log = std::make_shared<obs::TraceLog>();
-      log->job_id = run->job_id;
-      log->job_name = run->job_name;
-      log->executor = name_;
-      log->spans = run->recorder->Collect();
-      jr.trace = std::move(log);
-    }
-    result.emplace(std::move(jr));
+    result.emplace(CollectResult(*run));
   }
   {
     // After this, the deadline watchdog stands down: the caller may destroy
@@ -584,21 +677,20 @@ void AsyncExecutor::FinalizeRun(const std::shared_ptr<RunState>& run) {
   run->on_done(std::move(*result));
 }
 
-void AsyncExecutor::Submit(const Job& job, const ResultSink& sink,
-                           CancelToken* cancel, SubmitDone done) {
-  if (options_.deterministic_seed != 0) {
-    // Deterministic replay runs on the calling thread by design.
-    done(Execute(job, sink, cancel));
-    return;
-  }
+std::shared_ptr<AsyncExecutor::RunState> AsyncExecutor::NewRun(
+    const Job& job, const ResultSink& sink, CancelToken* cancel,
+    size_t shards) {
   auto run = std::make_shared<RunState>();
   run->job = &job;
   run->job_name = job.name();
   run->job_id = obs::NextJobId();
   run->sink = sink;
   run->cancel = cancel != nullptr ? cancel : &run->owned_cancel;
-  run->on_done = std::move(done);
   run->metrics.InitStages(job.num_stages());
+  run->shards = std::vector<CounterShard>(shards);
+  for (CounterShard& shard : run->shards) {
+    shard.per_stage.resize(job.num_stages());
+  }
   const uint64_t run_seq = run_seq_.fetch_add(1, std::memory_order_relaxed);
   if (options_.trace_sample_n > 0 && run_seq % options_.trace_sample_n == 0) {
     run->recorder = std::make_unique<obs::TraceRecorder>(run->job_id);
@@ -606,24 +698,33 @@ void AsyncExecutor::Submit(const Job& job, const ResultSink& sink,
   }
   run->num_nodes = cluster_->num_nodes();
   run->fanout_epoch = cluster_->placement_epoch();
+  return run;
+}
+
+void AsyncExecutor::Submit(const Job& job, const ResultSink& sink,
+                           CancelToken* cancel, SubmitDone done) {
+  if (options_.deterministic_seed != 0) {
+    // Deterministic replay runs on the calling thread by design.
+    done(Execute(job, sink, cancel));
+    return;
+  }
+  std::shared_ptr<RunState> run = NewRun(job, sink, cancel, workers_.size());
+  run->on_done = std::move(done);
   run->runtime = std::make_unique<Runtime>(this, run.get());
   run->cqs.reserve(run->num_nodes);
   for (uint32_t n = 0; n < run->num_nodes; ++n) {
-    auto cq = std::make_unique<sim::CompletionQueue>();
-    // Listener mode: completions are handed off as thunks, never run in
-    // place, so the device stack never re-enters itself. One delivered
-    // inline on a submitting worker lands in its local slot; one from the
-    // device timer thread goes to the shared queue.
-    cq->SetListener([this](const sim::Completion& c) {
-      Handoff([c]() { sim::DeliverCallbackTag(c); });
-    });
-    run->cqs.push_back(std::move(cq));
+    // Listener mode: completions are handed off, never run in place, so
+    // the device stack never re-enters itself. One delivered inline on a
+    // submitting worker parks in its local slot; one from the device timer
+    // thread goes to the shared queue.
+    run->cqs.push_back(std::make_unique<sim::CompletionQueue>(
+        [this](const sim::Completion& c) { Deliver(c); }));
   }
   // Run guard: hold the count above zero across seeding AND arming so the
   // completion callback cannot fire mid-setup (the race-free pattern
   // documented on InflightTracker::NotifyOnZero).
   run->inflight.Add();
-  SeedInitial(run);
+  SeedInitial(*run);
   run->inflight.NotifyOnZero([this, run]() { FinalizeRun(run); });
   if (options_.deadline_ms > 0) {
     std::weak_ptr<RunState> weak = run;
@@ -664,20 +765,8 @@ StatusOr<JobResult> AsyncExecutor::Execute(const Job& job,
 StatusOr<JobResult> AsyncExecutor::ExecuteDeterministic(const Job& job,
                                                         const ResultSink& sink,
                                                         CancelToken* cancel) {
-  auto run = std::make_shared<RunState>();
-  run->job = &job;
-  run->job_name = job.name();
-  run->job_id = obs::NextJobId();
-  run->sink = sink;
-  run->cancel = cancel != nullptr ? cancel : &run->owned_cancel;
-  run->metrics.InitStages(job.num_stages());
-  const uint64_t run_seq = run_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.trace_sample_n > 0 && run_seq % options_.trace_sample_n == 0) {
-    run->recorder = std::make_unique<obs::TraceRecorder>(run->job_id);
-    run->trace = run->recorder.get();
-  }
-  run->num_nodes = cluster_->num_nodes();
-  run->fanout_epoch = cluster_->placement_epoch();
+  // One thread, so one counter shard.
+  std::shared_ptr<RunState> run = NewRun(job, sink, cancel, 1);
   // Pull-mode completion queues (no listener) + per-node task queues: the
   // seeded driver below picks the delivery order. No runtime: stage
   // functions see ctx.async == nullptr and skip hedging.
@@ -685,27 +774,16 @@ StatusOr<JobResult> AsyncExecutor::ExecuteDeterministic(const Job& job,
   run->det_queues.reserve(run->num_nodes);
   for (uint32_t n = 0; n < run->num_nodes; ++n) {
     run->cqs.push_back(std::make_unique<sim::CompletionQueue>());
-    run->det_queues.push_back(std::make_unique<MpmcQueue<Task>>());
+    run->det_queues.push_back(std::make_unique<MpmcQueue<TaskFrame*>>());
   }
-  SeedInitial(run);
-  RunDeterministic(run);
+  SeedInitial(*run);
+  RunDeterministic(*run);
   for (auto& queue : run->det_queues) queue->Close();
   if (run->cancel->cancelled()) return run->cancel->cause();
-  JobResult jr;
-  jr.metrics = MetricsSnapshot::From(run->metrics, run->watch.ElapsedMillis());
-  jr.metrics.job_id = run->job_id;
-  if (run->recorder != nullptr) {
-    auto log = std::make_shared<obs::TraceLog>();
-    log->job_id = run->job_id;
-    log->job_name = run->job_name;
-    log->executor = name_;
-    log->spans = run->recorder->Collect();
-    jr.trace = std::move(log);
-  }
-  return jr;
+  return CollectResult(*run);
 }
 
-void AsyncExecutor::RunDeterministic(const std::shared_ptr<RunState>& run) {
+void AsyncExecutor::RunDeterministic(RunState& run) {
   // One thread, one PRNG, TWO source kinds per node: the task queue and the
   // completion queue. The seed therefore permutes not only which task runs
   // next (as in the threaded engine) but also the ORDER asynchronous device
@@ -722,19 +800,19 @@ void AsyncExecutor::RunDeterministic(const std::shared_ptr<RunState>& run) {
   };
   std::vector<Source> ready;
   for (;;) {
-    if (options_.deadline_ms > 0 && !run->Failed() &&
+    if (options_.deadline_ms > 0 && !run.Failed() &&
         watch.ElapsedMillis() >= static_cast<double>(options_.deadline_ms)) {
-      run->cancel->Cancel(Status::DeadlineExceeded(
-          "job '" + run->job_name + "' exceeded deadline of " +
+      run.cancel->Cancel(Status::DeadlineExceeded(
+          "job '" + run.job_name + "' exceeded deadline of " +
           std::to_string(options_.deadline_ms) + "ms"));
     }
     ready.clear();
-    for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      if (!run->det_queues[n]->empty()) ready.push_back(Source{false, n});
-      if (!run->cqs[n]->empty()) ready.push_back(Source{true, n});
+    for (uint32_t n = 0; n < run.num_nodes; ++n) {
+      if (!run.det_queues[n]->empty()) ready.push_back(Source{false, n});
+      if (!run.cqs[n]->empty()) ready.push_back(Source{true, n});
     }
     if (ready.empty()) {
-      if (run->inflight.count() == 0) break;
+      if (run.inflight.count() == 0) break;
       // Suspended frames with no deliverable completion: a timed device op
       // is pending on the cluster's timer thread. Poll until it lands.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -742,14 +820,14 @@ void AsyncExecutor::RunDeterministic(const std::shared_ptr<RunState>& run) {
     }
     const Source src = ready[rng.Uniform(ready.size())];
     if (src.is_completion) {
-      if (auto c = run->cqs[src.node]->TryPop()) {
+      if (auto c = run.cqs[src.node]->TryPop()) {
         sim::DeliverCallbackTag(*c);
       }
-    } else if (auto task = run->det_queues[src.node]->TryPop()) {
-      RunTaskAsync(run, src.node, std::move(*task));
+    } else if (auto frame = run.det_queues[src.node]->TryPop()) {
+      RunTaskAsync(*frame);
     }
   }
-  LH_CHECK_MSG(run->inflight.count() == 0,
+  LH_CHECK_MSG(run.inflight.count() == 0,
                "deterministic async schedule drained with work in flight");
 }
 

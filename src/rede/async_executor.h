@@ -30,14 +30,25 @@ namespace lakeharbor::rede {
 /// blocking ones, so checksums, counters, and profiles match the threaded
 /// engine exactly.
 ///
-/// Hand-off: each worker owns a one-item local slot that it drains after
-/// the current thunk returns. The slot takes a completion the device
-/// delivered inline during that worker's own submission, and the first task
-/// the worker dispatches while the slot is empty; everything else (timer
-/// thread completions, further children, submissions from outside a
-/// worker) goes through the shared ready queue. Nothing runs in place, so
-/// the device stack is never re-entered and the timer thread never runs a
-/// continuation.
+/// Hand-off: a task is one heap frame (TaskFrame: its tuples and its
+/// continuation state), handed to a worker as a 16-byte thunk of `this` and
+/// the frame pointer, which std::function stores inline. Each worker owns a
+/// one-item local slot that it drains after the current thunk returns. The
+/// slot takes a completion the device delivered inline during that worker's
+/// own submission — parked by value — or the first task the worker
+/// dispatches while the slot is empty; everything else (timer thread
+/// completions, further children, backoff and hedge timers, submissions
+/// from outside a worker) goes through the shared ready queue. Nothing runs
+/// in place, so the device stack is never re-entered and the timer thread
+/// never runs a continuation.
+///
+/// Frames, thunks and continuations refer to the run by plain pointer: the
+/// in-flight count a frame holds keeps the run alive, and FinishTask deletes
+/// the frame before it releases that count. The engine's own per-task
+/// counters go to the running worker's shard of the run, on cache lines of
+/// its own, folded into the snapshot when the run finalizes; the in-flight
+/// count takes no lock above zero, and the per-node completion queues take
+/// none at all.
 ///
 /// Semantics preserved from the threaded engine, per task:
 ///   - retry with jittered exponential backoff (the backoff is a timer, not
@@ -83,40 +94,48 @@ class AsyncExecutor final : public Executor {
   RecordCache* record_cache() const { return cache_.get(); }
 
  private:
-  /// Same fine-grained unit of work as the threaded engine.
-  struct Task {
-    size_t stage;
-    std::vector<Tuple> tuples;
-    int64_t enqueue_us = 0;
-  };
-  struct RunState;   // per-Submit state; defined in .cc
-  struct TaskFrame;  // per-task continuation state machine; defined in .cc
-  class Runtime;     // per-run AsyncRuntime implementation; defined in .cc
+  struct RunState;      // per-Submit state; defined in .cc
+  struct TaskFrame;     // one task and its continuation state; defined in .cc
+  struct CounterShard;  // one worker's engine counters of a run; defined in .cc
+  class Runtime;        // per-run AsyncRuntime implementation; defined in .cc
 
+  /// State shared by Submit and ExecuteDeterministic, minus the queues.
+  std::shared_ptr<RunState> NewRun(const Job& job, const ResultSink& sink,
+                                   CancelToken* cancel, size_t shards);
   StatusOr<JobResult> ExecuteDeterministic(const Job& job,
                                            const ResultSink& sink,
                                            CancelToken* cancel);
-  void RunTaskAsync(const std::shared_ptr<RunState>& run, sim::NodeId node,
-                    Task task);
-  void StartAttempt(const std::shared_ptr<TaskFrame>& frame);
-  void OnAttemptDone(const std::shared_ptr<TaskFrame>& frame, Status status);
-  void ResumeAfterBackoff(const std::shared_ptr<TaskFrame>& frame,
-                          Status status, int64_t sleep_start_us,
-                          uint64_t backoff_us, size_t retry);
-  void FinishTask(const std::shared_ptr<TaskFrame>& frame, Status status);
-  void Route(const std::shared_ptr<RunState>& run, sim::NodeId node,
-             size_t next_stage, std::vector<Tuple>&& tuples);
-  void Dispatch(const std::shared_ptr<RunState>& run, sim::NodeId dest,
-                Task task);
-  void SeedInitial(const std::shared_ptr<RunState>& run);
+  void RunTaskAsync(TaskFrame* frame);
+  void StartAttempt(TaskFrame* frame);
+  void OnAttemptDone(TaskFrame* frame, Status status);
+  void ResumeAfterBackoff(TaskFrame* frame, Status status,
+                          int64_t sleep_start_us, uint64_t backoff_us,
+                          size_t retry);
+  void FinishTask(TaskFrame* frame, Status status);
+  void Route(RunState& run, sim::NodeId node, size_t next_stage,
+             std::vector<Tuple>&& tuples);
+  /// Allocates the task's frame and hands it to `dest`. The caller has
+  /// registered the task in flight.
+  void Dispatch(RunState& run, sim::NodeId dest, size_t stage,
+                std::vector<Tuple>&& tuples);
+  void Dispatch(RunState& run, sim::NodeId dest, size_t stage, Tuple&& tuple);
+  void SeedInitial(RunState& run);
+  /// The finished run's metrics (shards folded in) and trace.
+  JobResult CollectResult(RunState& run) const;
   void FinalizeRun(const std::shared_ptr<RunState>& run);
   /// Single-threaded seeded drain of task AND completion sources.
-  void RunDeterministic(const std::shared_ptr<RunState>& run);
+  void RunDeterministic(RunState& run);
   /// Hands a thunk to a worker: into the calling worker's empty local slot
   /// when called on one of this executor's workers, else onto ready_.
   /// Returns false when the executor is shutting down.
   bool Handoff(std::function<void()> thunk);
-  void WorkerLoop();
+  /// Listener of the per-node completion queues: parks the completion by
+  /// value in the calling worker's empty local slot, else queues it.
+  void Deliver(const sim::Completion& c);
+  /// The calling thread's counter shard of `run`: its worker's in real
+  /// time, the single shard under deterministic replay.
+  CounterShard& ShardOf(RunState& run) const;
+  void WorkerLoop(size_t worker);
 
   std::string name_ = "rede-async";
   sim::Cluster* cluster_;

@@ -272,18 +272,19 @@ struct Frame {
 };
 
 /// State of one hedged read, shared by its two arms. Both arms read into
-/// buffers owned here, so the loser's completion — which can arrive after
-/// the adopting frame has finished — touches only this state. Once the
-/// second arm is launched the primary no longer adopts on its own: the
-/// second arm's verdict always lands before `done`, and only the primary
-/// can outlive the read. It holds a RetainIo pin on the runtime until it
-/// lands, so the run (or the threaded engine's task) cannot end under it.
+/// buffers owned here, so a loser's completion — which can arrive after the
+/// adopting frame has finished — touches only this state. The first arm
+/// that succeeds is adopted; an arm that fails defers to the other one while
+/// it is in flight, and the read adopts the primary's failure once both have
+/// failed. Each arm holds its own RetainIo pin on the runtime from launch
+/// until it lands, so the run (or the threaded engine's task) cannot end
+/// under either arm.
 struct HedgeState {
   std::mutex mutex;
   ExecContext ctx;
   std::shared_ptr<io::File> file;
   uint32_t partition = 0;
-  const std::string* key = nullptr;
+  std::string key;  // owned: the second arm may launch after the read ended
   std::vector<io::Record>* read = nullptr;  // the adopting frame's buffer
   AsyncDone done;
   uint32_t primary = 0;
@@ -293,8 +294,8 @@ struct HedgeState {
   Status primary_status;
   bool primary_done = false;
   bool hedged = false;  // the second arm was launched
-  bool secondary_failed = false;
-  bool finished = false;
+  bool secondary_done = false;
+  bool finished = false;  // an arm was adopted
   int64_t hedge_start_us = 0;
 };
 
@@ -305,9 +306,10 @@ void HedgeOnPrimary(const std::shared_ptr<HedgeState>& st, Status s) {
     std::lock_guard<std::mutex> lock(st->mutex);
     st->primary_done = true;
     st->primary_status = std::move(s);
-    if (!st->finished && (!st->hedged || st->secondary_failed)) {
-      // Primary beat the deadline — or the hedge already failed and was
-      // waiting for the authoritative primary. Adopt it.
+    // A success wins outright; a failure waits for a second arm still in
+    // flight.
+    if (!st->finished && (st->primary_status.ok() || !st->hedged ||
+                          st->secondary_done)) {
       st->finished = true;
       adopt = true;
       adopt_status = st->primary_status;
@@ -323,6 +325,22 @@ void HedgeOnPrimary(const std::shared_ptr<HedgeState>& st, Status s) {
 }
 
 void HedgeOnSecondary(const std::shared_ptr<HedgeState>& st, Status s) {
+  bool adopt_secondary = false;
+  bool adopt_primary = false;
+  Status primary_status;
+  {
+    std::lock_guard<std::mutex> lock(st->mutex);
+    st->secondary_done = true;
+    if (!st->finished && s.ok()) {
+      st->finished = true;
+      adopt_secondary = true;
+    } else if (!st->finished && st->primary_done) {
+      // Both arms failed: the primary's verdict stands.
+      st->finished = true;
+      adopt_primary = true;
+      primary_status = st->primary_status;
+    }
+  }
   if (st->ctx.trace != nullptr) {
     obs::Span span;
     span.name = "hedge";
@@ -332,37 +350,22 @@ void HedgeOnSecondary(const std::shared_ptr<HedgeState>& st, Status s) {
     span.t_start_us = st->hedge_start_us;
     span.t_end_us = NowMicros();
     span.AddAttr("replica", st->secondary);
-    span.AddAttr("won", s.ok() ? 1 : 0);
+    span.AddAttr("won", adopt_secondary ? 1 : 0);
     st->ctx.trace->Record(std::move(span));
   }
-  bool adopt_secondary = false;
-  bool adopt_primary = false;
-  Status primary_status;
-  {
-    std::lock_guard<std::mutex> lock(st->mutex);
-    if (s.ok()) {
-      st->finished = true;
-      adopt_secondary = true;
-      Bump(st->ctx, &ExecMetricsCounters::hedge_wins);
-    } else if (st->primary_done) {
-      st->finished = true;
-      adopt_primary = true;
-      primary_status = st->primary_status;
-    } else {
-      // Hedge lost and the primary is still in flight: it decides.
-      st->secondary_failed = true;
-    }
-  }
   if (adopt_secondary) {
+    Bump(st->ctx, &ExecMetricsCounters::hedge_wins);
     *st->read = std::move(st->secondary_records);
     st->done(std::move(s));
   } else if (adopt_primary) {
     *st->read = std::move(st->primary_records);
     st->done(std::move(primary_status));
   }
+  st->ctx.async->ReleaseIo();
 }
 
-/// Launch the second arm (the caller has set `hedged`).
+/// Launch the second arm. The caller has set `hedged` and taken the arm's
+/// pin while the read was still unfinished.
 void LaunchSecondary(const std::shared_ptr<HedgeState>& st) {
   Bump(st->ctx, &ExecMetricsCounters::hedged_reads);
   if (st->primary != st->secondary && st->secondary > 0) {
@@ -370,7 +373,7 @@ void LaunchSecondary(const std::shared_ptr<HedgeState>& st) {
   }
   st->hedge_start_us = st->ctx.trace != nullptr ? NowMicros() : 0;
   st->file->GetInPartitionOnReplicaAsync(
-      st->ctx.node, st->partition, st->secondary, *st->key,
+      st->ctx.node, st->partition, st->secondary, st->key,
       &st->secondary_records, st->ctx.completion_queue,
       [st](Status s) { HedgeOnSecondary(st, std::move(s)); });
 }
@@ -380,6 +383,9 @@ void HedgeOnDeadline(const std::shared_ptr<HedgeState>& st) {
     std::lock_guard<std::mutex> lock(st->mutex);
     if (st->finished || st->primary_done) return;  // primary won in time
     st->hedged = true;
+    // Pinned under the lock: the read is unfinished, so its task still
+    // holds the run; once the lock drops the primary may finish it.
+    st->ctx.async->RetainIo();
   }
   LaunchSecondary(st);
 }
@@ -606,28 +612,31 @@ class PointDereferencer final : public Dereferencer {
       st->ctx = ctx;
       st->file = deref.file_;
       st->partition = partition;
-      st->key = &input.pointer.key;
+      st->key = input.pointer.key;
       st->read = &read;
       st->done = [this](Status s) { OnHedgedRead(std::move(s)); };
       st->primary = primary;
       st->secondary = secondary;
-      // With deadline 0 the hedge is decided before the primary is in
-      // flight, so the primary can never adopt ahead of the second arm.
-      const bool immediate = ctx.hedge.deadline_us == 0;
-      st->hedged = immediate;
-      // Pin the run before the primary is in flight: its completion may
-      // arrive after this read adopted the second arm, and must still find
-      // the runtime alive.
-      ctx.async->RetainIo();
+      // With deadline 0 both arms are decided, and pinned, before either
+      // is in flight.
+      AsyncRuntime* async = ctx.async;
+      const uint64_t deadline_us = ctx.hedge.deadline_us;
+      st->hedged = deadline_us == 0;
+      // Pin the run before an arm is in flight: its completion may arrive
+      // after this read adopted the other arm, and must still find the
+      // runtime alive.
+      async->RetainIo();
+      if (st->hedged) async->RetainIo();
+      // Once the primary is in flight it may be adopted on another worker,
+      // finishing (and deleting) this frame: touch only `st` and locals.
       deref.file_->GetInPartitionOnReplicaAsync(
-          ctx.node, partition, primary, input.pointer.key,
-          &st->primary_records, ctx.completion_queue,
+          ctx.node, partition, primary, st->key, &st->primary_records,
+          ctx.completion_queue,
           [st](Status s) { HedgeOnPrimary(st, std::move(s)); });
-      if (immediate) {
+      if (deadline_us == 0) {
         LaunchSecondary(st);
       } else {
-        ctx.async->After(ctx.hedge.deadline_us,
-                         [st]() { HedgeOnDeadline(st); });
+        async->After(deadline_us, [st]() { HedgeOnDeadline(st); });
       }
     }
 

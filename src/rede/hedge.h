@@ -4,11 +4,12 @@
 
 /// \file hedge.h
 /// Hedged-read knobs. A hedged read races a second replica after the
-/// primary has been quiet for `deadline_us`; the loser is discarded without
-/// touching run metrics or emitting records. Both SMPE engines run the one
-/// continuation protocol in builtin_derefs.cc: the deadline is an
-/// AsyncRuntime timer, and the primary arm pins the runtime (RetainIo)
-/// until its possibly late completion has landed. The async engine's
+/// primary has been quiet for `deadline_us`; the first arm to succeed is
+/// adopted and the loser is discarded without touching run metrics or
+/// emitting records. Both SMPE engines run the one continuation protocol in
+/// builtin_derefs.cc: the deadline is an AsyncRuntime timer, and each arm
+/// in flight pins the runtime (RetainIo) until its possibly late
+/// completion has landed. The async engine's
 /// runtime is the run; the threaded engine's is a driver local to the
 /// task, on the task's own pool thread. No thread is spawned per hedge.
 

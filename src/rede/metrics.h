@@ -18,7 +18,11 @@ struct StageCounters {
 
 /// Executor-side counters, independent of the device-level sim counters.
 /// `peak_parallel_derefs` is the headline SMPE observable: how many
-/// fine-grained I/O tasks were genuinely in flight at once.
+/// fine-grained I/O tasks were genuinely in flight at once. On the async
+/// engine `ref_invocations`, `deref_invocations`, `tuples_emitted`,
+/// `per_stage`, `deref_latency_us` and `queue_dwell_us` stay zero here: its
+/// workers count them in per-worker shards that only the run's
+/// MetricsSnapshot adds up (DESIGN §11, "Where the engine counters live").
 struct ExecMetricsCounters {
   std::atomic<uint64_t> ref_invocations{0};
   std::atomic<uint64_t> deref_invocations{0};

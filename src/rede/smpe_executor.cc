@@ -53,17 +53,16 @@ void RecordQueueWaitSpan(obs::TraceRecorder* trace, size_t stage,
 /// deadline is the only one, and it is moot once its read was adopted.
 class TaskDriver final : public AsyncRuntime {
  public:
-  TaskDriver() {
-    // Completions arrive on the device timer thread, or on this thread
-    // while it submits (timing off); either way they only queue up here.
-    // Notify under the lock: the driver is destroyed as soon as the pool
-    // thread sees the last completion.
-    cq_.SetListener([this](const sim::Completion& c) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ready_.push_back(c);
-      cv_.notify_one();
-    });
-  }
+  // Completions arrive on the device timer thread, or on this thread while
+  // it submits (timing off); either way they only queue up here. Notify
+  // under the lock: the driver is destroyed as soon as the pool thread sees
+  // the last completion.
+  TaskDriver()
+      : cq_([this](const sim::Completion& c) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          ready_.push_back(c);
+          cv_.notify_one();
+        }) {}
   LH_DISALLOW_COPY_AND_ASSIGN(TaskDriver);
 
   sim::CompletionQueue* completion_queue() { return &cq_; }

@@ -129,7 +129,12 @@ class StageFunction {
   }
 
   /// Continuation invoked exactly once when an async invocation finishes.
-  /// `ctx`, `input`/`inputs`, and `out` must stay valid until then.
+  /// `ctx`, `input`/`inputs`, and `out` must stay valid until then. It runs
+  /// on a thread the executor provides: inline on the calling thread, in a
+  /// completion delivered through `ctx.completion_queue`, or in a
+  /// `ctx.async->After` callback — never on a thread of the function's own
+  /// (the async engine counts the continuation's work in the calling
+  /// worker's counter shard).
   using AsyncDone = std::function<void(Status)>;
 
   /// Continuation-passing form of Execute. The built-in dereferencers

@@ -22,39 +22,43 @@ Cluster::Cluster(ClusterOptions options)
       node_down_(ResolveMaxNodes(options)),
       node_removed_(ResolveMaxNodes(options)),
       timing_enabled_(options.disk.timing_enabled),
+      // Remote async charges: when the disk leg lands, launch the network
+      // leg; when the network leg lands, deliver the user's completion.
+      chain_disk_cq_([this](const Completion& c) { OnChainDiskDone(c); }),
+      chain_net_cq_([](const Completion& c) { OnChainNetDone(c); }),
       timers_(std::make_unique<TimerService>()) {
   LH_CHECK_MSG(options.num_nodes > 0, "cluster needs at least one node");
-  // Remote async charges: when the disk leg lands, launch the network leg;
-  // when the network leg lands, deliver the user's completion.
-  chain_disk_cq_.SetListener([this](const Completion& c) {
-    auto* op = reinterpret_cast<ChainOp*>(c.tag);
-    if (!c.status.ok()) {
-      CompletionQueue* user_cq = op->user_cq;
-      Completion done{op->user_tag, c.status, ReadOutcome()};
-      delete op;
-      user_cq->Push(std::move(done));
-      return;
-    }
-    // Park the disk leg's corruption verdict on the op: the network leg
-    // transfers the (already rotten) bytes and the final completion must
-    // still report them rotten.
-    op->outcome = c.outcome;
-    network_->SubmitTransfer(op->bytes, reinterpret_cast<uint64_t>(op),
-                             &chain_net_cq_);
-  });
-  chain_net_cq_.SetListener([](const Completion& c) {
-    auto* op = reinterpret_cast<ChainOp*>(c.tag);
-    CompletionQueue* user_cq = op->user_cq;
-    Completion done{op->user_tag, c.status, op->outcome};
-    delete op;
-    user_cq->Push(std::move(done));
-  });
   for (NodeId id = 0; id < options.num_nodes; ++id) {
     InitNodeSlot(id);
   }
   network_ = std::make_unique<Network>(options.network);
   network_->SetTimerService(timers_.get());
   num_nodes_.store(options.num_nodes, std::memory_order_release);
+}
+
+void Cluster::OnChainDiskDone(const Completion& c) {
+  auto* op = reinterpret_cast<ChainOp*>(c.tag);
+  if (!c.status.ok()) {
+    CompletionQueue* user_cq = op->user_cq;
+    Completion done{op->user_tag, c.status, ReadOutcome()};
+    delete op;
+    user_cq->Push(std::move(done));
+    return;
+  }
+  // Park the disk leg's corruption verdict on the op: the network leg
+  // transfers the (already rotten) bytes and the final completion must
+  // still report them rotten.
+  op->outcome = c.outcome;
+  network_->SubmitTransfer(op->bytes, reinterpret_cast<uint64_t>(op),
+                           &chain_net_cq_);
+}
+
+void Cluster::OnChainNetDone(const Completion& c) {
+  auto* op = reinterpret_cast<ChainOp*>(c.tag);
+  CompletionQueue* user_cq = op->user_cq;
+  Completion done{op->user_tag, c.status, op->outcome};
+  delete op;
+  user_cq->Push(std::move(done));
 }
 
 void Cluster::InitNodeSlot(NodeId id) {

@@ -241,6 +241,9 @@ class Cluster {
 
   /// Build and install the node for slot `id` (membership lock held).
   void InitNodeSlot(NodeId id);
+  /// Listeners of the chain queues below.
+  void OnChainDiskDone(const Completion& c);
+  static void OnChainNetDone(const Completion& c);
 
   ClusterOptions options_;
   /// Pre-sized to max_nodes; slots [0, num_nodes_) are populated. The
@@ -262,8 +265,9 @@ class Cluster {
 
   /// Internal completion queues chaining remote async charges: disk
   /// completions feed the network leg, network completions feed the user.
-  /// Listeners are installed once at construction and only route/delete
-  /// heap ChainOps — they never run user continuations.
+  /// Listener-mode queues (lock-free Push), built with their listeners at
+  /// construction; the listeners only route/delete heap ChainOps — they
+  /// never run user continuations.
   CompletionQueue chain_disk_cq_;
   CompletionQueue chain_net_cq_;
   /// Declared last so it is destroyed first: pending timer closures

@@ -32,37 +32,35 @@ struct Completion {
 /// logical consumer (the executors keep one per node, mirroring the
 /// "per-node completion queue" in the design).
 ///
-/// Two delivery modes:
-///  - Listener mode (`SetListener`): each Push invokes the listener on the
-///    delivering thread — the device timer thread, or the submitting thread
-///    when the device completes inline (timing disabled / immediate fault).
-///    Listeners must only hand the completion off (enqueue a continuation);
-///    running continuations inline would recurse into the device from its
-///    own timer thread.
-///  - Pull mode (no listener): completions buffer internally until `TryPop`.
-///    The deterministic replay driver uses this to choose completion
-///    delivery order from a seeded RNG.
+/// Two delivery modes, fixed at construction:
+///  - Listener mode (constructed with a listener): each Push invokes the
+///    listener on the delivering thread — the device timer thread, or the
+///    submitting thread when the device completes inline (timing disabled /
+///    immediate fault). The listener is fixed for the queue's life, so Push
+///    takes no lock and copies nothing; the listener must itself be safe to
+///    call from several threads at once. Listeners must only hand the
+///    completion off (park or enqueue a continuation); running
+///    continuations inline would recurse into the device from its own timer
+///    thread.
+///  - Pull mode (default-constructed): completions buffer internally, under
+///    a mutex, until `TryPop`. The deterministic replay driver uses this to
+///    choose completion delivery order from a seeded RNG.
 class CompletionQueue {
  public:
+  using Listener = std::function<void(const Completion&)>;
+
   CompletionQueue() = default;
+  explicit CompletionQueue(Listener listener)
+      : listener_(std::move(listener)) {}
   LH_DISALLOW_COPY_AND_ASSIGN(CompletionQueue);
 
-  void SetListener(std::function<void(const Completion&)> listener) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    listener_ = std::move(listener);
-  }
-
   void Push(Completion c) {
-    std::function<void(const Completion&)> listener;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!listener_) {
-        buffered_.push_back(std::move(c));
-        return;
-      }
-      listener = listener_;  // copy: Push may race with SetListener
+    if (listener_) {
+      listener_(c);
+      return;
     }
-    listener(c);
+    std::lock_guard<std::mutex> lock(mutex_);
+    buffered_.push_back(std::move(c));
   }
 
   std::optional<Completion> TryPop() {
@@ -81,9 +79,9 @@ class CompletionQueue {
   bool empty() const { return size() == 0; }
 
  private:
+  const Listener listener_;  // empty in pull mode
   mutable std::mutex mutex_;
-  std::function<void(const Completion&)> listener_;
-  std::deque<Completion> buffered_;
+  std::deque<Completion> buffered_;  // pull mode only; guarded by mutex_
 };
 
 /// Callback-as-tag convention used by every layer above the raw devices:

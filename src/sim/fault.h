@@ -82,10 +82,15 @@ class FaultInjector {
   /// a concurrent Assess may draw an old stream index against the new
   /// knobs, which only shifts WHICH deterministic fate it draws, never
   /// mixes knob values.
+  ///
+  /// The `armed` flag (options.enabled()) is published under the same
+  /// mutex. An unarmed injector — the default, and every all-zero knob set
+  /// — answers Assess from the flag alone: no lock, no operation index.
   void Configure(const FaultOptions& options) {
     {
       std::lock_guard<std::mutex> lock(knobs_mutex_);
       knobs_ = options;
+      armed_.store(options.enabled(), std::memory_order_release);
     }
     ops_.store(0, std::memory_order_relaxed);
   }
@@ -113,7 +118,9 @@ class FaultInjector {
 
   /// Draw the fate of the next operation on `device` ("disk"/"network").
   /// Loads the knob snapshot exactly once, so every field consulted for
-  /// this decision comes from the same Configure call.
+  /// this decision comes from the same Configure call. Unarmed, it returns
+  /// the default decision without locking and without consuming an
+  /// operation index.
   Decision Assess(const char* device) {
     Decision decision;
     if (outage_.load(std::memory_order_relaxed)) {
@@ -121,11 +128,13 @@ class FaultInjector {
                                             " outage: node is down");
       return decision;
     }
+    if (!armed_.load(std::memory_order_acquire)) return decision;
     FaultOptions knobs;
     {
       std::lock_guard<std::mutex> lock(knobs_mutex_);
       knobs = knobs_;
     }
+    // A Configure that disarmed between the flag and the lock.
     if (!knobs.enabled()) return decision;
 
     const uint64_t op = ops_.fetch_add(1, std::memory_order_relaxed);
@@ -179,9 +188,10 @@ class FaultInjector {
   }
 
   /// Knob snapshot; all-zero default (= never configured) injects
-  /// nothing. Swapped wholesale by Configure, copied once per Assess.
+  /// nothing. Swapped wholesale by Configure, copied once per armed Assess.
   std::mutex knobs_mutex_;
   FaultOptions knobs_;
+  std::atomic<bool> armed_{false};  // knobs_.enabled(), written under the mutex
   std::atomic<bool> outage_{false};
   std::atomic<uint64_t> ops_{0};
 };

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "concurrent/mpmc_queue.h"
 #include "concurrent/semaphore.h"
 #include "concurrent/thread_pool.h"
+#include "sim/completion_queue.h"
 
 namespace lakeharbor {
 namespace {
@@ -264,6 +266,89 @@ TEST(InflightTracker, CallbackMayDestroyTrackerRacingLateCompletions) {
     for (std::thread& thread : completions) thread.join();
     ASSERT_TRUE(finalized.load(std::memory_order_acquire)) << iter;
   }
+}
+
+/// Starts `n` threads that each wait for the go signal, then run `body`.
+template <typename Body>
+std::vector<std::thread> StartTogether(int n, std::atomic<bool>* go,
+                                       Body body) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (int t = 0; t < n; ++t) {
+    threads.emplace_back([go, body, t] {
+      while (!go->load(std::memory_order_acquire)) std::this_thread::yield();
+      body(t);
+    });
+  }
+  return threads;
+}
+
+TEST(InflightTracker, WaiterDestroysTrackerRightAfterAwaitZeroWhileDonesRace) {
+  // Done is lock-free while the count stays above zero and takes the mutex
+  // only for the decrement that reaches zero. The waiter frees the tracker
+  // the moment AwaitZero returns; under TSan or ASan, a Done that touched
+  // the tracker after its decrement (or a zero produced outside the mutex)
+  // shows up as a race or a use after free.
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 1000; ++round) {
+    auto tracker = std::make_unique<InflightTracker>();
+    tracker->Add(kThreads);
+    InflightTracker* raw = tracker.get();
+    std::atomic<bool> go{false};
+    auto threads =
+        StartTogether(kThreads, &go, [raw](int) { raw->Done(); });
+    go.store(true, std::memory_order_release);
+    tracker->AwaitZero();
+    tracker.reset();
+    for (std::thread& thread : threads) thread.join();
+  }
+}
+
+TEST(InflightTracker, NotifyOnZeroFiresExactlyOnceUnderRacingDones) {
+  // Each thread registers children (Add) while the others decrement, so
+  // the CAS path races Adds as well as Dones.
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 1000; ++round) {
+    InflightTracker tracker;
+    std::atomic<int> fired{0};
+    tracker.Add();  // setup guard
+    tracker.Add(kThreads);
+    tracker.NotifyOnZero([&fired] { fired.fetch_add(1); });
+    std::atomic<bool> go{false};
+    auto threads = StartTogether(kThreads, &go, [&tracker](int) {
+      tracker.Add(2);
+      tracker.Done();
+      tracker.Done();
+      tracker.Done();
+    });
+    go.store(true, std::memory_order_release);
+    tracker.Done();  // drop the guard; any thread may finish last
+    for (std::thread& thread : threads) thread.join();
+    ASSERT_EQ(fired.load(), 1) << "round " << round;
+    ASSERT_EQ(tracker.count(), 0);
+  }
+}
+
+TEST(CompletionQueue, ListenerModeDeliversEveryPushFromManyThreadsOnce) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 20000;
+  std::vector<std::atomic<uint32_t>> seen(kThreads * kPerThread);
+  sim::CompletionQueue cq([&seen](const sim::Completion& c) {
+    seen[c.tag].fetch_add(1, std::memory_order_relaxed);
+  });
+  std::atomic<bool> go{false};
+  auto threads = StartTogether(kThreads, &go, [&cq](int t) {
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      cq.Push(sim::Completion{static_cast<uint64_t>(t) * kPerThread + i,
+                              Status::OK(), sim::ReadOutcome()});
+    }
+  });
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  for (size_t tag = 0; tag < seen.size(); ++tag) {
+    ASSERT_EQ(seen[tag].load(), 1u) << "tag " << tag;
+  }
+  EXPECT_TRUE(cq.empty());  // nothing buffered in listener mode
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {

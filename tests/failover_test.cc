@@ -587,6 +587,76 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_timed" : "_untimed");
     });
 
+/// Engine only: device timing on at 0.05, deadline 0 (both arms of every
+/// eligible point read sent at once), and one node whose disk spikes every
+/// read to 100x its service time: 10 ms against 0.1 ms.
+class HedgedReadsOneSlowNode : public ::testing::TestWithParam<SmpeEngine> {};
+
+TEST_P(HedgedReadsOneSlowNode, TheFirstArmToSucceedIsAdopted) {
+  EngineOptions plain;
+  plain.smpe.engine = GetParam();
+  ReplicatedLab clean_lab(2, plain);
+  auto clean_job = clean_lab.DeptJoinJob();
+  ASSERT_TRUE(clean_job.ok());
+  auto clean = clean_lab.engine->ExecuteCollect(*clean_job,
+                                                ExecutionMode::kSmpe);
+  ASSERT_TRUE(clean.ok());
+
+  sim::ClusterOptions cluster_options = sim::ClusterOptions::ForNodes(4);
+  cluster_options.EnableTiming(true, 0.05);
+  EngineOptions hedged = plain;
+  hedged.smpe.hedge.enabled = true;
+  hedged.smpe.hedge.deadline_us = 0;
+  ReplicatedLab lab(2, hedged, cluster_options);
+  constexpr sim::NodeId kSlow = 1;
+  sim::FaultOptions spike;
+  spike.latency_spike_rate = 1.0;
+  spike.latency_spike_multiplier = 100.0;
+  lab.cluster.node(kSlow).disk().ConfigureFaults(spike);
+
+  // Point reads whose second arm goes to the slow node: their primary
+  // answers about 100x sooner and is adopted, so the hedge wins none of
+  // them. Counted from the placement: one read per employee, one per
+  // employee's department.
+  auto emp = lab.engine->catalog().Get("emp");
+  auto dept = lab.engine->catalog().Get("dept");
+  ASSERT_TRUE(emp.ok() && dept.ok());
+  auto secondary_is_slow = [kSlow](const io::File& file, int64_t key) {
+    const uint32_t p =
+        file.partitioner().PartitionOf(io::EncodeInt64Key(key));
+    return file.NodeOfReplica(p, 1) == kSlow;
+  };
+  uint64_t slow_secondaries = 0;
+  for (int i = 0; i < ReplicatedLab::kEmployees; ++i) {
+    slow_secondaries += secondary_is_slow(**emp, i) ? 1 : 0;
+    slow_secondaries +=
+        secondary_is_slow(**dept, i % ReplicatedLab::kDepts) ? 1 : 0;
+  }
+  ASSERT_GT(slow_secondaries, 0u);
+
+  auto job = lab.DeptJoinJob();
+  ASSERT_TRUE(job.ok());
+  auto result = lab.engine->ExecuteCollect(*job, ExecutionMode::kSmpe);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(ReplicatedLab::Canonical(result->tuples),
+            ReplicatedLab::Canonical(clean->tuples));
+  const uint64_t hedged_reads = result->metrics.hedged_reads;
+  EXPECT_EQ(hedged_reads, static_cast<uint64_t>(2 * ReplicatedLab::kEmployees));
+  // Reads whose primary is on the slow node are won by the second arm...
+  EXPECT_GT(result->metrics.hedge_wins, 0u);
+  // ...and none whose second arm is the slow one.
+  EXPECT_LE(result->metrics.hedge_wins, hedged_reads - slow_secondaries)
+      << slow_secondaries << " reads sent their second arm to the slow node";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, HedgedReadsOneSlowNode,
+    ::testing::Values(SmpeEngine::kThreaded, SmpeEngine::kAsync),
+    [](const ::testing::TestParamInfo<SmpeEngine>& info) {
+      return std::string(info.param == SmpeEngine::kThreaded ? "threaded"
+                                                             : "async");
+    });
+
 TEST(HedgedReads, DisabledUnderDeterministicSchedules) {
   EngineOptions options;
   options.smpe.hedge.enabled = true;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -219,6 +220,36 @@ TEST(FaultInjector, ReconfigurationSwapsKnobsAtomicallyUnderConcurrentAssess) {
   for (auto& thread : assessors) thread.join();
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_GT(faults_seen.load(), 0u);  // the race was actually exercised
+}
+
+TEST(FaultInjector, RearmingAfterAllZeroKnobsReplaysFromOpZero) {
+  sim::FaultOptions armed;
+  armed.fault_rate = 0.3;
+  armed.latency_spike_rate = 0.2;
+  armed.seed = 4242;
+  auto pattern = [](sim::FaultInjector& injector) {
+    std::vector<int> fates;
+    for (int i = 0; i < 300; ++i) {
+      const sim::FaultInjector::Decision d = injector.Assess("disk");
+      fates.push_back(d.faulted() ? 2 : d.spiked() ? 1 : 0);
+    }
+    return fates;
+  };
+  sim::FaultInjector injector(armed);
+  const std::vector<int> first = pattern(injector);
+  EXPECT_NE(std::count(first.begin(), first.end(), 2), 0);
+
+  // Disarmed: the unarmed fast path injects nothing and draws no op index.
+  injector.Configure(sim::FaultOptions{});
+  for (int i = 0; i < 1000; ++i) {
+    const sim::FaultInjector::Decision d = injector.Assess("disk");
+    ASSERT_FALSE(d.faulted());
+    ASSERT_FALSE(d.spiked());
+    ASSERT_FALSE(d.corrupted);
+  }
+
+  injector.Configure(armed);
+  EXPECT_EQ(pattern(injector), first);
 }
 
 TEST(DiskFaults, SeededProbabilisticFaultsReplayDeterministically) {
