@@ -5,20 +5,28 @@
 // Grid per workload (the rf=1 hedge cells are no-ops and skipped):
 //   rf=1: outage {none, mid}             — the unreplicated seed layout;
 //                                          a mid-query outage FAILS the job
-//   rf=2: outage {none, mid} × hedge {off, on}
+//   rf=2: outage {none, mid, slow} × hedge {off, on}
 //
-// The mid-query outage is driven by the result sink: once half of the
-// baseline row count has streamed out, one node drops dead under the
-// remaining half of the query. With replicas, dereferences fail over to the
-// surviving copy BEFORE any retry backoff (retries stay disabled here) and
-// the run completes with the baseline checksum; without, the run aborts
-// kUnavailable — the contrast the `completed` column records.
+// `slow` keeps the victim alive but spikes every read of its disk 100x for
+// the whole query: the tail that hedged reads exist for. Its hedged cell
+// must adopt second arms (hedge_wins > 0) and keep the baseline checksum.
+//
+// The mid-query outage is driven by the run's device reads: once the run
+// has issued half of the baseline cell's random reads, one node drops dead
+// under the remaining half of the query. (Output rows are no clock for it:
+// timed, Q5' can emit half its rows after its last read on the victim.)
+// With replicas, dereferences fail over to the surviving copy BEFORE any
+// retry backoff (retries stay disabled here) and the run completes with
+// the baseline checksum; without, the run aborts kUnavailable — the
+// contrast the `completed` column records.
 //
 // `added_reads` is the random-read delta vs the workload's rf=1/no-failure
 // baseline: what replication (remote replica reads) and hedging (duplicate
-// in-flight reads) cost in device operations. `wall_ms` against the
-// baseline cell is the p99-style latency proxy (counting mode: wall time is
-// executor overhead, not simulated device time).
+// in-flight reads) cost in device operations. Loading is untimed; every
+// measured cell runs with device timing on at kTimeScale, the scale of the
+// hedge tests, so `wall_ms` is simulated device time plus engine overhead,
+// and a hedged cell's `wall_ms` next to its unhedged twin's is what
+// hedging buys or costs.
 //
 // Output: one JSON object per cell on stdout, mirrored to
 // BENCH_failover.json (override with LH_BENCH_OUT).
@@ -27,12 +35,14 @@
 // LH_BENCH_CLAIMS, LH_BENCH_HEDGE_US, LH_BENCH_OUT.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -41,6 +51,7 @@
 #include "common/json.h"
 #include "rede/engine.h"
 #include "rede/smpe_executor.h"
+#include "sim/fault.h"
 #include "tpch/generator.h"
 #include "tpch/loader.h"
 #include "tpch/q5.h"
@@ -50,6 +61,8 @@ using namespace lakeharbor;  // NOLINT — bench brevity
 namespace {
 
 constexpr sim::NodeId kVictim = 1;
+/// Device time scale of the measured cells: a 500 µs read takes 25 µs.
+constexpr double kTimeScale = 0.05;
 
 struct CellResult {
   bool completed = false;
@@ -108,28 +121,43 @@ std::string DigestKeys(uint64_t rows, const std::vector<std::string>& keys) {
 using Summarize = std::function<std::string(const std::vector<rede::Tuple>&,
                                             uint64_t*)>;
 
-/// Run one cell. `outage_after` > 0 arms the sink-driven outage: after that
-/// many output tuples, kVictim drops dead for the rest of the run.
+/// Run one cell. `outage_after` > 0 arms the outage: once the run has
+/// issued that many random reads, kVictim drops dead for the rest of it.
+/// `slow` spikes every read of kVictim's disk 100x for the whole run.
 CellResult RunCell(sim::Cluster& cluster, const rede::SmpeOptions& options,
                    const rede::Job& job, const Summarize& summarize,
-                   uint64_t outage_after, bench::TraceCapture& trace_capture,
+                   uint64_t outage_after, bool slow,
+                   bench::TraceCapture& trace_capture,
                    const std::string& cell_label) {
   rede::SmpeExecutor executor(&cluster, options);
+  if (slow) {
+    sim::FaultOptions spike;
+    spike.latency_spike_rate = 1.0;
+    spike.latency_spike_multiplier = 100.0;
+    cluster.node(kVictim).disk().ConfigureFaults(spike);
+  }
   rede::TupleCollector collector;
-  rede::ResultSink inner = collector.AsSink();
-  std::atomic<uint64_t> emitted{0};
-  rede::ResultSink sink = [&](const rede::Tuple& tuple) {
-    if (outage_after > 0 &&
-        emitted.fetch_add(1, std::memory_order_relaxed) + 1 == outage_after) {
-      cluster.SetNodeOutage(kVictim, true);
-    }
-    inner(tuple);
-  };
-
   sim::ResourceTotals before = cluster.TotalStats();
-  auto result = executor.Execute(job, sink);
+  std::atomic<bool> done{false};
+  std::thread watcher;
+  if (outage_after > 0) {
+    watcher = std::thread([&] {
+      while (!done.load()) {
+        if (cluster.TotalStats().random_reads - before.random_reads >=
+            outage_after) {
+          cluster.SetNodeOutage(kVictim, true);
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+  }
+  auto result = executor.Execute(job, collector.AsSink());
+  done.store(true);
+  if (watcher.joinable()) watcher.join();
   sim::ResourceTotals after = cluster.TotalStats();
   cluster.SetNodeOutage(kVictim, false);
+  if (slow) cluster.node(kVictim).disk().ConfigureFaults(sim::FaultOptions{});
 
   CellResult cell;
   cell.random_reads = after.random_reads - before.random_reads;
@@ -164,6 +192,8 @@ struct SweepStats {
   uint64_t completed = 0;
   uint64_t rf1_outage_failures = 0;
   uint64_t rf2_outage_completions = 0;
+  /// Workloads whose slow hedged cell won hedges at the baseline checksum.
+  uint64_t slow_hedge_wins = 0;
   bool checksums_agree = true;
 };
 
@@ -173,20 +203,22 @@ void RunSweep(FILE* out, Workload& w, uint32_t rf,
               const rede::SmpeOptions& base_options, uint64_t hedge_us,
               CellResult* baseline, SweepStats* stats,
               bench::TraceCapture& trace_capture) {
-  for (const char* outage : {"none", "mid"}) {
+  for (const char* outage : {"none", "mid", "slow"}) {
     const bool mid = std::string(outage) == "mid";
+    const bool slow = std::string(outage) == "slow";
+    if (slow && rf < 2) continue;
     for (int hedge = 0; hedge < (rf >= 2 ? 2 : 1); ++hedge) {
       rede::SmpeOptions options = base_options;
       options.trace_sample_n = trace_capture.sample_n();
       options.hedge.enabled = hedge != 0;
       options.hedge.deadline_us = hedge_us;
       // The rf=1/none cell runs first and fills `baseline`, so every mid
-      // cell (including rf=1's own) sees the true halfway row count.
-      const uint64_t half = (baseline->rows + 1) / 2;
+      // cell (including rf=1's own) sees the true halfway read count.
+      const uint64_t half = (baseline->random_reads + 1) / 2;
       const uint64_t outage_after = mid ? (half > 0 ? half : 1) : 0;
       CellResult cell =
           RunCell(*w.cluster, options, *w.job, w.summarize, outage_after,
-                  trace_capture,
+                  slow, trace_capture,
                   w.name + " rf=" + std::to_string(rf) + " outage=" + outage +
                       (hedge != 0 ? " hedged" : ""));
       if (rf == 1 && !mid && hedge == 0 && baseline->checksum.empty()) {
@@ -200,6 +232,10 @@ void RunSweep(FILE* out, Workload& w, uint32_t rf,
       if (cell.completed) stats->completed++;
       if (rf == 1 && mid && !cell.completed) stats->rf1_outage_failures++;
       if (rf == 2 && mid && cell.completed) stats->rf2_outage_completions++;
+      if (slow && hedge != 0 && cell.completed && cell.hedge_wins > 0 &&
+          cell.checksum == baseline->checksum) {
+        stats->slow_hedge_wins++;
+      }
       if (cell.completed && !baseline->checksum.empty() &&
           cell.checksum != baseline->checksum) {
         stats->checksums_agree = false;
@@ -208,13 +244,20 @@ void RunSweep(FILE* out, Workload& w, uint32_t rf,
   }
 }
 
+/// The bench cluster, untimed for loading, at device time scale kTimeScale.
+std::unique_ptr<sim::Cluster> MakeCluster(
+    const bench::BenchClusterConfig& cluster_config) {
+  sim::ClusterOptions options = bench::MakeClusterOptions(cluster_config);
+  options.EnableTiming(false, kTimeScale);
+  return std::make_unique<sim::Cluster>(options);
+}
+
 Workload MakeTpch(const bench::BenchClusterConfig& cluster_config,
                   const rede::EngineOptions& engine_options,
                   const tpch::TpchData& data, uint32_t rf) {
   Workload w;
   w.name = "tpch_q5";
-  w.cluster =
-      std::make_unique<sim::Cluster>(bench::MakeClusterOptions(cluster_config));
+  w.cluster = MakeCluster(cluster_config);
   w.engine = std::make_unique<rede::Engine>(w.cluster.get(), engine_options);
   tpch::LoadOptions load;
   load.partitions = w.cluster->num_nodes() * 2;
@@ -237,8 +280,7 @@ Workload MakeClaims(const bench::BenchClusterConfig& cluster_config,
                     const claims::ClaimsData& data, uint32_t rf) {
   Workload w;
   w.name = "claims_wh_q1";
-  w.cluster =
-      std::make_unique<sim::Cluster>(bench::MakeClusterOptions(cluster_config));
+  w.cluster = MakeCluster(cluster_config);
   w.engine = std::make_unique<rede::Engine>(w.cluster.get(), engine_options);
   claims::ClaimsLoadOptions load;
   load.replication_factor = rf;
@@ -290,21 +332,22 @@ int main(int argc, char** argv) {
       "reads");
   std::printf(
       "nodes=%u  SF=%.4f  claims=%llu  smpe-threads/node=%zu  "
-      "hedge-deadline=%lluus  victim=node %u (mid-query outage at half the "
-      "baseline output)\n\n",
+      "hedge-deadline=%lluus  time-scale=%.3f  victim=node %u (mid-query "
+      "outage at half the baseline reads; slow: every read 100x)\n\n",
       cluster_config.num_nodes, tpch_config.scale_factor,
       static_cast<unsigned long long>(claims_config.num_claims),
       engine_options.smpe.threads_per_node,
-      static_cast<unsigned long long>(hedge_us), kVictim);
+      static_cast<unsigned long long>(hedge_us), kTimeScale, kVictim);
 
   SweepStats stats;
   for (int which = 0; which < 2; ++which) {
     CellResult baseline;  // filled by the rf=1/none cell of this workload
     for (uint32_t rf : {1u, 2u}) {
-      Workload w = which == 0
-                       ? MakeTpch(cluster_config, engine_options, tpch_data, rf)
-                       : MakeClaims(cluster_config, engine_options,
-                                    claims_data, rf);
+      Workload w = which == 0 ? MakeTpch(cluster_config, engine_options,
+                                         tpch_data, rf)
+                              : MakeClaims(cluster_config, engine_options,
+                                           claims_data, rf);
+      w.cluster->SetTimingEnabled(true);  // measured cells
       RunSweep(out, w, rf, engine_options.smpe, hedge_us, &baseline, &stats,
                trace_capture);
     }
@@ -313,21 +356,26 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\ncells=%llu completed=%llu; rf=1 mid-outage failures=%llu (the seed "
-      "layout cannot survive), rf=2 mid-outage completions=%llu, completed "
+      "layout cannot survive), rf=2 mid-outage completions=%llu, slow-node "
+      "hedged cells winning hedges at the baseline checksum=%llu, completed "
       "checksums all match baseline: %s\n",
       static_cast<unsigned long long>(stats.cells),
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.rf1_outage_failures),
       static_cast<unsigned long long>(stats.rf2_outage_completions),
+      static_cast<unsigned long long>(stats.slow_hedge_wins),
       stats.checksums_agree ? "yes" : "NO");
   std::printf(
       "Expected shape: every rf=2 cell completes (failovers > 0 under "
       "outage), both rf=1 mid-outage cells fail kUnavailable, hedged cells "
-      "pay added_reads for their duplicate in-flight reads, and every "
-      "completed checksum equals the no-failure baseline.\n");
+      "pay added_reads for their duplicate in-flight reads, each workload's "
+      "slow hedged cell adopts second arms (hedge_wins > 0), and every "
+      "completed checksum equals the no-failure baseline. Hedged wall_ms "
+      "next to the unhedged twin's is reported, not gated.\n");
   return stats.checksums_agree &&
                  stats.rf1_outage_failures == 2 &&
-                 stats.rf2_outage_completions == 4
+                 stats.rf2_outage_completions == 4 &&
+                 stats.slow_hedge_wins == 2
              ? 0
              : 1;
 }

@@ -1,22 +1,23 @@
-// Ablation: SMPE thread-pool size (§III-C — the prototype defaults to 1000
-// threads, "adjusted based on underlying hardware capabilities such as the
-// number of CPU cores and the IOPS of the IO path") — and the engine that
-// removes the knob.
+// Ablation: SMPE pool size (§III-C — the prototype defaults to 1000
+// threads per node, "adjusted based on underlying hardware capabilities
+// such as the number of CPU cores and the IOPS of the IO path"). The one
+// SMPE engine keeps that knob as a per-node cap on running tasks
+// (SmpeOptions::threads_per_node, SmpeExecutor), and can run without it
+// (AsyncExecutor). Both use the same few CPU workers; the cap starts no
+// thread.
 //
-// Part 1 sweeps threads-per-node for the THREADED engine on a fixed
-// mid-selectivity Q5' job (the original ablation: wall time falls until the
-// simulated devices saturate, then flattens), then runs the same job on the
-// ASYNC engine, whose in-flight ceiling is not a thread count.
+// Part 1 sweeps the cap on a fixed mid-selectivity Q5' job (the original
+// ablation: wall time falls until the simulated devices saturate, then
+// flattens), then runs the same job uncapped.
 //
-// Part 2 is the deep-queue sweep the async engine exists for: a two-stage
-// job fans out N keyed point dereferences at once. The threaded engine can
-// hold at most nodes x threads/node of them in flight (one parked thread
-// each); the async engine holds one continuation frame each. Hard gates
-// (LH_CHECK, the bench fails loudly):
-//   - bit-identical result checksums, threaded vs async, at every depth;
-//   - at depths >= 20x the threaded ceiling, async sustains >= 10x the
-//     threaded peak in-flight dereference count.
-// Latency is reported per cell (soft — expected equal-or-better for async
+// Part 2 is the deep-queue sweep: a two-stage job fans out N keyed point
+// dereferences at once on one node. The capped engine holds at most the
+// cap of them in flight there; the uncapped engine holds one continuation
+// frame each. Hard gates (LH_CHECK, the bench fails loudly):
+//   - bit-identical result checksums, capped vs uncapped, at every depth;
+//   - at depths >= 20x the capped ceiling (nodes x cap), the uncapped
+//     engine sustains >= 10x the capped peak in-flight dereference count.
+// Latency is reported per cell (soft — expected equal-or-better uncapped
 // at depth, since both charge the identical simulated cost model).
 //
 // Per-cell JSON accumulates in BENCH_thread_pool.json (override with
@@ -177,18 +178,17 @@ int main(int argc, char** argv) {
   FILE* out = std::fopen(out_path.c_str(), "w");
   LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
 
-  bench::PrintHeader(
-      "Ablation — SMPE thread-pool size sweep vs async engine");
-  const size_t threaded_ceiling = cluster.num_nodes() * baseline_threads;
+  bench::PrintHeader("Ablation — SMPE per-node cap sweep vs uncapped");
+  const size_t capped_ceiling = cluster.num_nodes() * baseline_threads;
   std::printf(
       "device saturation point: %u nodes x %zu io-slots = %zu concurrent "
-      "I/Os; threaded in-flight ceiling at %zu threads/node: %zu\n\n",
+      "I/Os; capped in-flight ceiling at cap %zu/node: %zu; %zu workers\n\n",
       cluster.num_nodes(), cluster_config.io_slots,
       cluster.num_nodes() * cluster_config.io_slots, baseline_threads,
-      threaded_ceiling);
+      capped_ceiling, async_workers);
 
-  // ---- Part 1: the original threads/node sweep (threaded engine), plus
-  // the async engine on the same Q5' job.
+  // ---- Part 1: the original pool-size sweep, now of the per-node cap,
+  // plus the uncapped engine on the same Q5' job.
   std::printf("%-22s %12s %12s %10s\n", "Q5' engine", "wall-ms", "rows",
               "peak-par");
   cluster.SetTimingEnabled(true);
@@ -196,13 +196,14 @@ int main(int argc, char** argv) {
   for (size_t threads : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
     rede::SmpeOptions options;
     options.threads_per_node = threads;
+    options.async_workers = async_workers;
     options.trace_sample_n = trace_capture.sample_n();
     rede::SmpeExecutor executor(&cluster, options);
-    Cell cell = RunCell(executor, *job, "threaded", threads, trace_capture,
-                        "Q5' threads/node=" + std::to_string(threads));
+    Cell cell = RunCell(executor, *job, "capped", threads, trace_capture,
+                        "Q5' cap/node=" + std::to_string(threads));
     EmitJson(out, "q5_threads_sweep", cell);
     std::printf("%-22s %12.2f %12llu %10lld\n",
-                ("threaded t/n=" + std::to_string(threads)).c_str(),
+                ("capped cap/n=" + std::to_string(threads)).c_str(),
                 cell.wall_ms, static_cast<unsigned long long>(cell.rows),
                 static_cast<long long>(cell.peak_parallel));
     if (threads == baseline_threads) q5_baseline = cell;
@@ -210,8 +211,9 @@ int main(int argc, char** argv) {
   if (q5_baseline.rows == 0) {
     rede::SmpeOptions options;
     options.threads_per_node = baseline_threads;
+    options.async_workers = async_workers;
     rede::SmpeExecutor executor(&cluster, options);
-    q5_baseline = RunCell(executor, *job, "threaded", baseline_threads,
+    q5_baseline = RunCell(executor, *job, "capped", baseline_threads,
                           trace_capture, "Q5' baseline");
   }
   Cell q5_async;
@@ -221,11 +223,10 @@ int main(int argc, char** argv) {
     options.async_workers = async_workers;
     options.trace_sample_n = trace_capture.sample_n();
     rede::AsyncExecutor executor(&cluster, options);
-    q5_async = RunCell(executor, *job, "async", async_workers, trace_capture,
-                       "Q5' async");
+    q5_async = RunCell(executor, *job, "uncapped", async_workers,
+                       trace_capture, "Q5' uncapped");
     EmitJson(out, "q5_threads_sweep", q5_async);
-    std::printf("%-22s %12.2f %12llu %10lld\n",
-                ("async workers=" + std::to_string(async_workers)).c_str(),
+    std::printf("%-22s %12.2f %12llu %10lld\n", "uncapped",
                 q5_async.wall_ms,
                 static_cast<unsigned long long>(q5_async.rows),
                 static_cast<long long>(q5_async.peak_parallel));
@@ -233,17 +234,17 @@ int main(int argc, char** argv) {
   // Hard gate: the engines are interchangeable on real query output.
   LH_CHECK_MSG(q5_async.rows == q5_baseline.rows &&
                    q5_async.digest == q5_baseline.digest,
-               "Q5' checksum mismatch: async engine diverged from threaded");
+               "Q5' checksum mismatch: uncapped engine diverged from capped");
   const bool q5_latency_ok = q5_async.wall_ms <= q5_baseline.wall_ms * 1.25;
   std::printf(
-      "\nQ5' checksums identical; async wall %.2f ms vs threaded (t/n=%zu) "
-      "%.2f ms (%s)\n\n",
+      "\nQ5' checksums identical; uncapped wall %.2f ms vs capped "
+      "(cap/n=%zu) %.2f ms (%s)\n\n",
       q5_async.wall_ms, baseline_threads, q5_baseline.wall_ms,
       q5_latency_ok ? "equal-or-better" : "SLOWER — inspect");
 
   // ---- Part 2: deep-queue sweep. One seed tuple fans out `depth` keyed
-  // point dereferences; the threaded engine parks a thread per in-flight
-  // read, the async engine a continuation frame.
+  // point dereferences on one node; the capped engine runs at most the cap
+  // of them there at once, the uncapped engine all of them.
   std::printf("%-10s %-10s %12s %12s %10s %12s\n", "depth", "engine",
               "wall-ms", "rows", "peak-par", "checksum");
   bool ratio_gate_checked = false;
@@ -259,13 +260,13 @@ int main(int argc, char** argv) {
             .Build();
     LH_CHECK(deep_job.ok());
 
-    rede::SmpeOptions threaded_options;
-    threaded_options.threads_per_node = baseline_threads;
-    threaded_options.trace_sample_n = trace_capture.sample_n();
-    rede::SmpeExecutor threaded(&cluster, threaded_options);
-    Cell tcell = RunCell(threaded, *deep_job, "threaded", depth,
-                         trace_capture,
-                         "deep depth=" + std::to_string(depth) + " threaded");
+    rede::SmpeOptions capped_options;
+    capped_options.threads_per_node = baseline_threads;
+    capped_options.async_workers = async_workers;
+    capped_options.trace_sample_n = trace_capture.sample_n();
+    rede::SmpeExecutor capped(&cluster, capped_options);
+    Cell tcell = RunCell(capped, *deep_job, "capped", depth, trace_capture,
+                         "deep depth=" + std::to_string(depth) + " capped");
     EmitJson(out, "deep_queue", tcell);
 
     rede::SmpeOptions async_options;
@@ -273,8 +274,8 @@ int main(int argc, char** argv) {
     async_options.async_workers = async_workers;
     async_options.trace_sample_n = trace_capture.sample_n();
     rede::AsyncExecutor async(&cluster, async_options);
-    Cell acell = RunCell(async, *deep_job, "async", depth, trace_capture,
-                         "deep depth=" + std::to_string(depth) + " async");
+    Cell acell = RunCell(async, *deep_job, "uncapped", depth, trace_capture,
+                         "deep depth=" + std::to_string(depth) + " uncapped");
     EmitJson(out, "deep_queue", acell);
 
     for (const Cell& cell : {tcell, acell}) {
@@ -289,25 +290,25 @@ int main(int argc, char** argv) {
     LH_CHECK_MSG(tcell.rows == depth && acell.rows == depth &&
                      tcell.digest == acell.digest,
                  "deep-queue checksum mismatch between engines");
-    // Hard gate 2: once the fan-out dwarfs the threaded ceiling, the async
-    // engine must sustain >= 10x the threaded in-flight count.
-    if (depth >= 20 * threaded_ceiling) {
+    // Hard gate 2: once the fan-out dwarfs the capped ceiling, the
+    // uncapped engine must sustain >= 10x the capped in-flight count.
+    if (depth >= 20 * capped_ceiling) {
       ratio_gate_checked = true;
       LH_CHECK_MSG(
           acell.peak_parallel >= 10 * tcell.peak_parallel,
-          "async engine failed to sustain 10x threaded in-flight depth");
+          "uncapped engine failed to sustain 10x capped in-flight depth");
     }
   }
   std::fclose(out);
 
   std::printf(
-      "\nExpected shape: part 1 — threaded time drops until peak "
-      "parallelism reaches device saturation, and the async engine matches "
-      "the saturated latency with ~%zu workers instead of %zu threads; "
-      "part 2 — threaded peak-par is capped at nodes x threads/node while "
-      "async peak-par tracks the fan-out depth (>= 10x gate %s). Checksums "
-      "are LH_CHECKed identical in every cell.\n",
-      async_workers, threaded_ceiling,
+      "\nExpected shape: part 1 — capped time drops until peak parallelism "
+      "reaches device saturation, then flattens, and the uncapped engine "
+      "matches the saturated latency; part 2 — capped peak-par stays at the "
+      "cap (%zu per node) while uncapped peak-par tracks the fan-out depth "
+      "(>= 10x gate %s). Checksums are LH_CHECKed identical in every "
+      "cell.\n",
+      baseline_threads,
       ratio_gate_checked ? "enforced" : "skipped at this toy depth");
   return 0;
 }

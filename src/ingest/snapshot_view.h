@@ -11,7 +11,7 @@
 /// Snapshot-consistent reads over a StreamingFile. A SnapshotView is an
 /// io::File wrapper capturing (merged structure, log tail) at one pinned
 /// LSN: bind it into a job's Dereferencer stages (deref stages hold a
-/// shared_ptr<File> from build time) and every read of that job — threaded
+/// shared_ptr<File> from build time) and every read of that job — blocking
 /// or async — resolves against exactly the records appended up to the pin,
 /// bit-identical at any concurrent merge progress. The pin participates in
 /// the StreamingFile's merge gate and is released when the view dies (RAII),

@@ -41,7 +41,7 @@ uint64_t NextJobId() {
 /// A fixed-capacity span buffer owned by one recording thread. Appends are
 /// written only by that thread; readers (Collect) are ordered after every
 /// writer by the executor's quiescence protocol. Capacity is reserved, not
-/// constructed — with ~1000 pool threads each recording a handful of
+/// constructed — with many recording threads each holding a handful of
 /// spans, eagerly constructing full chunks of Spans (std::string name and
 /// all) was itself a measurable per-run tracing cost. A thread's first
 /// chunk is small for the same reason; only threads that outgrow it pay

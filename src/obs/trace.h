@@ -20,8 +20,8 @@
 /// mutex acquisition per thread per chunk, amortized over kChunkSpans
 /// appends). Appends are plain stores — the owning thread is the only
 /// writer, and Collect() runs only after the executor has quiesced the run
-/// (in-flight tracker at zero, dispatchers joined), which
-/// establishes the happens-before edge for every chunk write.
+/// (in-flight tracker at zero), which establishes the happens-before edge
+/// for every chunk write.
 
 namespace lakeharbor::obs {
 

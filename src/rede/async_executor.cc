@@ -17,9 +17,7 @@
 namespace lakeharbor::rede {
 
 namespace {
-/// Approximate wire size of a tuple shipped in a broadcast message (kept
-/// identical to the threaded engine's so broadcast charges match byte for
-/// byte).
+/// Approximate wire size of a tuple shipped in a broadcast message.
 size_t ApproxTupleBytes(const Tuple& tuple) {
   size_t bytes = tuple.pointer.key.size() + tuple.pointer.partition_key.size();
   for (const auto& record : tuple.records) bytes += record.size();
@@ -155,7 +153,7 @@ struct AsyncExecutor::RunState {
   Executor::SubmitDone on_done;
   /// Continuation runtime handed to stage functions (real-time mode only;
   /// null under deterministic replay, which makes the builtin state
-  /// machines skip hedging — same rule as the threaded engine).
+  /// machines skip hedging).
   std::unique_ptr<Runtime> runtime;
   /// One completion queue per node: listener mode in real time (parking or
   /// queueing the completion for a worker), pull mode under deterministic
@@ -182,11 +180,11 @@ struct AsyncExecutor::RunState {
   }
 };
 
-/// One task: its tuples, and its continuation state machine — the async
-/// analogue of the threaded engine's RunTask stack frame. Owns the task's
-/// tuples, emission buffer, and retry counter across suspensions. Allocated
-/// by Dispatch, deleted by FinishTask; it holds one in-flight count of its
-/// run from Dispatch until then.
+/// One task: its tuples, and its continuation state machine. Owns the
+/// task's tuples, emission buffer, and retry counter across suspensions.
+/// Allocated by Dispatch, deleted by EndTask; it holds one in-flight count
+/// of its run from Dispatch until then, and on the capped engine its node
+/// slot from the hand-off to a worker until then.
 struct AsyncExecutor::TaskFrame {
   RunState* run = nullptr;
   sim::NodeId node = 0;
@@ -221,8 +219,16 @@ class AsyncExecutor::Runtime final : public AsyncRuntime {
 };
 
 AsyncExecutor::AsyncExecutor(sim::Cluster* cluster, SmpeOptions options)
-    : cluster_(cluster), options_(options) {
+    : AsyncExecutor(cluster, std::move(options), 0, "rede-async") {}
+
+AsyncExecutor::AsyncExecutor(sim::Cluster* cluster, SmpeOptions options,
+                             size_t cap_per_node, std::string name)
+    : name_(std::move(name)),
+      cluster_(cluster),
+      options_(options),
+      cap_(options_.deterministic_seed == 0 ? cap_per_node : 0) {
   LH_CHECK(cluster_ != nullptr);
+  if (cap_ != 0) slots_ = std::vector<NodeSlots>(cluster_->max_nodes());
   if (options_.cache.enabled) {
     cache_ = std::make_unique<RecordCache>(options_.cache);
   }
@@ -239,7 +245,7 @@ AsyncExecutor::AsyncExecutor(sim::Cluster* cluster, SmpeOptions options)
 }
 
 AsyncExecutor::~AsyncExecutor() {
-  // Contract (as with the threaded engine's pools): no runs in flight.
+  // Contract: no runs in flight, so no frame is parked in slots_.
   // timers_ is destroyed before ready_ by declaration order, so a pending
   // timer closure either fires into the closed queue (dropped) or is
   // dropped by ~TimerService itself.
@@ -296,11 +302,11 @@ void AsyncExecutor::WorkerLoop(size_t worker) {
 void AsyncExecutor::RunTaskAsync(TaskFrame* frame) {
   RunState& run = *frame->run;
   if (run.Failed()) {
-    // Fail-fast drain, identical to the threaded engine.
+    // Fail-fast drain: another task recorded a permanent error, so this one
+    // is dropped unexecuted.
     run.metrics.tasks_dropped_on_failure.fetch_add(1,
                                                    std::memory_order_relaxed);
-    delete frame;
-    run.inflight.Done();
+    EndTask(frame);
     return;
   }
   LH_CHECK(!frame->tuples.empty());
@@ -345,7 +351,8 @@ void AsyncExecutor::StartAttempt(TaskFrame* frame) {
     // device completion is in flight without holding a worker, which is the
     // engine's headline observable (peak_parallel_derefs >> #workers).
     // deref_latency_us likewise measures submit -> completion wall time,
-    // the same span the threaded engine measures around its blocked call.
+    // the same span the partitioned executor measures around its blocking
+    // call.
     run.metrics.EnterDeref();
     frame->attempt_start_us = NowMicros();
     // 16 trivially copyable bytes: std::function keeps them inline.
@@ -375,7 +382,9 @@ void AsyncExecutor::OnAttemptDone(TaskFrame* frame, Status status) {
         attempt_us > 0 ? static_cast<uint64_t>(attempt_us) : 0);
     run.metrics.ExitDeref();
   }
-  // Same retry gate as the threaded engine, verbatim.
+  // Only Dereferencer failures can be transient (they touch devices);
+  // Referencer errors are logic errors and always fail fast. Stop retrying
+  // once some other task has already failed the job.
   if (status.ok() || !fn.IsDereferencer() || !status.IsRetryable() ||
       frame->retry >= options_.retry.max_retries || run.Failed()) {
     FinishTask(frame, std::move(status));
@@ -400,8 +409,7 @@ void AsyncExecutor::OnAttemptDone(TaskFrame* frame, Status status) {
     // Real-time: the backoff is a timer, not a sleeping worker. The resume
     // thunk re-checks cancellation, so a cancelled job exits its ladder
     // within one backoff quantum (it drains the CURRENT interval rather
-    // than waking mid-sleep — the threaded engine's documented promptness
-    // bound already allows one full backoff interval).
+    // than waking mid-sleep). The task keeps its node slot meanwhile.
     const size_t retry = frame->retry;
     frame->ctx.async->After(
         backoff_us, [this, frame, status = std::move(status), sleep_start_us,
@@ -411,8 +419,7 @@ void AsyncExecutor::OnAttemptDone(TaskFrame* frame, Status status) {
         });
     return;
   }
-  // Deterministic replay: interruptible inline wait on the driver thread,
-  // exactly like the threaded engine's deterministic mode.
+  // Deterministic replay: interruptible inline wait on the driver thread.
   const bool interrupted = run.cancel->WaitFor(backoff_us);
   RecordBackoffSpan(run.trace, frame->stage, frame->node, sleep_start_us,
                     frame->retry, backoff_us, interrupted);
@@ -472,9 +479,18 @@ void AsyncExecutor::FinishTask(TaskFrame* frame, Status status) {
     ShardOf(run).CountStage(frame->stage, frame->outs.size());
     Route(run, frame->node, frame->stage + 1, std::move(frame->outs));
   }
+  EndTask(frame);
+}
+
+void AsyncExecutor::EndTask(TaskFrame* frame) {
+  RunState& run = *frame->run;
+  const sim::NodeId node = frame->node;
   // Delete the frame, then release its count: the count is what keeps the
-  // run alive, and Done may finalize (and destroy) it on this thread.
+  // run alive, and Done may finalize (and destroy) it on this thread. The
+  // slot goes before the count: once the last run finalizes, its caller
+  // may destroy this executor.
   delete frame;
+  if (cap_ != 0) ReleaseSlot(node);
   run.inflight.Done();
 }
 
@@ -482,18 +498,20 @@ void AsyncExecutor::Route(RunState& state, sim::NodeId node,
                           size_t next_stage, std::vector<Tuple>&& tuples) {
   CounterShard& shard = ShardOf(state);
   shard.tuples_emitted += tuples.size();
-  // Identical routing to the threaded engine (LIFO work stack, inline
-  // referencers, broadcast redirects, batch coalescing); only the final
-  // handoff differs — Dispatch() hands a task frame to a worker instead of
-  // pushing into a per-node dispatcher queue. Broadcast ChargeMessage stays
-  // synchronous on the routing thread (a known, documented deviation: it
-  // charges the identical cost, it just doesn't suspend).
+  // Explicit LIFO work stack instead of recursion, so a long chain of inline
+  // Referencers cannot overflow the stack. Broadcast ChargeMessage stays
+  // synchronous on the routing thread (a documented deviation: it charges
+  // the identical cost, it just doesn't suspend).
   struct Pending {
     size_t stage;
     Tuple tuple;
   };
   std::vector<Pending> work;
   work.reserve(tuples.size());
+  // Keyed tuples bound for batchable Dereferencer stages are buffered across
+  // the whole cascade and flushed as coalesced per-partition batch tasks at
+  // the end. They are not yet in flight, so the fail-fast returns below
+  // drop them without unbalancing the count.
   std::map<size_t, std::vector<Tuple>> batch_buffer;
   for (auto it = tuples.rbegin(); it != tuples.rend(); ++it) {
     work.push_back(Pending{next_stage, std::move(*it)});
@@ -508,6 +526,8 @@ void AsyncExecutor::Route(RunState& state, sim::NodeId node,
     }
     const StageFunction& next_fn = *state.job->stages()[pending.stage];
     if (!next_fn.IsDereferencer() && options_.inline_referencers) {
+      // The paper's optimization: Referencers are lightweight, so run them
+      // on the emitting thread instead of round-tripping through a task.
       ExecContext ctx{node, cluster_, &state.metrics};
       ctx.trace = state.trace;
       ctx.stage = static_cast<uint32_t>(pending.stage);
@@ -541,6 +561,11 @@ void AsyncExecutor::Route(RunState& state, sim::NodeId node,
     }
     if (next_fn.IsDereferencer() && !pending.tuple.pointer.has_partition &&
         !pending.tuple.resolve_local && next_fn.WantsBroadcast()) {
+      // Broadcast: one copy per node, marked for local resolution. A copy
+      // bound for a down node of a replicated stage is redirected: it stays
+      // here with the down node as resolve_owner, and this node resolves
+      // that node's partitions through replica failover. Unreplicated
+      // stages fail the broadcast instead.
       state.metrics.broadcasts.fetch_add(1, std::memory_order_relaxed);
       const size_t bytes = ApproxTupleBytes(pending.tuple);
       const sim::NodeId last = state.num_nodes - 1;
@@ -613,14 +638,45 @@ void AsyncExecutor::Dispatch(RunState& run, sim::NodeId dest, size_t stage,
   frame->stage = stage;
   frame->tuples = std::move(tuples);
   frame->enqueue_us = NowMicros();
-  const bool handed_off =
-      options_.deterministic_seed != 0
-          ? run.det_queues[dest]->Push(frame)
-          : Handoff([this, frame] { RunTaskAsync(frame); });
-  if (!handed_off) {
-    // Rejected enqueue (the executor is shutting down under a live run):
-    // balance the count or the run hangs.
-    delete frame;
+  if (cap_ != 0) {
+    NodeSlots& slots = slots_[dest];
+    std::lock_guard<std::mutex> lock(slots.mutex);
+    if (slots.running == cap_) {
+      slots.parked.push_back(frame);
+      return;
+    }
+    ++slots.running;
+  }
+  const bool handed_off = options_.deterministic_seed != 0
+                              ? run.det_queues[dest]->Push(frame)
+                              : Start(frame);
+  // Rejected enqueue (the executor is shutting down under a live run):
+  // balance the count or the run hangs.
+  if (!handed_off) EndTask(frame);
+}
+
+bool AsyncExecutor::Start(TaskFrame* frame) {
+  return Handoff([this, frame] { RunTaskAsync(frame); });
+}
+
+void AsyncExecutor::ReleaseSlot(sim::NodeId node) {
+  NodeSlots& slots = slots_[node];
+  for (;;) {
+    TaskFrame* next = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(slots.mutex);
+      if (slots.parked.empty()) {
+        --slots.running;
+        return;
+      }
+      next = slots.parked.front();
+      slots.parked.pop_front();
+    }
+    // The slot passes to `next`. Rejected (shutting down): drop `next`
+    // and pass the slot on again.
+    if (Start(next)) return;
+    RunState& run = *next->run;
+    delete next;
     run.inflight.Done();
   }
 }
@@ -786,12 +842,12 @@ StatusOr<JobResult> AsyncExecutor::ExecuteDeterministic(const Job& job,
 void AsyncExecutor::RunDeterministic(RunState& run) {
   // One thread, one PRNG, TWO source kinds per node: the task queue and the
   // completion queue. The seed therefore permutes not only which task runs
-  // next (as in the threaded engine) but also the ORDER asynchronous device
-  // completions are delivered relative to task starts and to each other —
-  // every interleaving is a valid schedule of the same DAG, and identical
-  // seeds replay identically (exactly reproducible when device timing is
-  // disabled; a live timer thread perturbs only WHEN completions become
-  // visible, never their per-op results).
+  // next but also the ORDER asynchronous device completions are delivered
+  // relative to task starts and to each other — every interleaving is a
+  // valid schedule of the same DAG, and identical seeds replay identically
+  // (exactly reproducible when device timing is disabled; a live timer
+  // thread perturbs only WHEN completions become visible, never their
+  // per-op results).
   Random rng(options_.deterministic_seed);
   StopWatch watch;
   struct Source {

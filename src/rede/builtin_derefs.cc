@@ -277,8 +277,7 @@ struct Frame {
 /// that succeeds is adopted; an arm that fails defers to the other one while
 /// it is in flight, and the read adopts the primary's failure once both have
 /// failed. Each arm holds its own RetainIo pin on the runtime from launch
-/// until it lands, so the run (or the threaded engine's task) cannot end
-/// under either arm.
+/// until it lands, so the run cannot end under either arm.
 struct HedgeState {
   std::mutex mutex;
   ExecContext ctx;
@@ -942,81 +941,7 @@ class RangeDereferencer final : public Dereferencer {
   RangeRouting routing_;
 };
 
-/// NOTE: no ExecuteAsync override — the inherited blocking fallback is the
-/// intended behavior for the retry decorator: its retry loop would otherwise
-/// need its own continuation chain, and the async engine already layers
-/// retry/backoff at the task level (the decorator is for direct callers).
-class RetryingDereferencer final : public Dereferencer {
- public:
-  RetryingDereferencer(StageFunctionPtr inner, size_t max_attempts)
-      : Dereferencer(inner->name() + "-retry"),
-        inner_(std::move(inner)),
-        max_attempts_(max_attempts) {
-    LH_CHECK_MSG(inner_->IsDereferencer(),
-                 "retry decorator wraps Dereferencers only");
-    LH_CHECK_MSG(max_attempts_ >= 1, "need at least one attempt");
-  }
-
-  bool WantsBroadcast() const override { return inner_->WantsBroadcast(); }
-
-  uint32_t TargetReplication() const override {
-    return inner_->TargetReplication();
-  }
-
-  bool SupportsBatchedDereference() const override {
-    return inner_->SupportsBatchedDereference();
-  }
-
-  uint32_t PartitionOfPointer(const io::Pointer& ptr) const override {
-    return inner_->PartitionOfPointer(ptr);
-  }
-
-  Status Execute(const ExecContext& ctx, const Tuple& input,
-                 std::vector<Tuple>* out) const override {
-    Status last;
-    for (size_t attempt = 0; attempt < max_attempts_; ++attempt) {
-      std::vector<Tuple> scratch;
-      last = inner_->Execute(ctx, input, &scratch);
-      if (last.ok()) {
-        for (auto& tuple : scratch) out->push_back(std::move(tuple));
-        return Status::OK();
-      }
-      if (!last.IsRetryable()) return last;  // not transient: fail fast
-    }
-    return last.WithContext("after " + std::to_string(max_attempts_) +
-                            " attempts");
-  }
-
-  Status ExecuteBatch(const ExecContext& ctx, const std::vector<Tuple>& inputs,
-                      std::vector<Tuple>* out) const override {
-    // The inner batch already invalidates its own partial cache admissions
-    // on failure, so each retry re-reads from a clean slate.
-    Status last;
-    for (size_t attempt = 0; attempt < max_attempts_; ++attempt) {
-      std::vector<Tuple> scratch;
-      last = inner_->ExecuteBatch(ctx, inputs, &scratch);
-      if (last.ok()) {
-        for (auto& tuple : scratch) out->push_back(std::move(tuple));
-        return Status::OK();
-      }
-      if (!last.IsRetryable()) return last;
-    }
-    return last.WithContext("after " + std::to_string(max_attempts_) +
-                            " attempts");
-  }
-
- private:
-  StageFunctionPtr inner_;
-  size_t max_attempts_;
-};
-
 }  // namespace
-
-StageFunctionPtr MakeRetryingDereferencer(StageFunctionPtr inner,
-                                          size_t max_attempts) {
-  return std::make_shared<RetryingDereferencer>(std::move(inner),
-                                                max_attempts);
-}
 
 StageFunctionPtr MakePointDereferencer(
     std::string name, std::shared_ptr<io::File> file, Filter filter,

@@ -52,15 +52,4 @@ StageFunctionPtr MakeRangeDereferencer(
     std::string name, std::shared_ptr<io::BtreeFile> file,
     Filter filter = nullptr, RangeRouting routing = RangeRouting::kBroadcast);
 
-/// Decorate a Dereferencer with bounded retries on transient failures. Any
-/// non-retryable status (see Status::IsRetryable) fails immediately; a
-/// retryable one (kIoError, kUnavailable, kResourceExhausted) is retried up
-/// to `max_attempts` executions total before surfacing. Emissions of failed
-/// attempts are discarded, so a retried invocation is exactly-once with
-/// respect to downstream stages. This is how fine-grained jobs survive the
-/// retryable faults real devices and object stores exhibit, without
-/// restarting the whole job.
-StageFunctionPtr MakeRetryingDereferencer(StageFunctionPtr inner,
-                                          size_t max_attempts = 3);
-
 }  // namespace lakeharbor::rede

@@ -1,13 +1,11 @@
 #include "rede/engine.h"
 
-#include "rede/async_executor.h"
-
 namespace lakeharbor::rede {
 
 namespace {
 /// Build the SMPE-mode executor selected by options.engine.
-std::unique_ptr<Executor> MakeSmpeExecutor(sim::Cluster* cluster,
-                                           const SmpeOptions& options) {
+std::unique_ptr<AsyncExecutor> MakeSmpeExecutor(sim::Cluster* cluster,
+                                                const SmpeOptions& options) {
   if (options.engine == SmpeEngine::kAsync) {
     return std::make_unique<AsyncExecutor>(cluster, options);
   }
@@ -36,15 +34,6 @@ Engine::Engine(sim::Cluster* cluster, EngineOptions options)
       partitioned_executor_(cluster, options.smpe.retry, options.smpe.cache,
                             options.smpe.trace_sample_n) {
   LH_CHECK(cluster_ != nullptr);
-  // Capture the concrete executor's cache here, in the ctor body: the
-  // Executor interface has no cache accessor, and writing smpe_cache_ from
-  // inside smpe_executor_'s initializer would be clobbered by smpe_cache_'s
-  // own (later, declaration-ordered) default initialization.
-  smpe_cache_ = options.smpe.engine == SmpeEngine::kAsync
-                    ? static_cast<AsyncExecutor*>(smpe_executor_.get())
-                          ->record_cache()
-                    : static_cast<SmpeExecutor*>(smpe_executor_.get())
-                          ->record_cache();
 }
 
 StatusOr<std::shared_ptr<io::BtreeFile>> Engine::BuildStructure(

@@ -82,8 +82,8 @@ class Engine {
   StatusOr<CollectedResult> ExecuteCollect(const Job& job, ExecutionMode mode);
 
   /// The executor behind `mode` — what a sched::JobScheduler fronts when
-  /// scheduling jobs of this engine. In SMPE mode the concrete executor is
-  /// chosen by SmpeOptions::engine (threaded baseline or async).
+  /// scheduling jobs of this engine. In SMPE mode SmpeOptions::engine picks
+  /// the capped SmpeExecutor or the uncapped AsyncExecutor.
   Executor& executor(ExecutionMode mode) {
     return mode == ExecutionMode::kSmpe
                ? *smpe_executor_
@@ -92,8 +92,9 @@ class Engine {
 
   /// The SMPE executor's record cache (nullptr when caching is off) — for
   /// cross-checking per-job cache attribution against global counters.
-  /// Engine-kind agnostic: both SMPE engines expose their cache here.
-  RecordCache* smpe_record_cache() const { return smpe_cache_; }
+  RecordCache* smpe_record_cache() const {
+    return smpe_executor_->record_cache();
+  }
 
  private:
   sim::Cluster* cluster_;
@@ -101,10 +102,7 @@ class Engine {
   index::IndexBuilder index_builder_;
   index::IndexCatalog index_catalog_;
   /// SmpeExecutor or AsyncExecutor, per SmpeOptions::engine.
-  std::unique_ptr<Executor> smpe_executor_;
-  /// The SMPE executor's cache, captured from the concrete type at
-  /// construction (Executor has no cache accessor).
-  RecordCache* smpe_cache_ = nullptr;
+  std::unique_ptr<AsyncExecutor> smpe_executor_;
   PartitionedExecutor partitioned_executor_;
 };
 

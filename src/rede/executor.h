@@ -45,8 +45,8 @@ inline obs::JobProfile ProfileOf(const JobResult& result) {
 /// Execute() is safe to call concurrently from many threads: all per-run
 /// state (metrics, trace, in-flight tracking, cancellation) lives in a
 /// per-call RunState, and cache activity is charged at its call sites to
-/// the performing run — overlapping runs share pools and the record cache
-/// but never each other's counters.
+/// the performing run — overlapping runs share workers, the per-node cap
+/// and the record cache but never each other's counters.
 class Executor {
  public:
   virtual ~Executor() = default;

@@ -6,12 +6,12 @@
 /// Hedged-read knobs. A hedged read races a second replica after the
 /// primary has been quiet for `deadline_us`; the first arm to succeed is
 /// adopted and the loser is discarded without touching run metrics or
-/// emitting records. Both SMPE engines run the one continuation protocol in
-/// builtin_derefs.cc: the deadline is an AsyncRuntime timer, and each arm
-/// in flight pins the runtime (RetainIo) until its possibly late
-/// completion has landed. The async engine's
-/// runtime is the run; the threaded engine's is a driver local to the
-/// task, on the task's own pool thread. No thread is spawned per hedge.
+/// emitting records. The SMPE engine runs the continuation protocol in
+/// builtin_derefs.cc: the deadline is a timer of the run's AsyncRuntime,
+/// and each arm in flight pins the run (RetainIo) until its possibly late
+/// completion has landed — the run, not a slot of the per-node cap, so a
+/// task frees its slot when it finishes, its loser arm still in flight. No
+/// thread is spawned per hedge.
 
 namespace lakeharbor::rede {
 

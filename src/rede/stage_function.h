@@ -25,10 +25,10 @@ class RecordCache;
 ///  - RetainIo()/ReleaseIo() pin the runtime against teardown for an I/O
 ///    whose completion outlives its task's logical result — the hedge loser
 ///    arm — so no continuation frame is ever leaked.
-/// Provided per run by the async engine, and per task by the threaded
-/// engine when its run hedges (a driver on the task's pool thread). Null in
-/// deterministic replay, in the partitioned executor and in inline Execute
-/// calls, which therefore never hedge.
+/// Provided per run by the SMPE engine (capped or not); a pin holds the
+/// run, never a slot of the per-node cap. Null in deterministic replay, in
+/// the partitioned executor and in inline Execute calls, which therefore
+/// never hedge.
 class AsyncRuntime {
  public:
   virtual ~AsyncRuntime() = default;
@@ -71,8 +71,9 @@ struct ExecContext {
 
 /// Base of the two function kinds composing a ReDe job (§III-B). The
 /// executor dispatches on IsDereferencer(): Dereferencers incur I/O and run
-/// on pool threads; Referencers are CPU-cheap and by default run inline on
-/// the emitting thread ("ReDe does not switch threads for Referencers").
+/// as tasks of their own; Referencers are CPU-cheap and by default run
+/// inline on the emitting thread ("ReDe does not switch threads for
+/// Referencers").
 class StageFunction {
  public:
   virtual ~StageFunction() = default;
@@ -141,8 +142,8 @@ class StageFunction {
   /// implement only this form — state machines that suspend across device
   /// completions — and their Execute runs it inline without a completion
   /// queue. The default falls back to Execute and completes inline, which
-  /// keeps custom stage functions correct (they merely occupy a worker
-  /// while blocked, like one thread of the threaded engine).
+  /// keeps custom stage functions correct: they merely hold the SMPE
+  /// engine's CPU worker for the whole call, device waits included.
   virtual void ExecuteAsync(const ExecContext& ctx, const Tuple& input,
                             std::vector<Tuple>* out, AsyncDone done) const {
     done(Execute(ctx, input, out));

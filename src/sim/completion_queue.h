@@ -20,8 +20,8 @@ namespace lakeharbor::sim {
 ///
 /// `outcome` carries the silent-corruption verdict of a successful read
 /// (see sim::ReadOutcome): drawn once at submission from the same seeded
-/// stream as the blocking path, delivered with the completion so the async
-/// engine sees bit-identical rot to the threaded one.
+/// stream as the blocking path, delivered with the completion so the SMPE
+/// engine sees bit-identical rot to a blocking reader.
 struct Completion {
   uint64_t tag = 0;
   Status status;

@@ -1,11 +1,14 @@
-// AsyncExecutor (SmpeEngine::kAsync) tests: the continuation engine must be
-// observationally identical to the threaded baseline — same checksums on
-// Q5'/claims/point-lookup workloads, same retry/failover/hedge semantics
-// under injected faults and outages, and zero leaked in-flight continuation
-// frames after cancellation, deadline expiry, or executor teardown.
+// The one SMPE engine: AsyncExecutor (uncapped, SmpeEngine::kAsync) and
+// SmpeExecutor (the same engine capped at threads_per_node running tasks
+// per node) must agree — same checksums on Q5'/claims/point-lookup
+// workloads, same retry/failover semantics under injected faults and
+// outages — with zero leaked in-flight continuation frames after
+// cancellation, deadline expiry, or executor teardown, and a cap that holds
+// across overlapping runs without starting a thread.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,6 +36,7 @@
 #include "rede/record_cache.h"
 #include "rede/smpe_executor.h"
 #include "sim/cluster.h"
+#include "process_threads.h"
 #include "tpch/generator.h"
 #include "tpch/loader.h"
 #include "tpch/q5.h"
@@ -587,6 +591,149 @@ TEST(AsyncCancellation, RetryBackoffTimersHonorCancellation) {
     // earlier.
     EXPECT_LT(watch.ElapsedMillis(), 5000.0);
   }
+}
+
+// ------------------------------------------- one engine: the per-node cap
+
+/// Blocking Dereferencer (no continuation form, so each call holds a
+/// worker) that passes its input through after `sleep_us` and records, per
+/// node, the most calls that ran at once.
+class NodePeakDeref final : public Dereferencer {
+ public:
+  NodePeakDeref(std::string name, uint32_t nodes, uint64_t sleep_us)
+      : Dereferencer(std::move(name)), gauges_(nodes), sleep_us_(sleep_us) {}
+
+  Status Execute(const ExecContext& ctx, const Tuple& input,
+                 std::vector<Tuple>* out) const override {
+    Gauge& gauge = gauges_[ctx.node];
+    const int now = gauge.running.fetch_add(1) + 1;
+    int peak = gauge.peak.load();
+    while (now > peak && !gauge.peak.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
+    gauge.running.fetch_sub(1);
+    out->push_back(input);
+    return Status::OK();
+  }
+
+  int peak(sim::NodeId node) const { return gauges_[node].peak.load(); }
+
+ private:
+  struct Gauge {
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+  };
+  mutable std::vector<Gauge> gauges_;
+  uint64_t sleep_us_;
+};
+
+TEST(OneEngine, OverlappingRunsShareTheCapOfEachNode) {
+  constexpr uint32_t kNodes = 4;
+  constexpr int kFanOut = 24;
+  sim::Cluster cluster(sim::ClusterOptions::ForNodes(kNodes));
+  SmpeOptions options;
+  options.threads_per_node = 2;
+  options.async_workers = 8;  // enough workers for two jobs' worth of slots
+  SmpeExecutor executor(&cluster, options);
+
+  // Each job seeds one task per node, which fans out kFanOut blocking
+  // calls on that node. Both jobs share one gauge.
+  auto executed = std::make_shared<std::atomic<uint64_t>>(0);
+  auto blocking =
+      std::make_shared<NodePeakDeref>("blocking", kNodes, /*sleep_us=*/2000);
+  auto make_job = [&](const std::string& name) {
+    return JobBuilder(name)
+        .Initial(Tuple::Range(io::Pointer::Broadcast(io::EncodeInt64Key(0)),
+                              io::Pointer::Broadcast(io::EncodeInt64Key(1))))
+        .Add(std::make_shared<SleepyDeref>("gate", 0, executed))
+        .Add(std::make_shared<FanOut>("fan", kFanOut))
+        .Add(blocking)
+        .Build();
+  };
+  auto job_a = make_job("a");
+  auto job_b = make_job("b");
+  ASSERT_TRUE(job_a.ok() && job_b.ok());
+
+  StatusOr<std::vector<Tuple>> out_a = Status::Aborted("not run");
+  StatusOr<std::vector<Tuple>> out_b = Status::Aborted("not run");
+  std::thread second([&] { out_b = Collect(executor, *job_b); });
+  out_a = Collect(executor, *job_a);
+  second.join();
+
+  ASSERT_TRUE(out_a.ok()) << out_a.status().ToString();
+  ASSERT_TRUE(out_b.ok()) << out_b.status().ToString();
+  std::multiset<std::string> expected;
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    for (int i = 0; i < kFanOut; ++i) {
+      expected.insert(io::EncodeInt64Key(i));
+    }
+  }
+  for (const auto* out : {&*out_a, &*out_b}) {
+    std::multiset<std::string> keys;
+    for (const Tuple& tuple : *out) keys.insert(tuple.pointer.key);
+    EXPECT_EQ(keys, expected);
+  }
+  int highest = 0;
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    EXPECT_LE(blocking->peak(n), 2) << "node " << n;
+    highest = std::max(highest, blocking->peak(n));
+  }
+  EXPECT_EQ(highest, 2);
+}
+
+TEST(OneEngine, CappedPeakInFlightStaysWithinNodesTimesCap) {
+  constexpr uint32_t kNodes = 8;
+  constexpr int kKeys = 256;
+  sim::Cluster cluster(
+      sim::ClusterOptions::ForNodes(kNodes).EnableTiming(true, 0.05));
+  auto deep = std::make_shared<io::PartitionedFile>(
+      "deep", std::make_shared<io::HashPartitioner>(kNodes * 2), &cluster);
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = io::EncodeInt64Key(i);
+    ASSERT_TRUE(
+        deep->Append(key, key, io::Record("v" + std::to_string(i))).ok());
+  }
+  deep->Seal();
+  // Every node fans out kKeys timed point reads (most of them remote).
+  auto executed = std::make_shared<std::atomic<uint64_t>>(0);
+  auto job =
+      JobBuilder("deep-fan-out")
+          .Initial(Tuple::Range(io::Pointer::Broadcast(io::EncodeInt64Key(0)),
+                                io::Pointer::Broadcast(io::EncodeInt64Key(1))))
+          .Add(std::make_shared<SleepyDeref>("gate", 0, executed))
+          .Add(std::make_shared<FanOut>("fan", kKeys))
+          .Add(MakePointDereferencer("deref", deep))
+          .Build();
+  ASSERT_TRUE(job.ok());
+
+  SmpeOptions options;
+  options.threads_per_node = 2;
+  options.async_workers = 2;
+  SmpeExecutor capped(&cluster, options);
+  AsyncExecutor uncapped(&cluster, options);
+  MetricsSnapshot capped_metrics;
+  auto capped_out = Collect(capped, *job, &capped_metrics);
+  auto uncapped_out = Collect(uncapped, *job);
+  ASSERT_TRUE(capped_out.ok()) << capped_out.status().ToString();
+  ASSERT_TRUE(uncapped_out.ok()) << uncapped_out.status().ToString();
+  EXPECT_EQ(capped_out->size(), static_cast<size_t>(kNodes * kKeys));
+  EXPECT_EQ(Canonical(*capped_out), Canonical(*uncapped_out));
+  EXPECT_GT(capped_metrics.peak_parallel_derefs, 0);
+  EXPECT_LE(capped_metrics.peak_parallel_derefs,
+            static_cast<int64_t>(kNodes * options.threads_per_node));
+}
+
+TEST(OneEngine, ConstructingTheCappedEngineStartsNoPoolThreads) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "/proc/self/status unreadable";
+  sim::Cluster cluster(sim::ClusterOptions::ForNodes(8));
+  SmpeOptions options;
+  options.threads_per_node = 16;
+  options.async_workers = 2;
+  const int before = ProcessThreads();
+  SmpeExecutor executor(&cluster, options);
+  // The workers, plus at most the executor's timer thread.
+  EXPECT_LE(ProcessThreads() - before,
+            static_cast<int>(options.async_workers) + 1);
 }
 
 }  // namespace

@@ -491,17 +491,41 @@ TEST_F(FaultEngineFixture, RetryExhaustionSurfacesOriginalErrorWithContext) {
     auto result = engine->ExecuteCollect(*job, mode);
     ASSERT_FALSE(result.ok()) << ExecutionModeToString(mode);
     // The original transient code survives retry exhaustion, annotated with
-    // the attempt count.
+    // the attempt count: the first attempt plus three retries.
     EXPECT_TRUE(result.status().IsIOError());
-    EXPECT_NE(result.status().message().find("attempts"), std::string::npos)
+    EXPECT_NE(result.status().message().find("after 4 attempts"),
+              std::string::npos)
         << result.status().ToString();
     for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
       cluster.node(n).disk().ClearFault();
     }
-    // No hung dispatchers: the engine runs the same job again cleanly.
+    // No leaked tasks: the engine runs the same job again cleanly.
     auto recovered = engine->ExecuteCollect(*job, mode);
     ASSERT_TRUE(recovered.ok()) << ExecutionModeToString(mode);
     EXPECT_EQ(recovered->tuples.size(), static_cast<size_t>(kEmployees));
+  }
+  // A permanent error is never retried, whatever the policy: a read of an
+  // unsealed file answers kAborted after its first attempt.
+  auto unsealed = std::make_shared<io::PartitionedFile>(
+      "unsealed", std::make_shared<io::HashPartitioner>(4), &cluster);
+  auto permanent =
+      JobBuilder("unsealed-pk")
+          .Initial(Tuple::Point(io::Pointer::Keyed(io::EncodeInt64Key(1))))
+          .Add(MakePointDereferencer("deref-unsealed", unsealed))
+          .Build();
+  ASSERT_TRUE(permanent.ok());
+  for (auto mode : {ExecutionMode::kSmpe, ExecutionMode::kPartitioned}) {
+    auto result = engine->Execute(*permanent, mode);
+    ASSERT_FALSE(result.ok()) << ExecutionModeToString(mode);
+    EXPECT_TRUE(result.status().IsAborted()) << result.status().ToString();
+    EXPECT_EQ(result.status().message().find("after 4 attempts"),
+              std::string::npos)
+        << result.status().ToString();
+    if (mode == ExecutionMode::kSmpe) {
+      EXPECT_NE(result.status().message().find("after 1 attempts"),
+                std::string::npos)
+          << result.status().ToString();
+    }
   }
 }
 

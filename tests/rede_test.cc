@@ -425,87 +425,6 @@ TEST_F(EngineFixture, InlineReferencerAblationGivesSameResults) {
   EXPECT_GT(result->metrics.ref_invocations, 0u);
 }
 
-TEST_F(EngineFixture, RetryingDereferencerSurvivesTransientFaults) {
-  // The same join job, but every Dereferencer is wrapped in a retry
-  // decorator, and every disk fails every 16th operation. (The period must
-  // exceed the ops one dereference performs, or every retry of the same
-  // invocation deterministically re-hits a fault.)
-  auto emp = *engine.catalog().Get("emp");
-  auto dept = *engine.catalog().Get("dept");
-  auto idx = std::dynamic_pointer_cast<io::BtreeFile>(
-      *engine.catalog().Get("emp.dept.idx"));
-  auto retry_job =
-      JobBuilder("retry-join")
-          .Initial(Tuple::Range(io::Pointer::Broadcast(io::EncodeInt64Key(0)),
-                                io::Pointer::Broadcast(io::EncodeInt64Key(9))))
-          .Add(MakeRetryingDereferencer(
-              MakeRangeDereferencer("deref-idx", idx)))
-          .Add(MakeIndexEntryReferencer("ref-entry"))
-          .Add(MakeRetryingDereferencer(
-              MakePointDereferencer("deref-emp", emp)))
-          .Add(MakeKeyReferencer("ref-dept", EncodedInt64FieldInterpreter(2)))
-          .Add(MakeRetryingDereferencer(
-              MakePointDereferencer("deref-dept", dept)))
-          .Build();
-  ASSERT_TRUE(retry_job.ok());
-
-  // Baseline result on healthy disks.
-  auto clean = engine.ExecuteCollect(*retry_job, ExecutionMode::kSmpe);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_EQ(clean->tuples.size(), static_cast<size_t>(kEmployees));
-
-  for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
-    cluster.node(n).disk().InjectFaultEvery(16);
-  }
-  for (auto mode : {ExecutionMode::kSmpe, ExecutionMode::kPartitioned}) {
-    auto faulty = engine.ExecuteCollect(*retry_job, mode);
-    ASSERT_TRUE(faulty.ok()) << ExecutionModeToString(mode) << ": "
-                             << faulty.status().ToString();
-    EXPECT_EQ(Canonical(faulty->tuples), Canonical(clean->tuples));
-  }
-  // The undekorated job fails on the same disks.
-  auto plain_job = DeptJoinJob(0, 9);
-  ASSERT_TRUE(plain_job.ok());
-  auto plain = engine.ExecuteCollect(*plain_job, ExecutionMode::kSmpe);
-  EXPECT_FALSE(plain.ok());
-  EXPECT_TRUE(plain.status().IsIOError());
-  for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
-    cluster.node(n).disk().ClearFault();
-  }
-}
-
-TEST(RetryingDereferencer, FailsFastOnNonTransientErrors) {
-  sim::Cluster cluster(sim::ClusterOptions::ForNodes(1));
-  auto file = std::make_shared<io::PartitionedFile>(
-      "f", std::make_shared<io::HashPartitioner>(1), &cluster);
-  // Unsealed: Get returns Aborted, which must NOT be retried.
-  auto deref = MakeRetryingDereferencer(
-      MakePointDereferencer("deref", file), 5);
-  std::vector<Tuple> out;
-  ExecContext ctx{0, &cluster, nullptr};
-  Status s =
-      deref->Execute(ctx, Tuple::Point(io::Pointer::Keyed("k")), &out);
-  EXPECT_TRUE(s.IsAborted());
-}
-
-TEST(RetryingDereferencer, ExhaustsAttemptsOnPersistentIOError) {
-  sim::Cluster cluster(sim::ClusterOptions::ForNodes(1));
-  auto file = std::make_shared<io::PartitionedFile>(
-      "f", std::make_shared<io::HashPartitioner>(1), &cluster);
-  std::string key = io::EncodeInt64Key(1);
-  ASSERT_TRUE(file->Append(key, key, io::Record(std::string("r"))).ok());
-  file->Seal();
-  cluster.node(0).disk().InjectFaultAfter(0);  // permanent failure
-  auto deref = MakeRetryingDereferencer(
-      MakePointDereferencer("deref", file), 3);
-  std::vector<Tuple> out;
-  ExecContext ctx{0, &cluster, nullptr};
-  Status s = deref->Execute(ctx, Tuple::Point(io::Pointer::Keyed(key)), &out);
-  EXPECT_TRUE(s.IsIOError());
-  EXPECT_NE(s.message().find("after 3 attempts"), std::string::npos);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST_F(EngineFixture, PerStageMetricsBalance) {
   auto job = DeptJoinJob(0, 9);
   ASSERT_TRUE(job.ok());

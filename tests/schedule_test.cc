@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
@@ -100,6 +101,7 @@ struct ScheduleFixture : ::testing::Test {
     std::vector<std::string> ordered;  // output rows in emission order
     std::multiset<std::string> rows;   // unordered canonical result set
     MetricsSnapshot metrics;
+    std::set<std::thread::id> emit_threads;  // threads that called the sink
   };
 
   static std::string RowOf(const Tuple& tuple) {
@@ -117,6 +119,7 @@ struct ScheduleFixture : ::testing::Test {
     LH_ASSIGN_OR_RETURN(JobResult result,
                         executor.Execute(job, [&run](const Tuple& tuple) {
                           run.ordered.push_back(RowOf(tuple));
+                          run.emit_threads.insert(std::this_thread::get_id());
                         }));
     run.rows = std::multiset<std::string>(run.ordered.begin(),
                                           run.ordered.end());
@@ -179,8 +182,11 @@ TEST_F(ScheduleFixture, SeedsAgreeWithEachOtherAndWithThreadedExecution) {
     ASSERT_TRUE(seeded.ok()) << "seed " << seed;
     EXPECT_EQ(seeded->rows, threaded->rows) << "seed " << seed;
     ExpectScheduleIndependentMetricsEq(seeded->metrics, threaded->metrics);
-    // Single-threaded by construction.
-    EXPECT_LE(seeded->metrics.peak_parallel_derefs, 1);
+    // Single-threaded by construction: every row is emitted on the calling
+    // thread. (peak_parallel_derefs may exceed 1: it counts suspended
+    // dereferences, see AsyncSeedsAgreeWithThreadedRowsAndDagMetrics.)
+    EXPECT_EQ(seeded->emit_threads,
+              std::set<std::thread::id>{std::this_thread::get_id()});
   }
 }
 
