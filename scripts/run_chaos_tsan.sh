@@ -11,11 +11,14 @@
 # scrubber driving verify/repair jobs through the shared scheduler
 # (integrity_test), and streaming ingest: concurrent StreamAppend vs
 # epoch folds vs pinned-snapshot reads vs the background merger pump
-# (streaming_ingest_test), and the lock-free in-flight count and listener-mode
-# completion queue racing their destroyers (concurrent_test) — so a TSan-clean
-# pass is the "zero leaked inflight tasks, no torn state" acceptance gate. The obs-labeled suite (trace recorder, histograms,
-# profiler) rides along: its lock-free thread-local span buffers are exactly
-# the kind of code TSan exists for.
+# (streaming_ingest_test), the lock-free in-flight count and listener-mode
+# completion queue racing their destroyers (concurrent_test), and the async
+# workers' work-stealing sleep/wake protocol, whose tests the
+# async_executor_work_stealing_repeated entry runs 15 times over (a lost
+# wake-up hangs it into its timeout) — so a TSan-clean pass is the "zero
+# leaked inflight tasks, no torn state" acceptance gate. The obs-labeled
+# suite (trace recorder, histograms, profiler) rides along: its lock-free
+# thread-local span buffers are exactly the kind of code TSan exists for.
 #
 # Usage: scripts/run_chaos_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

@@ -18,13 +18,15 @@ namespace lakeharbor {
 /// (executors close the queue only once all producers are finished, so a
 /// late push indicates shutdown and its element is intentionally dropped).
 ///
-/// All condition-variable notifies happen while holding the lock. The async
-/// engine's ready queue has producers the owning executor cannot join
-/// (cluster timer threads delivering completions): the consumer that pops
-/// the final element may cause the queue to be destroyed, and an unlocked
-/// notify would let that destruction race the producer still inside the
-/// notify call. Under the lock, the consumer cannot re-acquire the mutex
-/// (and therefore cannot reach the destructor) until the notifier has left.
+/// All condition-variable notifies happen while holding the lock: the
+/// consumer that pops the final element may cause the queue to be
+/// destroyed, and an unlocked notify would let that destruction race a
+/// producer still inside the notify call. Under the lock, the consumer
+/// cannot re-acquire the mutex (and therefore cannot reach the destructor)
+/// until the notifier has left. (The async engine's workers take their work
+/// from RunQueues, not from this queue; its shared queue, whose producers
+/// include device timer threads the executor cannot join, wakes a sleeping
+/// worker under the queue's lock for the same reason.)
 template <typename T>
 class MpmcQueue {
  public:

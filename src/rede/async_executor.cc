@@ -6,10 +6,12 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <variant>
 
 #include "common/clock.h"
 #include "common/random.h"
 #include "concurrent/inflight_tracker.h"
+#include "concurrent/mpmc_queue.h"
 #include "obs/trace.h"
 #include "rede/deref_batch.h"
 #include "sim/completion_queue.h"
@@ -53,28 +55,6 @@ void RecordBackoffSpan(obs::TraceRecorder* trace, size_t stage,
   span.AddAttr("backoff_us", static_cast<int64_t>(backoff_us));
   if (interrupted) span.AddAttr("interrupted", 1);
   trace->Record(std::move(span));
-}
-
-/// The one-item local slot of the async worker running on this thread; null
-/// on every other thread. `owner` keeps a thunk that reaches another
-/// executor (a scheduler callback submitting there) off this worker. The
-/// slot holds either a dispatched task's thunk or a completion by value.
-struct LocalSlot {
-  const AsyncExecutor* owner = nullptr;
-  size_t worker = 0;  // the worker's index: its counter shard in every run
-  std::function<void()> thunk;
-  std::optional<sim::Completion> completion;
-
-  bool empty() const { return !thunk && !completion.has_value(); }
-};
-thread_local LocalSlot* tls_local_slot = nullptr;
-
-/// The calling thread's local slot when it is one of `exec`'s workers and
-/// the slot is empty; null otherwise.
-LocalSlot* EmptyLocalSlot(const AsyncExecutor* exec) {
-  LocalSlot* slot = tls_local_slot;
-  return slot != nullptr && slot->owner == exec && slot->empty() ? slot
-                                                                  : nullptr;
 }
 
 /// One stage's invocation and emission counts on a line of its own.
@@ -204,10 +184,10 @@ class AsyncExecutor::Runtime final : public AsyncRuntime {
  public:
   Runtime(AsyncExecutor* exec, RunState* run) : exec_(exec), run_(run) {}
   void After(uint64_t delay_us, std::function<void()> fn) override {
-    // The timer thread only enqueues; the continuation runs on a worker.
+    // The timer thread only hands off; the continuation runs on a worker.
     exec_->timers_.After(delay_us,
                          [exec = exec_, fn = std::move(fn)]() mutable {
-                           exec->ready_.Push(std::move(fn));
+                           exec->Handoff(std::move(fn));
                          });
   }
   void RetainIo() override { run_->inflight.Add(); }
@@ -237,66 +217,135 @@ AsyncExecutor::AsyncExecutor(sim::Cluster* cluster, SmpeOptions options,
                    ? options_.async_workers
                    : static_cast<size_t>(std::thread::hardware_concurrency());
     if (n == 0) n = 1;
-    workers_.reserve(n);
+    // Every Worker exists before any thread starts looking for work.
+    workers_ = std::vector<Worker>(n);
     for (size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
+      workers_[i].owner = this;
+      workers_[i].index = i;
+    }
+    threads_.reserve(n);
+    for (Worker& worker : workers_) {
+      threads_.emplace_back([this, &worker] { WorkerLoop(worker); });
     }
   }
 }
 
 AsyncExecutor::~AsyncExecutor() {
-  // Contract: no runs in flight, so no frame is parked in slots_.
-  // timers_ is destroyed before ready_ by declaration order, so a pending
-  // timer closure either fires into the closed queue (dropped) or is
-  // dropped by ~TimerService itself.
+  // Contract: no runs in flight, so no frame is parked in slots_ and every
+  // worker's slot and queue are empty. timers_ is destroyed before ready_
+  // by declaration order, so a pending timer closure either fires into the
+  // closed queue (dropped) or is dropped by ~TimerService itself.
   ready_.Close();
-  for (auto& worker : workers_) worker.join();
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    ++wake_epoch_;
+  }
+  idle_cv_.notify_all();
+  for (auto& thread : threads_) thread.join();
+}
+
+thread_local AsyncExecutor::Worker* AsyncExecutor::current_worker_ = nullptr;
+
+AsyncExecutor::Worker* AsyncExecutor::OwnWorker() const {
+  Worker* worker = current_worker_;
+  return worker != nullptr && worker->owner == this ? worker : nullptr;
 }
 
 AsyncExecutor::CounterShard& AsyncExecutor::ShardOf(RunState& run) const {
   if (options_.deterministic_seed != 0) return run.shards.front();
-  const LocalSlot* slot = tls_local_slot;
-  LH_DCHECK(slot != nullptr && slot->owner == this);
-  return run.shards[slot->worker];
+  const Worker* worker = OwnWorker();
+  LH_DCHECK(worker != nullptr);
+  return run.shards[worker->index];
 }
 
-bool AsyncExecutor::Handoff(std::function<void()> thunk) {
-  if (LocalSlot* slot = EmptyLocalSlot(this)) {
-    slot->thunk = std::move(thunk);
+bool AsyncExecutor::Handoff(Work work) {
+  if (Worker* self = OwnWorker()) {
+    if (!self->slot.has_value()) {
+      self->slot.emplace(std::move(work));
+    } else {
+      // Only this worker pushes here, and the destructor joins it before
+      // the wake state dies, so it may wake a peer after the push returns.
+      self->queue.Push(std::move(work));
+      WakeOne();
+    }
     return true;
   }
-  return ready_.Push(std::move(thunk));
+  // The pusher may be a device timer thread the executor cannot join: it
+  // wakes a sleeper under the queue's lock, and touches nothing after.
+  return ready_.Push(std::move(work), [this] { WakeOne(); });
 }
 
-void AsyncExecutor::Deliver(const sim::Completion& c) {
-  if (LocalSlot* slot = EmptyLocalSlot(this)) {
-    slot->completion = c;
-    return;
+void AsyncExecutor::WakeOne() {
+  if (sleepers_.load() == 0) return;
+  std::lock_guard<std::mutex> lock(idle_mutex_);
+  ++wake_epoch_;
+  idle_cv_.notify_one();
+}
+
+std::optional<AsyncExecutor::Work> AsyncExecutor::NextWork(
+    Worker& self, size_t& since_poll) {
+  if (since_poll >= kSharedPollInterval) {
+    since_poll = 0;
+    if (auto work = ready_.PopFront()) return work;
   }
-  ready_.Push([c] { sim::DeliverCallbackTag(c); });
-}
-
-void AsyncExecutor::WorkerLoop(size_t worker) {
-  LocalSlot slot{this, worker, nullptr, std::nullopt};
-  tls_local_slot = &slot;
-  while (auto fn = ready_.Pop()) {
-    (*fn)();
-    // The slot is drained only after the thunk that filled it returned, so
-    // a continuation never runs inside the device call that completed it.
-    // It is emptied before its item runs, so that item can refill it.
-    for (;;) {
-      if (slot.thunk) {
-        std::exchange(slot.thunk, nullptr)();
-      } else if (slot.completion.has_value()) {
-        const sim::Completion c = std::move(*slot.completion);
-        slot.completion.reset();
-        sim::DeliverCallbackTag(c);
-      } else {
-        break;
-      }
+  if (self.slot.has_value()) return std::exchange(self.slot, std::nullopt);
+  if (auto work = self.queue.PopBack()) return work;
+  const size_t n = workers_.size();
+  for (size_t i = 1; i < n; ++i) {
+    if (auto work = workers_[(self.index + i) % n].queue.PopFront()) {
+      return work;
     }
   }
-  tls_local_slot = nullptr;
+  since_poll = 0;
+  return ready_.PopFront();
+}
+
+bool AsyncExecutor::Idle() {
+  uint64_t epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    epoch = wake_epoch_;
+  }
+  sleepers_.fetch_add(1);
+  // Counted as a sleeper, look once more: a push that found no sleeper is
+  // visible here (RunQueue's seq_cst size), and any later push wakes us.
+  bool work_left = !ready_.empty();
+  for (const Worker& worker : workers_) {
+    work_left = work_left || !worker.queue.empty();
+  }
+  bool keep_running = true;
+  if (!work_left) {
+    if (ready_.closed()) {
+      keep_running = false;
+    } else {
+      std::unique_lock<std::mutex> lock(idle_mutex_);
+      idle_cv_.wait(lock, [&] { return wake_epoch_ != epoch; });
+    }
+  }
+  sleepers_.fetch_sub(1);
+  return keep_running;
+}
+
+void AsyncExecutor::WorkerLoop(Worker& self) {
+  current_worker_ = &self;
+  size_t since_poll = 0;
+  for (;;) {
+    std::optional<Work> work = NextWork(self, since_poll);
+    if (!work.has_value()) {
+      if (Idle()) continue;
+      break;
+    }
+    ++since_poll;
+    // The item left the slot or queue before it runs, so it can refill
+    // them; they are drained only after it returns, so a continuation
+    // never runs inside the device call that completed it.
+    if (auto* thunk = std::get_if<std::function<void()>>(&*work)) {
+      (*thunk)();
+    } else {
+      sim::DeliverCallbackTag(std::get<sim::Completion>(*work));
+    }
+  }
+  current_worker_ = nullptr;
 }
 
 void AsyncExecutor::RunTaskAsync(TaskFrame* frame) {
@@ -771,10 +820,10 @@ void AsyncExecutor::Submit(const Job& job, const ResultSink& sink,
   for (uint32_t n = 0; n < run->num_nodes; ++n) {
     // Listener mode: completions are handed off, never run in place, so
     // the device stack never re-enters itself. One delivered inline on a
-    // submitting worker parks in its local slot; one from the device timer
+    // submitting worker stays with that worker; one from the device timer
     // thread goes to the shared queue.
     run->cqs.push_back(std::make_unique<sim::CompletionQueue>(
-        [this](const sim::Completion& c) { Deliver(c); }));
+        [this](const sim::Completion& c) { Handoff(c); }));
   }
   // Run guard: hold the count above zero across seeding AND arming so the
   // completion callback cannot fire mid-setup (the race-free pattern

@@ -1,15 +1,18 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
-#include "concurrent/mpmc_queue.h"
+#include "concurrent/run_queue.h"
 #include "concurrent/timer_service.h"
 #include "rede/executor.h"
 #include "rede/record_cache.h"
@@ -53,15 +56,26 @@ namespace lakeharbor::rede {
 ///
 /// Hand-off: a task is one heap frame (TaskFrame: its tuples and its
 /// continuation state), handed to a worker as a 16-byte thunk of `this` and
-/// the frame pointer, which std::function stores inline. Each worker owns a
-/// one-item local slot that it drains after the current thunk returns. The
-/// slot takes a completion the device delivered inline during that worker's
-/// own submission — parked by value — or the first task the worker
-/// dispatches while the slot is empty; everything else (timer thread
-/// completions, further children, backoff and hedge timers, submissions
-/// from outside a worker) goes through the shared ready queue. Nothing runs
-/// in place, so the device stack is never re-entered and the timer thread
-/// never runs a continuation.
+/// the frame pointer, which std::function stores inline; a device
+/// completion is handed off by value. Work stealing (Blumofe & Leiserson,
+/// JACM 1999): each worker owns a one-item slot and a run queue. A hand-off
+/// made on one of this executor's workers — a task it dispatches, a
+/// completion the device delivered inline during its own submission —
+/// fills its slot when empty, else joins its queue. The worker drains the
+/// slot, then its queue newest-first, so it follows the subtree it just
+/// made; a worker without local work steals the oldest item of a peer's
+/// queue, else takes the shared queue's oldest item. Only hand-offs from
+/// other threads (device timer completions, backoff and hedge timers,
+/// Submit's seeds from callers and the scheduler) go to the shared queue,
+/// whose oldest item every worker takes first before every
+/// kSharedPollInterval-th item it runs, slot items included, so an outside
+/// hand-off never waits behind a whole local backlog. Stealing before the
+/// shared queue starts a timed fan-out's reads before their first
+/// completions are consumed, so the device sees the whole fan-out at
+/// once. Idle workers block until a push finds them asleep; nothing polls.
+/// Nothing runs in place either: the slot and the queues are drained only
+/// after the current item returns, so the device stack is never
+/// re-entered and the timer thread never runs a continuation.
 ///
 /// Frames, thunks and continuations refer to the run by plain pointer: the
 /// in-flight count a frame holds keeps the run alive, and EndTask deletes
@@ -127,6 +141,26 @@ class AsyncExecutor : public Executor {
   struct CounterShard;  // one worker's engine counters of a run; defined in .cc
   class Runtime;        // per-run AsyncRuntime implementation; defined in .cc
 
+  /// What a worker runs: a task or timer thunk, or a device completion
+  /// kept by value (no heap thunk per completion).
+  using Work = std::variant<std::function<void()>, sim::Completion>;
+
+  /// A worker with local work still takes the shared queue's oldest item
+  /// before every kSharedPollInterval-th item it runs. Large enough that
+  /// the check (one atomic load while the queue is empty) costs nothing;
+  /// small enough that an outside hand-off waits for a few dozen items of
+  /// a worker's backlog, not all of it.
+  static constexpr size_t kSharedPollInterval = 32;
+
+  /// One worker's hand-off state (see the class comment). Only the worker
+  /// touches its slot; peers steal from the front of its queue.
+  struct alignas(64) Worker {
+    const AsyncExecutor* owner = nullptr;
+    size_t index = 0;  // the worker's counter shard in every run
+    std::optional<Work> slot;
+    RunQueue<Work> queue;
+  };
+
   /// One node's share of the per-node cap.
   struct NodeSlots {
     std::mutex mutex;
@@ -166,17 +200,28 @@ class AsyncExecutor : public Executor {
   void FinalizeRun(const std::shared_ptr<RunState>& run);
   /// Single-threaded seeded drain of task AND completion sources.
   void RunDeterministic(RunState& run);
-  /// Hands a thunk to a worker: into the calling worker's empty local slot
-  /// when called on one of this executor's workers, else onto ready_.
-  /// Returns false when the executor is shutting down.
-  bool Handoff(std::function<void()> thunk);
-  /// Listener of the per-node completion queues: parks the completion by
-  /// value in the calling worker's empty local slot, else queues it.
-  void Deliver(const sim::Completion& c);
+  /// Hands work to a worker. On one of this executor's workers: into its
+  /// slot when empty, else onto its own queue. From any other thread: onto
+  /// the shared queue, waking a sleeping worker. Returns false, dropping
+  /// the work, when the shared queue has closed (the executor is shutting
+  /// down). Also the listener of the per-node completion queues.
+  bool Handoff(Work work);
+  /// The calling thread's Worker when it is one of this executor's; null
+  /// otherwise.
+  Worker* OwnWorker() const;
   /// The calling thread's counter shard of `run`: its worker's in real
   /// time, the single shard under deterministic replay.
   CounterShard& ShardOf(RunState& run) const;
-  void WorkerLoop(size_t worker);
+  void WorkerLoop(Worker& self);
+  /// The next item for `self` (see the class comment), or nullopt when no
+  /// queue has any. `since_poll` counts items run since the shared queue
+  /// was last looked at.
+  std::optional<Work> NextWork(Worker& self, size_t& since_poll);
+  /// Blocks until a push may have made work; false once the executor is
+  /// closing and no queue holds work.
+  bool Idle();
+  /// Wakes one sleeping worker, if any (called after every push).
+  void WakeOne();
 
   std::string name_;
   sim::Cluster* cluster_;
@@ -186,16 +231,26 @@ class AsyncExecutor : public Executor {
   const size_t cap_;
   std::vector<NodeSlots> slots_;
   std::unique_ptr<RecordCache> cache_;  // nullptr unless cache.enabled
-  /// Executor-wide ready queue: task thunks and delivered completions that
-  /// did not fit a worker's local slot (see Handoff), drained by the shared
-  /// worker pool. Closed (only) at destruction.
-  MpmcQueue<std::function<void()>> ready_;
+  /// The shared queue: hand-offs from threads that are not this
+  /// executor's workers (see Handoff). Closed (only) at destruction.
+  RunQueue<Work> ready_;
+  std::vector<Worker> workers_;  // empty in deterministic mode
+  /// The Worker running on this thread, of whichever executor; null on
+  /// every other thread.
+  static thread_local Worker* current_worker_;
+  /// Sleep and wake. A worker about to sleep reads wake_epoch_, counts
+  /// itself in sleepers_ and looks at every queue once more; a push that
+  /// then finds a sleeper bumps the epoch, so the sleeper cannot miss it.
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
+  uint64_t wake_epoch_ = 0;  // guarded by idle_mutex_
+  std::atomic<size_t> sleepers_{0};
   /// Executor-owned timers for retry backoffs, hedge deadlines, and run
-  /// watchdogs. Declared after ready_ so it is destroyed FIRST: a late
-  /// timer closure pushes into the already-closed ready queue (dropped
-  /// silently) instead of into freed memory.
+  /// watchdogs. Declared after the queues and the wake state so it is
+  /// destroyed FIRST: a late timer closure pushes into the already-closed
+  /// shared queue (dropped silently) instead of into freed memory.
   TimerService timers_;
-  std::vector<std::thread> workers_;  // empty in deterministic mode
+  std::vector<std::thread> threads_;  // one per worker
   std::atomic<uint64_t> run_seq_{0};
 };
 

@@ -3,8 +3,10 @@
 // per node) must agree — same checksums on Q5'/claims/point-lookup
 // workloads, same retry/failover semantics under injected faults and
 // outages — with zero leaked in-flight continuation frames after
-// cancellation, deadline expiry, or executor teardown, and a cap that holds
-// across overlapping runs without starting a thread.
+// cancellation, deadline expiry, or executor teardown, a cap that holds
+// across overlapping runs without starting a thread, and work-stealing
+// hand-offs that spread one worker's fan-out and never let its local
+// backlog starve a submission from outside.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -227,13 +230,14 @@ TEST_F(WorkloadParity, Q5ClaimsAndPkLookupsChecksumIdenticallyToThreaded) {
   ExpectParity(options);
 }
 
-/// The worker hand-off paths (a worker's local slot vs the shared ready
-/// queue) over every combination of: one or four workers; device timing off
-/// (every completion is delivered inline on the submitting worker) or on at
-/// time scale 0.05 (completions arrive from the device timer thread); and
-/// batching and caching off, or batches of up to 16 with the record cache
-/// on (ExecuteBatchAsync's inline completions, cache hits that complete
-/// without a device op).
+/// The worker hand-off paths over every combination of: one worker (its
+/// slot, its own run queue and the shared queue) or four (stealing from
+/// each other's queues too); device timing off (every completion is
+/// delivered inline on the submitting worker and stays with it) or on at
+/// time scale 0.05 (completions arrive from the device timer thread through
+/// the shared queue); and batching and caching off, or batches of up to 16
+/// with the record cache on (ExecuteBatchAsync's inline completions, cache
+/// hits that complete without a device op).
 using HandoffCell = std::tuple<size_t, bool, bool>;
 
 class HandoffMatrix : public WorkloadParity,
@@ -439,12 +443,16 @@ class SleepyDeref final : public Dereferencer {
   std::shared_ptr<std::atomic<uint64_t>> executed_;
 };
 
-/// Fans one input out into `n` keyed tuples.
+/// Fans one input out into `n` keyed tuples; with `only_on` set, only on
+/// that node (elsewhere it emits nothing).
 class FanOut final : public Referencer {
  public:
-  FanOut(std::string name, int n) : Referencer(std::move(name)), n_(n) {}
-  Status Execute(const ExecContext&, const Tuple&,
+  FanOut(std::string name, int n,
+         std::optional<sim::NodeId> only_on = std::nullopt)
+      : Referencer(std::move(name)), n_(n), only_on_(only_on) {}
+  Status Execute(const ExecContext& ctx, const Tuple&,
                  std::vector<Tuple>* out) const override {
+    if (only_on_.has_value() && ctx.node != *only_on_) return Status::OK();
     for (int i = 0; i < n_; ++i) {
       out->push_back(Tuple::Point(io::Pointer::Keyed(io::EncodeInt64Key(i))));
     }
@@ -453,6 +461,7 @@ class FanOut final : public Referencer {
 
  private:
   int n_;
+  std::optional<sim::NodeId> only_on_;
 };
 
 StatusOr<Job> SleepyJob(uint64_t sleep_us, int fan_out,
@@ -597,7 +606,8 @@ TEST(AsyncCancellation, RetryBackoffTimersHonorCancellation) {
 
 /// Blocking Dereferencer (no continuation form, so each call holds a
 /// worker) that passes its input through after `sleep_us` and records, per
-/// node, the most calls that ran at once.
+/// node, the most calls that ran at once, plus how many calls finished and
+/// on how many threads.
 class NodePeakDeref final : public Dereferencer {
  public:
   NodePeakDeref(std::string name, uint32_t nodes, uint64_t sleep_us)
@@ -610,13 +620,23 @@ class NodePeakDeref final : public Dereferencer {
     int peak = gauge.peak.load();
     while (now > peak && !gauge.peak.compare_exchange_weak(peak, now)) {
     }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      threads_.insert(std::this_thread::get_id());
+    }
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
     gauge.running.fetch_sub(1);
+    calls_.fetch_add(1);
     out->push_back(input);
     return Status::OK();
   }
 
   int peak(sim::NodeId node) const { return gauges_[node].peak.load(); }
+  uint64_t calls() const { return calls_.load(); }
+  size_t threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_.size();
+  }
 
  private:
   struct Gauge {
@@ -625,6 +645,9 @@ class NodePeakDeref final : public Dereferencer {
   };
   mutable std::vector<Gauge> gauges_;
   uint64_t sleep_us_;
+  mutable std::atomic<uint64_t> calls_{0};
+  mutable std::mutex mutex_;
+  mutable std::set<std::thread::id> threads_;  // guarded by mutex_
 };
 
 TEST(OneEngine, OverlappingRunsShareTheCapOfEachNode) {
@@ -734,6 +757,112 @@ TEST(OneEngine, ConstructingTheCappedEngineStartsNoPoolThreads) {
   // The workers, plus at most the executor's timer thread.
   EXPECT_LE(ProcessThreads() - before,
             static_cast<int>(options.async_workers) + 1);
+}
+
+// ------------------------------------------ work stealing and the poll
+
+/// Passes its input through, first reading how many calls `probe` had
+/// finished when this one ran.
+class ProbeReader final : public Dereferencer {
+ public:
+  ProbeReader(std::string name, std::shared_ptr<const NodePeakDeref> probe)
+      : Dereferencer(std::move(name)), probe_(std::move(probe)) {}
+  Status Execute(const ExecContext&, const Tuple& input,
+                 std::vector<Tuple>* out) const override {
+    seen_.store(probe_->calls());
+    out->push_back(input);
+    return Status::OK();
+  }
+  uint64_t seen() const { return seen_.load(); }
+
+ private:
+  std::shared_ptr<const NodePeakDeref> probe_;
+  mutable std::atomic<uint64_t> seen_{0};
+};
+
+TEST(WorkStealing, FanOutOfOneWorkerRunsOnSeveralWorkers) {
+  constexpr int kFanOut = 64;
+  sim::Cluster cluster(sim::ClusterOptions::ForNodes(4));
+  SmpeOptions options;
+  options.async_workers = 4;
+  AsyncExecutor executor(&cluster, options);
+  // One keyed initial task on node 0: the worker that runs its gate
+  // dispatches all kFanOut blocking calls, onto its own slot and queue.
+  auto executed = std::make_shared<std::atomic<uint64_t>>(0);
+  auto probe = std::make_shared<NodePeakDeref>("blocking", 4,
+                                               /*sleep_us=*/1000);
+  auto job = JobBuilder("fan-out")
+                 .Initial(Tuple::Point(
+                     io::Pointer::Keyed(io::EncodeInt64Key(0))))
+                 .Add(std::make_shared<SleepyDeref>("gate", 0, executed))
+                 .Add(std::make_shared<FanOut>("fan", kFanOut))
+                 .Add(probe)
+                 .Build();
+  ASSERT_TRUE(job.ok());
+  auto out = Collect(executor, *job);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), static_cast<size_t>(kFanOut));
+  EXPECT_EQ(probe->calls(), static_cast<uint64_t>(kFanOut));
+  // Idle workers stole from the dispatching worker's queue.
+  EXPECT_GE(probe->threads(), 2u);
+  EXPECT_GE(probe->peak(0), 2);
+}
+
+TEST(WorkStealing, OutsideSubmissionWaitsBoundedLocalWork) {
+  constexpr int kCalls = 2000;
+  constexpr uint64_t kBound = 200;
+  for (const bool capped : {false, true}) {
+    for (const size_t workers : {1, 2}) {
+      SCOPED_TRACE(std::string(capped ? "capped" : "uncapped") +
+                   " workers=" + std::to_string(workers));
+      sim::Cluster cluster(sim::ClusterOptions::ForNodes(4));
+      SmpeOptions options;
+      options.async_workers = workers;
+      options.threads_per_node = 64;
+      std::unique_ptr<AsyncExecutor> executor =
+          capped ? std::make_unique<SmpeExecutor>(&cluster, options)
+                 : std::make_unique<AsyncExecutor>(&cluster, options);
+      // Job A: node 1 alone fans out kCalls blocking calls, so its workers
+      // always have local work (on the capped engine, node 1's parked
+      // frames, each started by the task that frees its slot).
+      auto executed = std::make_shared<std::atomic<uint64_t>>(0);
+      auto probe = std::make_shared<NodePeakDeref>("blocking", 4,
+                                                   /*sleep_us=*/50);
+      auto job_a = JobBuilder("a")
+                       .Initial(Tuple::Range(
+                           io::Pointer::Broadcast(io::EncodeInt64Key(0)),
+                           io::Pointer::Broadcast(io::EncodeInt64Key(1))))
+                       .Add(std::make_shared<SleepyDeref>("gate", 0, executed))
+                       .Add(std::make_shared<FanOut>("fan", kCalls, 1))
+                       .Add(probe)
+                       .Build();
+      // Job B: one keyed task, seeded on idle node 0 from this thread, so
+      // it reaches the workers through the shared queue.
+      auto reader = std::make_shared<ProbeReader>("reader", probe);
+      auto job_b = JobBuilder("b")
+                       .Initial(Tuple::Point(
+                           io::Pointer::Keyed(io::EncodeInt64Key(0))))
+                       .Add(reader)
+                       .Build();
+      ASSERT_TRUE(job_a.ok() && job_b.ok());
+
+      StatusOr<std::vector<Tuple>> out_a = Status::Aborted("not run");
+      std::thread run_a([&] { out_a = Collect(*executor, *job_a); });
+      while (probe->calls() == 0) std::this_thread::yield();
+      const uint64_t before = probe->calls();
+      auto out_b = Collect(*executor, *job_b);
+      run_a.join();
+
+      ASSERT_TRUE(out_a.ok()) << out_a.status().ToString();
+      ASSERT_TRUE(out_b.ok()) << out_b.status().ToString();
+      EXPECT_EQ(out_a->size(), static_cast<size_t>(kCalls));
+      EXPECT_EQ(out_b->size(), 1u);
+      // A worker looks at the shared queue every few dozen items it runs,
+      // however much local work it has.
+      EXPECT_LT(reader->seen() - before, kBound)
+          << "B ran after " << reader->seen() - before << " of A's calls";
+    }
+  }
 }
 
 }  // namespace

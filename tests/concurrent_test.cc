@@ -4,12 +4,14 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/cancel.h"
 #include "concurrent/inflight_tracker.h"
 #include "concurrent/mpmc_queue.h"
+#include "concurrent/run_queue.h"
 #include "concurrent/semaphore.h"
 #include "concurrent/thread_pool.h"
 #include "sim/completion_queue.h"
@@ -93,6 +95,56 @@ TEST(MpmcQueue, ConcurrentProducersConsumersDeliverEverythingOnce) {
   const int total = kProducers * kPerProducer;
   EXPECT_EQ(consumed.load(), total);
   EXPECT_EQ(sum.load(), static_cast<int64_t>(total) * (total - 1) / 2);
+}
+
+TEST(RunQueue, OwnerPopsNewestAndThievesTakeOldest) {
+  RunQueue<int> q;
+  EXPECT_TRUE(q.empty());
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.Push(i));
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(*q.PopBack(), 3);
+  EXPECT_EQ(*q.PopFront(), 0);
+  EXPECT_EQ(*q.PopBack(), 2);
+  EXPECT_EQ(*q.PopFront(), 1);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.PopBack().has_value());
+  EXPECT_FALSE(q.PopFront().has_value());
+}
+
+TEST(RunQueue, CloseRejectsPushesAndKeepsWhatWasQueued) {
+  RunQueue<int> q;
+  int hooks = 0;
+  EXPECT_TRUE(q.Push(1, [&] { ++hooks; }));
+  q.Close();
+  EXPECT_TRUE(q.closed());
+  EXPECT_FALSE(q.Push(2, [&] { ++hooks; }));  // rejected, hook not called
+  EXPECT_EQ(hooks, 1);
+  EXPECT_EQ(*q.PopFront(), 1);
+  EXPECT_FALSE(q.PopFront().has_value());
+}
+
+TEST(RunQueue, OwnerAndThievesTakeEveryItemOnce) {
+  constexpr int kItems = 20000;
+  RunQueue<int> q;
+  std::atomic<bool> done{false};
+  std::vector<std::atomic<int>> seen(kItems);
+  auto take = [&](std::optional<int> v) {
+    if (v.has_value()) seen[*v].fetch_add(1);
+    return v.has_value();
+  };
+  std::vector<std::thread> thieves;
+  for (int t = 0; t < 3; ++t) {
+    thieves.emplace_back([&] {
+      while (!done.load() || !q.empty()) take(q.PopFront());
+    });
+  }
+  for (int i = 0; i < kItems; ++i) {
+    q.Push(i);
+    if (i % 3 == 0) take(q.PopBack());
+  }
+  done.store(true);
+  for (auto& thief : thieves) thief.join();
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(seen[i].load(), 1) << i;
 }
 
 TEST(Semaphore, PermitsBoundConcurrency) {
