@@ -53,7 +53,7 @@ struct CellResult {
   double wall_ms = 0.0;
 };
 
-void EmitJson(FILE* out, const std::string& workload, size_t batch,
+void EmitJson(bench::Ledger& ledger, const std::string& workload, size_t batch,
               size_t cache_budget, const CellResult& r) {
   Json row = Json::MakeObject();
   row.Set("bench", Json::MakeString("batch_cache"));
@@ -82,7 +82,7 @@ void EmitJson(FILE* out, const std::string& workload, size_t batch,
   row.Set("wall_ms", Json::MakeNumber(r.wall_ms));
   std::string line = row.Dump();
   std::printf("%s\n", line.c_str());
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 /// Order-independent digest of a result summary's key strings.
@@ -104,7 +104,7 @@ struct SweepOutcome {
 };
 
 SweepOutcome RunSweep(
-    FILE* out, const std::string& workload, sim::Cluster& cluster,
+    bench::Ledger& ledger, const std::string& workload, sim::Cluster& cluster,
     const rede::SmpeOptions& base_options, const rede::Job& job,
     const std::function<std::string(const std::vector<rede::Tuple>&,
                                     uint64_t*)>& summarize,
@@ -145,7 +145,7 @@ SweepOutcome RunSweep(
       cell.cache_admissions = result->metrics.cache_admissions;
       cell.cache_evictions = result->metrics.cache_evictions;
       cell.wall_ms = result->metrics.wall_ms;
-      EmitJson(out, workload, batch, budget, cell);
+      EmitJson(ledger, workload, batch, budget, cell);
 
       if (batch == 0 && budget == 0) {
         outcome.baseline_reads = cell.random_reads;
@@ -200,11 +200,7 @@ int main(int argc, char** argv) {
       claims::BuildWarehouseClaimsJob(claims_engine, claims::Q1());
   LH_CHECK(claims_job.ok());
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_batch_cache.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_batch_cache.json");
 
   bench::PrintHeader(
       "Batch + cache ablation — dereference batching and the node-local "
@@ -215,7 +211,7 @@ int main(int argc, char** argv) {
               engine_options.smpe.threads_per_node);
 
   auto q5 = RunSweep(
-      out, "tpch_q5", tpch_cluster, engine_options.smpe, *q5_job,
+      ledger, "tpch_q5", tpch_cluster, engine_options.smpe, *q5_job,
       [](const std::vector<rede::Tuple>& tuples, uint64_t* rows) {
         auto summary = tpch::SummarizeRedeOutput(tuples);
         LH_CHECK(summary.ok());
@@ -224,7 +220,7 @@ int main(int argc, char** argv) {
       },
       trace_capture);
   auto claims = RunSweep(
-      out, "claims_wh_q1", claims_cluster, engine_options.smpe, *claims_job,
+      ledger, "claims_wh_q1", claims_cluster, engine_options.smpe, *claims_job,
       [](const std::vector<rede::Tuple>& tuples, uint64_t* rows) {
         auto answer = claims::SummarizeWarehouseOutput(tuples);
         LH_CHECK(answer.ok());
@@ -233,7 +229,6 @@ int main(int argc, char** argv) {
                std::to_string(answer->total_expense);
       },
       trace_capture);
-  std::fclose(out);
 
   auto ratio = [](const SweepOutcome& o) {
     return o.best_reads > 0
@@ -254,5 +249,6 @@ int main(int argc, char** argv) {
       "budget grow, with the combined best cell at >= 2x fewer reads than "
       "the baseline on tpch_q5. Wrote %zu-cell JSON to the output file.\n",
       static_cast<size_t>(24));
+  ledger.Commit();
   return 0;
 }

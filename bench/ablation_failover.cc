@@ -79,7 +79,7 @@ struct CellResult {
   double wall_ms = 0.0;
 };
 
-void EmitJson(FILE* out, const std::string& workload, uint32_t rf,
+void EmitJson(bench::Ledger& ledger, const std::string& workload, uint32_t rf,
               const char* outage, bool hedge, const CellResult& r) {
   Json row = Json::MakeObject();
   row.Set("bench", Json::MakeString("failover"));
@@ -105,7 +105,7 @@ void EmitJson(FILE* out, const std::string& workload, uint32_t rf,
   row.Set("wall_ms", Json::MakeNumber(r.wall_ms));
   std::string line = row.Dump();
   std::printf("%s\n", line.c_str());
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 /// Order-independent digest of a result summary's key strings.
@@ -199,7 +199,7 @@ struct SweepStats {
 
 /// Sweep one workload at one rf; `baseline` carries the rf=1/none cell's
 /// reads+checksum across calls (filled on the rf=1 pass, read on rf=2).
-void RunSweep(FILE* out, Workload& w, uint32_t rf,
+void RunSweep(bench::Ledger& ledger, Workload& w, uint32_t rf,
               const rede::SmpeOptions& base_options, uint64_t hedge_us,
               CellResult* baseline, SweepStats* stats,
               bench::TraceCapture& trace_capture) {
@@ -226,7 +226,7 @@ void RunSweep(FILE* out, Workload& w, uint32_t rf,
       }
       cell.added_reads = static_cast<int64_t>(cell.random_reads) -
                          static_cast<int64_t>(baseline->random_reads);
-      EmitJson(out, w.name, rf, outage, hedge != 0, cell);
+      EmitJson(ledger, w.name, rf, outage, hedge != 0, cell);
 
       stats->cells++;
       if (cell.completed) stats->completed++;
@@ -321,11 +321,7 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(bench::EnvOr("LH_BENCH_CLAIMS", 20000));
   claims::ClaimsData claims_data = claims::GenerateClaims(claims_config);
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_failover.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_failover.json");
 
   bench::PrintHeader(
       "Failover ablation — replication factor x outage timing x hedged "
@@ -348,11 +344,10 @@ int main(int argc, char** argv) {
                               : MakeClaims(cluster_config, engine_options,
                                            claims_data, rf);
       w.cluster->SetTimingEnabled(true);  // measured cells
-      RunSweep(out, w, rf, engine_options.smpe, hedge_us, &baseline, &stats,
+      RunSweep(ledger, w, rf, engine_options.smpe, hedge_us, &baseline, &stats,
                trace_capture);
     }
   }
-  std::fclose(out);
 
   std::printf(
       "\ncells=%llu completed=%llu; rf=1 mid-outage failures=%llu (the seed "
@@ -372,10 +367,10 @@ int main(int argc, char** argv) {
       "slow hedged cell adopts second arms (hedge_wins > 0), and every "
       "completed checksum equals the no-failure baseline. Hedged wall_ms "
       "next to the unhedged twin's is reported, not gated.\n");
-  return stats.checksums_agree &&
-                 stats.rf1_outage_failures == 2 &&
-                 stats.rf2_outage_completions == 4 &&
-                 stats.slow_hedge_wins == 2
-             ? 0
-             : 1;
+  const bool passed = stats.checksums_agree &&
+                      stats.rf1_outage_failures == 2 &&
+                      stats.rf2_outage_completions == 4 &&
+                      stats.slow_hedge_wins == 2;
+  if (passed) ledger.Commit();
+  return passed ? 0 : 1;
 }

@@ -252,7 +252,7 @@ struct CellResult {
   double wall_ms = 0.0;
 };
 
-void EmitJson(FILE* out, const CellResult& r) {
+void EmitJson(bench::Ledger& ledger, const CellResult& r) {
   Json row = Json::MakeObject();
   row.Set("bench", Json::MakeString("ingest"));
   row.Set("append_mode", Json::MakeString(r.append_mode));
@@ -297,7 +297,7 @@ void EmitJson(FILE* out, const CellResult& r) {
   row.Set("wall_ms", Json::MakeNumber(r.wall_ms));
   std::string line = row.Dump();
   std::printf("%s\n", line.c_str());
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 struct AppendRate {
@@ -462,11 +462,7 @@ int main() {
   rede::SmpeOptions smpe_options;
   smpe_options.threads_per_node = config.threads;
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_ingest.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_ingest.json");
 
   bench::PrintHeader(
       "Streaming-ingest ablation — append rate x merge throttle, "
@@ -522,7 +518,7 @@ int main() {
             Json::MakeNumber(static_cast<double>(base_async.p99_us)));
     std::string line = row.Dump();
     std::printf("%s\n", line.c_str());
-    std::fprintf(out, "%s\n", line.c_str());
+    ledger.Add(line);
   }
 
   // Phase 2: the concurrent grid.
@@ -540,7 +536,7 @@ int main() {
   for (const AppendRate& append : append_rates) {
     for (const MergeRate& merge : merge_rates) {
       CellResult cell = RunCell(config, probes, smpe_options, append, merge);
-      EmitJson(out, cell);
+      EmitJson(ledger, cell);
       ++cells;
       if (!cell.threaded.ok || cell.threaded.checksum != base_threaded.checksum ||
           !cell.async_pass.ok ||
@@ -560,7 +556,6 @@ int main() {
       if (cell.gate_armed && cell.gate_deferrals == 0) gates_observed = false;
     }
   }
-  std::fclose(out);
 
   std::printf(
       "\ncells=%llu; all checksums (threaded, async, post-drain) match the "
@@ -576,6 +571,8 @@ int main() {
       "concurrent tail and merge progress), lag shrinks as the merger runs "
       "and hits 0 after the drain, and maintenance-class merging keeps "
       "foreground p99 inside 2x.\n");
-  return checksums_agree && p99_bounded && all_drained && gates_observed ? 0
-                                                                         : 1;
+  const bool passed =
+      checksums_agree && p99_bounded && all_drained && gates_observed;
+  if (passed) ledger.Commit();
+  return passed ? 0 : 1;
 }

@@ -466,7 +466,7 @@ RebalanceCell RunRebalanceCell(uint64_t throttle, const RebalanceConfig& cfg,
   return cell;
 }
 
-void EmitCell(FILE* out, const RebalanceCell& cell,
+void EmitCell(bench::Ledger& ledger, const RebalanceCell& cell,
               const RebalanceConfig& cfg) {
   Json row = Json::MakeObject();
   row.Set("bench", Json::MakeString("rebalance"));
@@ -519,7 +519,7 @@ void EmitCell(FILE* out, const RebalanceCell& cell,
                            std::to_string(cell.static_run.lookup_sum)));
   std::string line = row.Dump();
   std::printf("%s\n", line.c_str());
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 }  // namespace
@@ -609,11 +609,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(rebalance_config.num_claims),
       rebalance_config.lookups);
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_rebalance.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_rebalance.json");
 
   std::printf("%-14s %12s %12s %14s %14s %10s %12s\n", "throttle-B/s",
               "q5-static", "q5-during", "pk-p99-static", "pk-p99-during",
@@ -626,7 +622,7 @@ int main(int argc, char** argv) {
                             uint64_t{2048} * 1024}) {
     RebalanceCell cell =
         RunRebalanceCell(throttle, rebalance_config, data, claims_data);
-    EmitCell(out, cell, rebalance_config);
+    EmitCell(ledger, cell, rebalance_config);
     const double p99_degradation =
         cell.lookup_static_us.P99() > 0
             ? static_cast<double>(cell.lookup_during_us.P99()) /
@@ -640,7 +636,7 @@ int main(int argc, char** argv) {
                 p99_degradation,
                 static_cast<unsigned long long>(cell.report.elapsed_ms));
   }
-  std::fclose(out);
+  ledger.Commit();
   std::printf(
       "\nExpected shape: every row's during-rebalance answers are "
       "bit-identical to its static baseline (LH_CHECKed). Each cell is a "
@@ -651,6 +647,6 @@ int main(int argc, char** argv) {
       "rebalance; the fastest copy rate finishes soonest and hurts tails "
       "most.\n"
       "results written to %s\n",
-      out_path.c_str());
+      ledger.path().c_str());
   return 0;
 }

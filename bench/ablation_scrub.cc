@@ -86,8 +86,8 @@ struct CellResult {
   uint64_t fg_corruption_aborts = 0;
 };
 
-void EmitJson(FILE* out, const std::string& workload, const char* phase,
-              uint32_t rf, double rot, const char* engine,
+void EmitJson(bench::Ledger& ledger, const std::string& workload,
+              const char* phase, uint32_t rf, double rot, const char* engine,
               const char* scrub_mode, uint64_t scrub_bps,
               const CellResult& r) {
   Json row = Json::MakeObject();
@@ -128,7 +128,7 @@ void EmitJson(FILE* out, const std::string& workload, const char* phase,
           Json::MakeNumber(static_cast<double>(r.fg_corruption_aborts)));
   std::string line = row.Dump();
   std::printf("%s\n", line.c_str());
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 /// Order-independent digest of a result summary's key strings.
@@ -262,7 +262,7 @@ struct SweepStats {
 };
 
 /// Phase 1: the rot grid for one workload.
-void RunRotGrid(FILE* out, const MakeWorkload& make, double rot,
+void RunRotGrid(bench::Ledger& ledger, const MakeWorkload& make, double rot,
                 const rede::SmpeOptions& smpe_options, CellResult* baseline,
                 SweepStats* stats) {
   // Fault-free rf=2 baseline.
@@ -271,7 +271,7 @@ void RunRotGrid(FILE* out, const MakeWorkload& make, double rot,
     rede::SmpeExecutor threaded(w.cluster.get(), smpe_options);
     *baseline = RunOnce(w, threaded);
     LH_CHECK_MSG(baseline->completed, "fault-free baseline failed");
-    EmitJson(out, w.name, "rot", 2, 0.0, "threaded", "none", 0, *baseline);
+    EmitJson(ledger, w.name, "rot", 2, 0.0, "threaded", "none", 0, *baseline);
     stats->cells++;
   }
 
@@ -287,7 +287,7 @@ void RunRotGrid(FILE* out, const MakeWorkload& make, double rot,
       rede::SmpeExecutor threaded(w.cluster.get(), smpe_options);
       cell = RunRotCell(w, threaded, rot);
     }
-    EmitJson(out, w.name, "rot", 2, rot, engine, "none", 0, cell);
+    EmitJson(ledger, w.name, "rot", 2, rot, engine, "none", 0, cell);
     stats->cells++;
     if (!cell.completed || cell.read_repairs == 0 ||
         cell.unrepairable != 0) {
@@ -328,7 +328,7 @@ void RunRotGrid(FILE* out, const MakeWorkload& make, double rot,
     }
     stats->rf1_rot_cells++;
     if (failed_corruption) stats->rf1_corruption_failures++;
-    EmitJson(out, w.name, "rot", 1, rot, "threaded", "none", 0, cell);
+    EmitJson(ledger, w.name, "rot", 1, rot, "threaded", "none", 0, cell);
     stats->cells++;
   }
 }
@@ -490,11 +490,7 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(bench::EnvOr("LH_BENCH_CLAIMS", 20000));
   claims::ClaimsData claims_data = claims::GenerateClaims(claims_config);
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_scrub.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_scrub.json");
 
   bench::PrintHeader(
       "Scrub ablation — corruption rate x replication factor x scrub rate");
@@ -517,7 +513,7 @@ int main(int argc, char** argv) {
     };
 
     CellResult baseline;
-    RunRotGrid(out, make, rot, smpe_options, &baseline, &stats);
+    RunRotGrid(ledger, make, rot, smpe_options, &baseline, &stats);
 
     // Phase 2: reuse one surviving seed (scanned on a fresh workload) for
     // all three scrub cells so the rot pattern axis stays fixed while the
@@ -548,7 +544,7 @@ int main(int argc, char** argv) {
       Workload w = make(2);
       CellResult cell =
           RunScrubCell(w, smpe_options, rot, seed, rate.bps);
-      EmitJson(out, w.name, "scrub", 2, rot, "threaded", rate.mode,
+      EmitJson(ledger, w.name, "scrub", 2, rot, "threaded", rate.mode,
                rate.bps == UINT64_MAX ? 0 : rate.bps, cell);
       stats.cells++;
       if (!cell.completed || cell.checksum != baseline.checksum) {
@@ -570,7 +566,6 @@ int main(int argc, char** argv) {
       prev_p99 = cell.deref_p99_us;
     }
   }
-  std::fclose(out);
 
   std::printf(
       "\ncells=%llu; checksums all match fault-free baseline: %s; every "
@@ -592,10 +587,10 @@ int main(int argc, char** argv) {
       "read-repair on both engines, rf=1 fails loudly, and background "
       "scrubbing costs bounded foreground p99 that grows with the scrub "
       "rate.\n");
-  return stats.checksums_agree && stats.rf2_all_repaired &&
-                 stats.rf2_all_reconcile &&
-                 stats.rf1_corruption_failures == stats.rf1_rot_cells &&
-                 stats.p99_bounded
-             ? 0
-             : 1;
+  const bool passed = stats.checksums_agree && stats.rf2_all_repaired &&
+                      stats.rf2_all_reconcile &&
+                      stats.rf1_corruption_failures == stats.rf1_rot_cells &&
+                      stats.p99_bounded;
+  if (passed) ledger.Commit();
+  return passed ? 0 : 1;
 }

@@ -98,7 +98,7 @@ struct Cell {
   int64_t peak_parallel = 0;
 };
 
-void EmitJson(FILE* out, const std::string& phase, const Cell& c) {
+void EmitJson(bench::Ledger& ledger, const std::string& phase, const Cell& c) {
   Json row = Json::MakeObject();
   row.Set("bench", Json::MakeString("thread_pool"));
   row.Set("phase", Json::MakeString(phase));
@@ -110,7 +110,7 @@ void EmitJson(FILE* out, const std::string& phase, const Cell& c) {
   row.Set("peak_parallel_derefs",
           Json::MakeNumber(static_cast<double>(c.peak_parallel)));
   std::string line = row.Dump();
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 Cell RunCell(rede::Executor& executor, const rede::Job& job,
@@ -172,11 +172,7 @@ int main(int argc, char** argv) {
   deep->Seal();
   LH_CHECK(engine.catalog().Register(deep).ok());
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_thread_pool.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_thread_pool.json");
 
   bench::PrintHeader("Ablation — SMPE per-node cap sweep vs uncapped");
   const size_t capped_ceiling = cluster.num_nodes() * baseline_threads;
@@ -201,7 +197,7 @@ int main(int argc, char** argv) {
     rede::SmpeExecutor executor(&cluster, options);
     Cell cell = RunCell(executor, *job, "capped", threads, trace_capture,
                         "Q5' cap/node=" + std::to_string(threads));
-    EmitJson(out, "q5_threads_sweep", cell);
+    EmitJson(ledger, "q5_threads_sweep", cell);
     std::printf("%-22s %12.2f %12llu %10lld\n",
                 ("capped cap/n=" + std::to_string(threads)).c_str(),
                 cell.wall_ms, static_cast<unsigned long long>(cell.rows),
@@ -225,7 +221,7 @@ int main(int argc, char** argv) {
     rede::AsyncExecutor executor(&cluster, options);
     q5_async = RunCell(executor, *job, "uncapped", async_workers,
                        trace_capture, "Q5' uncapped");
-    EmitJson(out, "q5_threads_sweep", q5_async);
+    EmitJson(ledger, "q5_threads_sweep", q5_async);
     std::printf("%-22s %12.2f %12llu %10lld\n", "uncapped",
                 q5_async.wall_ms,
                 static_cast<unsigned long long>(q5_async.rows),
@@ -267,7 +263,7 @@ int main(int argc, char** argv) {
     rede::SmpeExecutor capped(&cluster, capped_options);
     Cell tcell = RunCell(capped, *deep_job, "capped", depth, trace_capture,
                          "deep depth=" + std::to_string(depth) + " capped");
-    EmitJson(out, "deep_queue", tcell);
+    EmitJson(ledger, "deep_queue", tcell);
 
     rede::SmpeOptions async_options;
     async_options.engine = rede::SmpeEngine::kAsync;
@@ -276,7 +272,7 @@ int main(int argc, char** argv) {
     rede::AsyncExecutor async(&cluster, async_options);
     Cell acell = RunCell(async, *deep_job, "uncapped", depth, trace_capture,
                          "deep depth=" + std::to_string(depth) + " uncapped");
-    EmitJson(out, "deep_queue", acell);
+    EmitJson(ledger, "deep_queue", acell);
 
     for (const Cell& cell : {tcell, acell}) {
       std::printf("%-10zu %-10s %12.2f %12llu %10lld %12llu\n", depth,
@@ -299,7 +295,6 @@ int main(int argc, char** argv) {
           "uncapped engine failed to sustain 10x capped in-flight depth");
     }
   }
-  std::fclose(out);
 
   std::printf(
       "\nExpected shape: part 1 — capped time drops until peak parallelism "
@@ -310,5 +305,6 @@ int main(int argc, char** argv) {
       "cell.\n",
       baseline_threads,
       ratio_gate_checked ? "enforced" : "skipped at this toy depth");
+  ledger.Commit();
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/macros.h"
 #include "obs/chrome_trace.h"
 #include "rede/engine.h"
 #include "sim/cluster.h"
@@ -46,6 +47,50 @@ inline double EnvOr(const char* name, double fallback) {
   const char* value = std::getenv(name);
   return value == nullptr ? fallback : std::atof(value);
 }
+
+/// A bench's JSON ledger: `default_path` (a committed BENCH_*.json), or
+/// LH_BENCH_OUT when set. Rows go to a temporary file beside it, and only
+/// Commit() — called on the exit-0 path — renames that over the ledger, so
+/// a run that aborts or fails a gate leaves the committed file as it was.
+class Ledger {
+ public:
+  explicit Ledger(const char* default_path) {
+    const char* env = std::getenv("LH_BENCH_OUT");
+    path_ = env != nullptr ? env : default_path;
+    tmp_path_ = path_ + ".tmp";
+    file_ = std::fopen(tmp_path_.c_str(), "w");
+    LH_CHECK_MSG(file_ != nullptr, ("cannot open " + tmp_path_).c_str());
+  }
+  Ledger(const Ledger&) = delete;
+  Ledger& operator=(const Ledger&) = delete;
+
+  ~Ledger() {
+    if (file_ == nullptr) return;
+    std::fclose(file_);
+    std::remove(tmp_path_.c_str());
+  }
+
+  /// Appends one JSON row.
+  void Add(const std::string& line) {
+    std::fprintf(file_, "%s\n", line.c_str());
+  }
+
+  /// Replaces the ledger with the rows added so far.
+  void Commit() {
+    LH_CHECK_MSG(std::fclose(file_) == 0,
+                 ("cannot write " + tmp_path_).c_str());
+    file_ = nullptr;
+    LH_CHECK_MSG(std::rename(tmp_path_.c_str(), path_.c_str()) == 0,
+                 ("cannot replace " + path_).c_str());
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  std::string tmp_path_;
+  FILE* file_ = nullptr;
+};
 
 inline void PrintHeader(const char* title) {
   std::printf("==============================================================\n");

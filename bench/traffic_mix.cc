@@ -244,7 +244,8 @@ void EmitHist(Json* row, const char* prefix,
   row->Set(std::string(prefix) + "_mean", Json::MakeNumber(hist.Mean()));
 }
 
-void EmitMode(FILE* out, const char* mode, const ModeOutcome& outcome) {
+void EmitMode(bench::Ledger& ledger, const char* mode,
+              const ModeOutcome& outcome) {
   for (size_t c = 0; c < sched::kNumJobClasses; ++c) {
     const ClassReport& report = outcome.per_class[c];
     Json row = Json::MakeObject();
@@ -260,7 +261,7 @@ void EmitMode(FILE* out, const char* mode, const ModeOutcome& outcome) {
     EmitHist(&row, "total_us", report.total_us);
     std::string line = row.Dump();
     std::printf("%s\n", line.c_str());
-    if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+    ledger.Add(line);
   }
   for (const sched::SchedulerStats::FlowStats& flow : outcome.mid_run_flows) {
     Json row = Json::MakeObject();
@@ -275,7 +276,7 @@ void EmitMode(FILE* out, const char* mode, const ModeOutcome& outcome) {
             Json::MakeNumber(static_cast<double>(flow.oldest_queued_age_us)));
     std::string line = row.Dump();
     std::printf("%s\n", line.c_str());
-    if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+    ledger.Add(line);
   }
   Json row = Json::MakeObject();
   row.Set("bench", Json::MakeString("traffic_mix"));
@@ -286,7 +287,7 @@ void EmitMode(FILE* out, const char* mode, const ModeOutcome& outcome) {
   row.Set("wall_ms", Json::MakeNumber(outcome.wall_ms));
   std::string line = row.Dump();
   std::printf("%s\n", line.c_str());
-  if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  ledger.Add(line);
 }
 
 }  // namespace
@@ -322,18 +323,13 @@ int main() {
       static_cast<unsigned long long>(mix.num_claims), mix.execution_slots,
       mix.scan_rounds, mix.lookups, mix.time_scale);
 
-  const char* out_path_env = std::getenv("LH_BENCH_OUT");
-  const std::string out_path =
-      out_path_env != nullptr ? out_path_env : "BENCH_traffic_mix.json";
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  LH_CHECK_MSG(out != nullptr, ("cannot open " + out_path).c_str());
+  bench::Ledger ledger("BENCH_traffic_mix.json");
 
   const ModeOutcome fair = RunMode(/*fair=*/true, mix, tpch_data, claims_data);
-  EmitMode(out, "fair", fair);
+  EmitMode(ledger, "fair", fair);
   const ModeOutcome fifo = RunMode(/*fair=*/false, mix, tpch_data,
                                    claims_data);
-  EmitMode(out, "fifo", fifo);
-  std::fclose(out);
+  EmitMode(ledger, "fifo", fifo);
 
   // Scheduling policy must never change answers.
   LH_CHECK_MSG(fair.checksum == fifo.checksum,
@@ -366,6 +362,7 @@ int main() {
       "fair scheduling cuts point-lookup p99 by %.1fx vs FIFO "
       "(identical checksums: %s)\n",
       p99_ratio, fair.checksum.c_str());
-  std::printf("results written to %s\n", out_path.c_str());
+  ledger.Commit();
+  std::printf("results written to %s\n", ledger.path().c_str());
   return 0;
 }

@@ -11,7 +11,9 @@
 # scrubber driving verify/repair jobs through the shared scheduler
 # (integrity_test), and streaming ingest: concurrent StreamAppend vs
 # epoch folds vs pinned-snapshot reads vs the background merger pump
-# (streaming_ingest_test), the lock-free in-flight count and listener-mode
+# (streaming_ingest_test), the one background driver behind the merger,
+# scrubber and rebalancer yielding, resubmitting and cancelling its jobs
+# (background_test), the lock-free in-flight count and listener-mode
 # completion queue racing their destroyers (concurrent_test), and the async
 # workers' work-stealing sleep/wake protocol, whose tests the
 # async_executor_work_stealing_repeated entry runs 15 times over (a lost

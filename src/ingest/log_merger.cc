@@ -6,8 +6,6 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "rede/job.h"
-#include "rede/stage_function.h"
 
 namespace lakeharbor::ingest {
 
@@ -24,51 +22,31 @@ struct EpochMergeTask {
   StreamingFile* file = nullptr;
   std::shared_ptr<EpochBatch> batch;
   RetryPolicy retry;
-  io::RateLimiter* limiter = nullptr;
-  CancelToken* merge_cancel = nullptr;
   MergeProgress* progress = nullptr;
 
-  /// Partitions of the epoch still unfolded. MergeOneEpoch sets it from the
+  /// Partitions of the epoch still unfolded. CountUnfolded sets it from the
   /// folded flags before each submission; the node task whose fold brings
   /// it to zero finishes the epoch.
   std::atomic<uint32_t> unfolded{0};
-  /// Set when a node task returned because the rate budget ran dry; the
-  /// driver waits the deficit out off-scheduler and resubmits.
-  std::atomic<bool> yielded{false};
-  std::atomic<int64_t> yield_wait_us{0};
   /// Epoch fully merged (set by the finishing node task).
   std::atomic<bool> finished{false};
 
-  bool Cancelled(const rede::ExecContext& ctx, Status* out) const {
-    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-      *out = ctx.cancel->cause();
-      return true;
+  /// Every node task of the previous submission has ended, so the folded
+  /// flags are stable here.
+  void CountUnfolded() {
+    uint32_t count = 0;
+    for (const EpochBatch::PartitionDelta& pd : batch->parts) {
+      if (!pd.folded) ++count;
     }
-    if (merge_cancel->cancelled()) {
-      *out = merge_cancel->cause();
-      return true;
-    }
-    return false;
-  }
-
-  /// Out of budget: yield instead of sleeping — a sleeping merge would park
-  /// its execution slot and maintenance io tokens for the whole wait,
-  /// starving foreground work of exactly what the throttle protects. (Same
-  /// discipline as the scrubber's and rebalancer's jobs.)
-  bool Yield(uint64_t want) {
-    if (limiter == nullptr) return false;
-    const int64_t wait_us = limiter->TryAcquire(want);
-    if (wait_us <= 0) return false;
-    yielded.store(true, std::memory_order_relaxed);
-    yield_wait_us.store(wait_us, std::memory_order_relaxed);
-    return true;
+    unfolded.store(count, std::memory_order_relaxed);
   }
 
   /// One node's share of the epoch: the partitions it owns at the job's
   /// fan-out epoch (Algorithm 1's local resolution), or every partition
   /// when the tuple was not broadcast. Partitions owned by different nodes
   /// fold concurrently; each has exactly one owner per submission.
-  Status Run(const rede::ExecContext& ctx, const rede::Tuple& input) {
+  Status Run(const rede::ExecContext& ctx, const rede::Tuple& input,
+             sched::Budget& budget) {
     const sim::NodeId owner = input.resolve_owner == rede::Tuple::kResolveOnSelf
                                   ? ctx.node
                                   : input.resolve_owner;
@@ -78,15 +56,14 @@ struct EpochMergeTask {
           file->BroadcastOwner(p, input.resolve_epoch) != owner) {
         continue;
       }
-      Status cause;
-      if (Cancelled(ctx, &cause)) return cause;
+      LH_RETURN_NOT_OK(budget.CancelCause());
       const EpochBatch::PartitionDelta& pd = batch->parts[p];
       if (pd.folded) continue;  // resume-on-resubmit
       const uint64_t bytes = pd.bytes;
       if (bytes > 0) {
         // Replay read of the log segment at the primary + replicated write
         // of the folded index pages — the throttle counts both sides.
-        if (Yield(2 * bytes)) return Status::OK();
+        if (!budget.Take(2 * bytes)) return Status::OK();
         const sim::NodeId primary = file->NodeOfPartition(p);
         const std::vector<sim::NodeId> replicas =
             file->placement().ReplicaNodes(p);
@@ -102,7 +79,7 @@ struct EpochMergeTask {
               progress->charge_retries.fetch_add(1,
                                                  std::memory_order_relaxed);
             },
-            merge_cancel,
+            budget.cancel_token(),
             (batch->epoch << 32) ^ static_cast<uint64_t>(p));
         LH_RETURN_NOT_OK(charged);
       }
@@ -133,39 +110,15 @@ struct EpochMergeTask {
   }
 };
 
-/// The merge work as a ReDe stage: a broadcast Dereferencer, so every node
-/// runs one task over its own partitions and a merge flows through the
-/// scheduler and executor like any other job — same slots, tokens,
-/// cancellation, and metrics.
-class EpochMergeStage final : public rede::Dereferencer {
- public:
-  EpochMergeStage(std::string name, std::shared_ptr<EpochMergeTask> task)
-      : rede::Dereferencer(std::move(name)), task_(std::move(task)) {}
-
-  uint32_t TargetReplication() const override {
-    return task_->file->replication_factor();
-  }
-
-  Status Execute(const rede::ExecContext& ctx, const rede::Tuple& input,
-                 std::vector<rede::Tuple>* /*out*/) const override {
-    return task_->Run(ctx, input);
-  }
-
- private:
-  std::shared_ptr<EpochMergeTask> task_;
-};
-
 }  // namespace
 
 LogMerger::LogMerger(sim::Cluster* cluster, sched::JobScheduler* scheduler,
                      MergeOptions options)
     : cluster_(cluster),
-      scheduler_(scheduler),
       options_(std::move(options)),
-      limiter_(options_.throttle_bytes_per_sec),
-      epoch_merge_hist_(std::make_unique<obs::LatencyHistogram>()) {
+      driver_(scheduler, sched::JobClass::kMaintenance, options_.tenant,
+              options_.throttle_bytes_per_sec, "merge", "fold", &progress_) {
   LH_CHECK(cluster_ != nullptr);
-  LH_CHECK(scheduler_ != nullptr);
   LH_CHECK_MSG(options_.max_epoch_attempts > 0,
                "log merger needs at least one attempt per epoch");
 }
@@ -174,20 +127,6 @@ void LogMerger::RegisterFile(StreamingFile* file) {
   LH_CHECK(file != nullptr);
   LH_CHECK_MSG(!running_, "register files before starting the pump");
   files_.push_back(file);
-}
-
-bool LogMerger::WaitOrStop(uint64_t wait_us, CancelToken* stopper) {
-  constexpr uint64_t kSliceUs = 1000;
-  uint64_t waited = 0;
-  while (waited < wait_us) {
-    if (cancel_.cancelled()) return true;
-    if (stopper != nullptr && stopper->cancelled()) return true;
-    const uint64_t slice = std::min(kSliceUs, wait_us - waited);
-    if (cancel_.WaitFor(slice)) return true;
-    waited += slice;
-  }
-  return cancel_.cancelled() ||
-         (stopper != nullptr && stopper->cancelled());
 }
 
 StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
@@ -208,101 +147,44 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
   task->file = file;
   task->batch = batch;
   task->retry = options_.retry;
-  task->limiter = &limiter_;
-  task->merge_cancel = &cancel_;
   task->progress = &progress_;
-  const std::string label =
-      file->name() + "/e" + std::to_string(batch->epoch);
-  rede::JobBuilder builder("merge/" + label);
-  builder.Initial(rede::Tuple::Point(io::Pointer::Broadcast("merge-" + label)));
-  builder.Add(std::make_shared<EpochMergeStage>("fold/" + label, task));
-  LH_ASSIGN_OR_RETURN(rede::Job job, builder.Build());
-
-  size_t attempts = 0;
-  const int64_t first_submit_us = NowMicros();
-  while (true) {
-    if (cancel_.cancelled()) return cancel_.cause();
-    if (stopper != nullptr && stopper->cancelled()) return false;
-    // Every node task of the previous attempt has ended (Wait), so the
-    // folded flags are stable here.
-    uint32_t unfolded = 0;
-    for (const EpochBatch::PartitionDelta& pd : batch->parts) {
-      if (!pd.folded) ++unfolded;
-    }
-    task->unfolded.store(unfolded, std::memory_order_relaxed);
-    task->yielded.store(false, std::memory_order_relaxed);
-    sched::JobSpec spec;
-    spec.tenant = options_.tenant;
-    spec.job_class = sched::JobClass::kMaintenance;
-    StatusOr<sched::JobHandlePtr> submitted =
-        scheduler_->Submit(job, std::move(spec));
-    if (!submitted.ok()) {
-      if (submitted.status().IsResourceExhausted()) {
-        if (WaitOrStop(1000, stopper)) {
-          return cancel_.cancelled() ? StatusOr<bool>(cancel_.cause())
-                                     : StatusOr<bool>(false);
-        }
-        continue;
-      }
-      return submitted.status().WithContext("submitting merge of epoch " +
-                                            std::to_string(batch->epoch));
-    }
-    ++attempts;
-    sched::JobHandlePtr handle = std::move(submitted).value();
-    StatusOr<rede::JobResult> result = handle->Wait();
-    if (result.ok() && task->yielded.load(std::memory_order_relaxed)) {
-      // One yield per attempt, however many node tasks ran dry.
-      --attempts;
-      progress_.throttle_yields.fetch_add(1, std::memory_order_relaxed);
-      const int64_t wait_us =
-          task->yield_wait_us.load(std::memory_order_relaxed);
-      if (wait_us > 0 &&
-          WaitOrStop(static_cast<uint64_t>(wait_us), stopper)) {
-        return cancel_.cancelled() ? StatusOr<bool>(cancel_.cause())
-                                   : StatusOr<bool>(false);
-      }
-      continue;
-    }
-    if (result.ok()) {
-      LH_CHECK_MSG(task->finished.load(std::memory_order_acquire),
-                   "merge job ended without yielding or finishing its epoch");
-      const int64_t now_us = NowMicros();
-      if (now_us > first_submit_us) {
-        epoch_merge_hist_->Record(
-            static_cast<uint64_t>(now_us - first_submit_us));
-      }
-      return true;
-    }
-    if (attempts >= options_.max_epoch_attempts) {
-      return result.status().WithContext(
-          "merge of epoch " + std::to_string(batch->epoch) + " of '" +
-          file->name() + "' failed after " + std::to_string(attempts) +
-          " submissions");
-    }
-    LH_LOG_WARN << "log merger: epoch " << batch->epoch << " of '"
-                << file->name() << "' failed (attempt " << attempts
-                << "): " << result.status().ToString() << "; resubmitting";
-    progress_.job_resubmissions.fetch_add(1, std::memory_order_relaxed);
-  }
+  sched::BackgroundUnit unit;
+  unit.label = file->name() + "/e" + std::to_string(batch->epoch);
+  unit.broadcast = true;
+  unit.target_replication = file->replication_factor();
+  unit.body = [task](const rede::ExecContext& ctx, const rede::Tuple& input,
+                     sched::Budget& budget) {
+    return task->Run(ctx, input, budget);
+  };
+  unit.admit = [task] {
+    task->CountUnfolded();
+    return sched::Admission::Run();
+  };
+  unit.done = [task] {
+    LH_CHECK_MSG(task->finished.load(std::memory_order_acquire),
+                 "merge job ended without yielding or finishing its epoch");
+  };
+  std::vector<sched::BackgroundUnit> units;
+  units.push_back(std::move(unit));
+  LH_RETURN_NOT_OK(driver_.Run(std::move(units), /*max_outstanding=*/1,
+                               options_.max_epoch_attempts, stopper));
+  return task->finished.load(std::memory_order_acquire);
 }
 
 StatusOr<MergeReport> LogMerger::DrainBacklog() {
   LH_CHECK_MSG(!running_, "DrainBacklog must not race the pump");
-  cancel_.Reset();
+  driver_.Reset();
   progress_.Reset();
-  epoch_merge_hist_ = std::make_unique<obs::LatencyHistogram>();
   StopWatch watch;
   for (StreamingFile* file : files_) {
     while (true) {
-      if (cancel_.cancelled()) return cancel_.cause();
+      if (driver_.cancelled()) return driver_.cancel_cause();
       LH_ASSIGN_OR_RETURN(bool merged,
                           MergeOneEpoch(file, /*stopper=*/nullptr));
       if (merged) continue;
       if (file->backlog_epochs() == 0) break;
       // Gated on a pinned snapshot: wait for the unpin and poll.
-      if (WaitOrStop(options_.gate_poll_us, nullptr)) {
-        return cancel_.cause();
-      }
+      driver_.WaitFor(sched::BackgroundDriver::kPollUs);
     }
   }
   MergeReport report;
@@ -315,7 +197,7 @@ StatusOr<MergeReport> LogMerger::DrainBacklog() {
   report.job_resubmissions = progress_.job_resubmissions.load();
   report.charge_retries = progress_.charge_retries.load();
   report.elapsed_ms = static_cast<uint64_t>(watch.ElapsedMillis());
-  report.epoch_merge_us = epoch_merge_hist_->Snapshot();
+  report.epoch_merge_us = driver_.latency();
   last_report_ = report;
   return report;
 }
@@ -338,16 +220,16 @@ void LogMerger::Stop() {
 }
 
 void LogMerger::PumpLoop() {
-  while (!pump_stop_.cancelled() && !cancel_.cancelled()) {
+  while (!pump_stop_.cancelled() && !driver_.cancelled()) {
     bool merged_any = false;
     for (StreamingFile* file : files_) {
-      if (pump_stop_.cancelled() || cancel_.cancelled()) break;
+      if (pump_stop_.cancelled() || driver_.cancelled()) break;
       StatusOr<bool> merged = MergeOneEpoch(file, &pump_stop_);
       if (!merged.ok()) {
         // A merge that exhausted its attempts poisons the pump: surface the
         // cause through cancelled()/cancel_cause() rather than spinning.
         LH_LOG_WARN << "log merger pump: " << merged.status().ToString();
-        cancel_.Cancel(merged.status());
+        driver_.Cancel(merged.status());
         return;
       }
       merged_any = merged_any || merged.value();
@@ -359,7 +241,7 @@ void LogMerger::PumpLoop() {
     for (StreamingFile* file : files_) {
       sealed_any = file->SealAgedEpoch() || sealed_any;
     }
-    if (!sealed_any) pump_stop_.WaitFor(options_.idle_poll_us);
+    if (!sealed_any) pump_stop_.WaitFor(sched::BackgroundDriver::kPollUs);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,17 +11,19 @@
 #include "common/retry.h"
 #include "common/status_or.h"
 #include "ingest/streaming_file.h"
-#include "io/rebalancer.h"  // RateLimiter
 #include "obs/histogram.h"
+#include "sched/background_driver.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
 
 /// \file log_merger.h
 /// Background epoch merging. Each sealed op-log epoch of each registered
-/// StreamingFile is folded into the B-tree structures by one broadcast job
-/// driven through sched::JobScheduler as the lowest-priority kMaintenance
-/// class: foreground flows always win the weighted-fair race, and
-/// freshness lag (the sealed-but-unmerged backlog) is the documented price.
+/// StreamingFile is folded into the B-tree structures by one broadcast unit
+/// run through a sched::BackgroundDriver as the lowest-priority
+/// kMaintenance class: foreground flows always win the weighted-fair race,
+/// and freshness lag (the sealed-but-unmerged backlog) is the documented
+/// price. The driver owns the shared byte budget, yields, resubmission and
+/// cancellation (DESIGN.md §12, "Background work").
 ///
 /// The job's initial pointer carries no partition, so every node runs one
 /// task that folds only the partitions it owns (Algorithm 1's local
@@ -38,13 +39,10 @@
 /// fold leaves no partition unfolded finishes the epoch, so the merged LSN
 /// is published by the last fold, exactly once.
 ///
-/// Throttling reuses the Rebalancer's leaky bucket with the Scrubber's
-/// yield-not-sleep discipline: a node task out of byte budget RETURNS
-/// (releasing its worker) and, once the job ends, the merger waits out the
-/// deficit holding no slot or maintenance io tokens and resubmits. The
-/// min-active-snapshot merge gate (StreamingFile::CanFold) defers — never
-/// skips — epochs still visible to a pinned snapshot; the merger checks it
-/// before submitting, so a gated epoch costs a poll, not a job.
+/// The min-active-snapshot merge gate (StreamingFile::CanFold) defers —
+/// never skips — epochs still visible to a pinned snapshot; the merger
+/// checks it before it makes a unit, so a gated epoch costs a poll, not a
+/// job.
 
 namespace lakeharbor::ingest {
 
@@ -63,13 +61,6 @@ struct MergeOptions {
   /// Tenant the merge jobs are accounted to.
   std::string tenant = "system-ingest";
 
-  /// DrainBacklog's poll interval while the oldest epoch is pinned-gated.
-  uint64_t gate_poll_us = 1000;
-
-  /// Background pump's idle wait when no file has mergeable backlog. Each
-  /// idle poll also seals open epochs that reached their age threshold.
-  uint64_t idle_poll_us = 1000;
-
   MergeOptions() {
     retry.max_retries = 4;
     retry.backoff_initial_us = 50;
@@ -79,7 +70,7 @@ struct MergeOptions {
 };
 
 /// Live counters of merge work (readable from any thread).
-struct MergeProgress {
+struct MergeProgress : sched::BackgroundProgress {
   /// Epochs finished (merged LSN advanced), one per epoch.
   std::atomic<uint64_t> epochs_merged{0};
   /// Partition buckets folded, summed over every node's task.
@@ -89,22 +80,16 @@ struct MergeProgress {
   /// Merger polls that found the oldest epoch gated by a pinned snapshot
   /// (no job is submitted for them).
   std::atomic<uint64_t> gate_deferrals{0};
-  /// Submissions in which at least one node task ran out of byte budget:
-  /// counted once per attempt by the merger, not once per node task.
-  std::atomic<uint64_t> throttle_yields{0};
-  /// Resubmissions after a failed job (yields are not counted here).
-  std::atomic<uint64_t> job_resubmissions{0};
   /// Transient device faults retried inside a charge.
   std::atomic<uint64_t> charge_retries{0};
 
   void Reset() {
+    BackgroundProgress::Reset();
     epochs_merged.store(0);
     partitions_folded.store(0);
     records_folded.store(0);
     bytes_folded.store(0);
     gate_deferrals.store(0);
-    throttle_yields.store(0);
-    job_resubmissions.store(0);
     charge_retries.store(0);
   }
 };
@@ -148,38 +133,30 @@ class LogMerger {
   void Stop();
   bool running() const { return running_; }
 
-  void Cancel(Status cause) { cancel_.Cancel(std::move(cause)); }
-  bool cancelled() const { return cancel_.cancelled(); }
-  Status cancel_cause() const { return cancel_.cause(); }
+  void Cancel(Status cause) { driver_.Cancel(std::move(cause)); }
+  bool cancelled() const { return driver_.cancelled(); }
+  Status cancel_cause() const { return driver_.cancel_cause(); }
 
   const MergeProgress& progress() const { return progress_; }
   const MergeOptions& options() const { return options_; }
   const MergeReport& last_report() const { return last_report_; }
 
  private:
-  /// Merge the oldest epoch of `file` through the scheduler, handling the
-  /// merge gate, yields and resubmissions. Returns true when an epoch
-  /// merged, false when there was nothing mergeable (empty backlog, pinned
-  /// gate, or an interrupt from `stopper`).
+  /// Merge the oldest epoch of `file` through the driver after checking
+  /// the merge gate. Returns true when an epoch merged, false when there
+  /// was nothing mergeable (empty backlog, pinned gate, or an interrupt
+  /// from `stopper`).
   StatusOr<bool> MergeOneEpoch(StreamingFile* file, CancelToken* stopper);
-
-  /// Interruptible wait: true when cancelled or `stopper` fired.
-  bool WaitOrStop(uint64_t wait_us, CancelToken* stopper);
 
   void PumpLoop();
 
   sim::Cluster* cluster_;
-  sched::JobScheduler* scheduler_;
   MergeOptions options_;
-  io::RateLimiter limiter_;
-  CancelToken cancel_;
   CancelToken pump_stop_;
   MergeProgress progress_;
   MergeReport last_report_;
-  /// unique_ptr so DrainBacklog can reset it (the histogram itself is
-  /// deliberately non-copyable).
-  std::unique_ptr<obs::LatencyHistogram> epoch_merge_hist_;
   std::vector<StreamingFile*> files_;
+  sched::BackgroundDriver driver_;
   std::thread pump_;
   std::atomic<bool> running_{false};
 };

@@ -1,46 +1,13 @@
 #include "io/rebalancer.h"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
-#include <thread>
+#include <memory>
 #include <utility>
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "rede/job.h"
-#include "rede/stage_function.h"
 
 namespace lakeharbor::io {
-
-bool RateLimiter::Acquire(uint64_t bytes, CancelToken* cancel) {
-  if (bytes_per_sec_ == 0 || bytes == 0) return true;
-  int64_t wait_us = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const int64_t now_us = NowMicros();
-    if (next_free_us_ < now_us) next_free_us_ = now_us;
-    wait_us = next_free_us_ - now_us;
-    next_free_us_ += static_cast<int64_t>(bytes * 1000000 / bytes_per_sec_);
-  }
-  if (wait_us <= 0) return true;
-  if (cancel != nullptr) {
-    return !cancel->WaitFor(static_cast<uint64_t>(wait_us));
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-  return true;
-}
-
-int64_t RateLimiter::TryAcquire(uint64_t bytes) {
-  if (bytes_per_sec_ == 0 || bytes == 0) return 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t now_us = NowMicros();
-  if (next_free_us_ < now_us) next_free_us_ = now_us;
-  const int64_t wait_us = next_free_us_ - now_us;
-  if (wait_us > 0) return wait_us;  // denied: nothing charged
-  next_free_us_ += static_cast<int64_t>(bytes * 1000000 / bytes_per_sec_);
-  return 0;
-}
 
 namespace {
 
@@ -55,19 +22,9 @@ struct PartitionCopyTask {
   uint64_t partition_bytes = 0;
   uint64_t chunk_bytes = 0;
   RetryPolicy retry;
-  RateLimiter* limiter = nullptr;
-  /// The rebalance-wide token: throttle waits and retry backoffs block on
-  /// it so Rebalancer::Cancel stops copies within one quantum.
-  CancelToken* rebalance_cancel = nullptr;
   RebalanceProgress* progress = nullptr;
   /// Bytes durably copied per target (index-aligned with move.targets).
   std::unique_ptr<std::atomic<uint64_t>[]> offsets;
-  /// Set when the last run returned early because the rate budget ran dry;
-  /// `yield_wait_us` is how long until the bucket frees. The driver waits
-  /// that out off-scheduler and resubmits, and the resumed run continues
-  /// from the recorded offsets.
-  std::atomic<bool> yielded{false};
-  std::atomic<int64_t> yield_wait_us{0};
 
   /// Pull-model chunked copy: for each chunk the target charges one
   /// sequential read at a live old-replica source (disk + transfer) and one
@@ -75,31 +32,16 @@ struct PartitionCopyTask {
   /// over to the next live source; the offset only advances after BOTH
   /// charges succeeded, so a failed chunk is redone wholesale and a
   /// finished one is never duplicated.
-  Status Run(const rede::ExecContext& ctx) {
+  Status Run(sched::Budget& budget) {
     for (size_t t = 0; t < move.targets.size(); ++t) {
       const sim::NodeId target = move.targets[t];
       uint64_t offset = offsets[t].load(std::memory_order_acquire);
       sim::NodeId last_source = kNoSource;
       while (offset < partition_bytes) {
-        if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-          return ctx.cancel->cause();
-        }
-        if (rebalance_cancel->cancelled()) return rebalance_cancel->cause();
+        LH_RETURN_NOT_OK(budget.CancelCause());
         const uint64_t chunk =
             std::min(chunk_bytes, partition_bytes - offset);
-        if (limiter != nullptr) {
-          // Out of budget: yield instead of sleeping here — a sleeping job
-          // would park its execution slot and migration io tokens for the
-          // whole wait, starving foreground work of exactly the resources
-          // the throttle is meant to protect.
-          const int64_t wait_us = limiter->TryAcquire(chunk);
-          if (wait_us > 0) {
-            yielded.store(true, std::memory_order_relaxed);
-            yield_wait_us.store(wait_us, std::memory_order_relaxed);
-            progress->throttle_yields.fetch_add(1, std::memory_order_relaxed);
-            return Status::OK();
-          }
-        }
+        if (!budget.Take(chunk)) return Status::OK();
         Status status = RunWithRetry(
             retry,
             [&]() -> Status {
@@ -128,7 +70,7 @@ struct PartitionCopyTask {
             [&](size_t, uint64_t) {
               progress->chunk_retries.fetch_add(1, std::memory_order_relaxed);
             },
-            rebalance_cancel,
+            budget.cancel_token(),
             (static_cast<uint64_t>(move.partition) << 32) ^
                 static_cast<uint64_t>(target) ^ offset);
         if (!status.ok()) {
@@ -148,48 +90,16 @@ struct PartitionCopyTask {
   }
 };
 
-/// The migration work as a ReDe stage: a partition-pruning Dereferencer
-/// (WantsBroadcast = false, keyed initial pointer) that runs as exactly one
-/// task, so a migration job flows through the scheduler and executor like
-/// any other job — same slots, tokens, cancellation, and metrics.
-class PartitionMigrationStage final : public rede::Dereferencer {
- public:
-  PartitionMigrationStage(std::string name,
-                          std::shared_ptr<PartitionCopyTask> task)
-      : rede::Dereferencer(std::move(name)), task_(std::move(task)) {}
-
-  bool WantsBroadcast() const override { return false; }
-
-  Status Execute(const rede::ExecContext& ctx, const rede::Tuple& /*input*/,
-                 std::vector<rede::Tuple>* /*out*/) const override {
-    return task_->Run(ctx);
-  }
-
- private:
-  std::shared_ptr<PartitionCopyTask> task_;
-};
-
-/// One moved partition in flight through the scheduler. `job` is heap-held
-/// because the scheduler keeps a raw pointer to it until completion.
-struct PendingMove {
-  uint32_t partition = 0;
-  std::shared_ptr<PartitionCopyTask> task;
-  std::unique_ptr<rede::Job> job;
-  sched::JobHandlePtr handle;
-  size_t attempts = 0;
-  int64_t first_submit_us = 0;
-};
-
 }  // namespace
 
 Rebalancer::Rebalancer(sim::Cluster* cluster, sched::JobScheduler* scheduler,
                        RebalanceOptions options)
     : cluster_(cluster),
-      scheduler_(scheduler),
       options_(std::move(options)),
-      limiter_(options_.throttle_bytes_per_sec) {
+      driver_(scheduler, sched::JobClass::kMigration, options_.tenant,
+              options_.throttle_bytes_per_sec, "migrate", "copy",
+              &progress_) {
   LH_CHECK(cluster_ != nullptr);
-  LH_CHECK(scheduler_ != nullptr);
   LH_CHECK_MSG(options_.copy_chunk_bytes > 0,
                "rebalancer needs a nonzero copy chunk");
   LH_CHECK_MSG(options_.max_concurrent_migrations > 0,
@@ -245,13 +155,12 @@ StatusOr<RebalanceReport> Rebalancer::RebalanceToActiveMembers() {
 
 StatusOr<RebalanceReport> Rebalancer::RebalanceToMembers(
     const std::vector<sim::NodeId>& members) {
-  cancel_.Reset();
+  driver_.Reset();
   progress_.Reset();
   StopWatch watch;
   RebalanceReport report;
-  obs::LatencyHistogram copy_hist;
   for (File* file : files_) {
-    LH_RETURN_NOT_OK(RebalanceFile(file, members, &report, &copy_hist));
+    LH_RETURN_NOT_OK(RebalanceFile(file, members, &report));
   }
   report.bytes_copied = progress_.bytes_copied.load(std::memory_order_relaxed);
   report.chunks_copied =
@@ -267,14 +176,13 @@ StatusOr<RebalanceReport> Rebalancer::RebalanceToMembers(
   report.partitions_requeued_unmerged =
       progress_.partitions_requeued_unmerged.load(std::memory_order_relaxed);
   report.elapsed_ms = static_cast<uint64_t>(watch.ElapsedMillis());
-  report.partition_copy_us = copy_hist.Snapshot();
+  report.partition_copy_us = driver_.latency();
   return report;
 }
 
 Status Rebalancer::RebalanceFile(File* file,
                                  const std::vector<sim::NodeId>& members,
-                                 RebalanceReport* report,
-                                 obs::LatencyHistogram* copy_hist) {
+                                 RebalanceReport* report) {
   PlacementManager& manager = file->placement_manager();
   const PlacementMap current = manager.Snapshot();
   // Rebalance toward the REQUESTED rf: a file whose rf was clamped on a
@@ -287,7 +195,53 @@ Status Rebalancer::RebalanceFile(File* file,
   report->partitions_unchanged += plan.partitions_unchanged;
   progress_.partitions_total.fetch_add(plan.moves.size(),
                                        std::memory_order_relaxed);
-  Status run = RunMoves(file, plan, report, copy_hist);
+  std::vector<sched::BackgroundUnit> units;
+  for (const PartitionMove& move : plan.moves) {
+    auto task = std::make_shared<PartitionCopyTask>();
+    task->cluster = cluster_;
+    task->move = move;
+    task->partition_bytes = file->PartitionBytes(move.partition);
+    task->chunk_bytes = options_.copy_chunk_bytes;
+    task->retry = options_.retry;
+    task->progress = &progress_;
+    task->offsets =
+        std::make_unique<std::atomic<uint64_t>[]>(move.targets.size());
+    for (size_t t = 0; t < move.targets.size(); ++t) {
+      task->offsets[t].store(0, std::memory_order_relaxed);
+    }
+    const uint32_t partition = move.partition;
+    sched::BackgroundUnit unit;
+    unit.label = file->name() + "/p" + std::to_string(partition);
+    unit.body = [task](const rede::ExecContext&, const rede::Tuple&,
+                       sched::Budget& budget) { return task->Run(budget); };
+    unit.admit = [this, file, partition] {
+      if (!file->PartitionHasUnmergedTail(partition)) {
+        return sched::Admission::Run();
+      }
+      // A streaming-ingest fold is pending for this partition: copying its
+      // bytes mid-fold would ship a half-merged structure to the new
+      // replicas. Defer to let the merger drain — each deferral counts as
+      // an attempt, so a tail that never drains aborts the rebalance
+      // instead of spinning forever.
+      progress_.partitions_requeued_unmerged.fetch_add(
+          1, std::memory_order_relaxed);
+      return sched::Admission::Defer(Status::Aborted(
+          "partition " + std::to_string(partition) + " of file '" +
+          file->name() +
+          "' still has an unmerged op-log tail; quiesce ingest (or run the "
+          "LogMerger) before rebalancing"));
+    };
+    unit.done = [this, &manager, partition] {
+      // All copies of this partition landed: flip its epoch — queries now
+      // serve it from the new replicas with the old set as failover tail.
+      manager.MarkPartitionMigrated(partition);
+      progress_.partitions_done.fetch_add(1, std::memory_order_relaxed);
+    };
+    units.push_back(std::move(unit));
+  }
+  Status run =
+      driver_.Run(std::move(units), options_.max_concurrent_migrations,
+                  options_.max_partition_attempts);
   if (!run.ok()) {
     manager.AbortTransition();
     return run.WithContext("rebalance of file '" + file->name() +
@@ -304,164 +258,6 @@ Status Rebalancer::RebalanceFile(File* file,
   LH_LOG_INFO << "rebalance: file '" << file->name() << "' committed epoch "
               << serving_epoch << " (" << plan.moves.size() << " moved, "
               << plan.partitions_unchanged << " unchanged)";
-  return Status::OK();
-}
-
-Status Rebalancer::RunMoves(File* file, const MigrationPlan& plan,
-                            RebalanceReport* /*report*/,
-                            obs::LatencyHistogram* copy_hist) {
-  PlacementManager& manager = file->placement_manager();
-  std::deque<PendingMove> waiting;
-  for (const PartitionMove& move : plan.moves) {
-    auto task = std::make_shared<PartitionCopyTask>();
-    task->cluster = cluster_;
-    task->move = move;
-    task->partition_bytes = file->PartitionBytes(move.partition);
-    task->chunk_bytes = options_.copy_chunk_bytes;
-    task->retry = options_.retry;
-    task->limiter = &limiter_;
-    task->rebalance_cancel = &cancel_;
-    task->progress = &progress_;
-    task->offsets =
-        std::make_unique<std::atomic<uint64_t>[]>(move.targets.size());
-    for (size_t t = 0; t < move.targets.size(); ++t) {
-      task->offsets[t].store(0, std::memory_order_relaxed);
-    }
-    const std::string label =
-        file->name() + "/p" + std::to_string(move.partition);
-    rede::JobBuilder builder("migrate/" + label);
-    builder.Initial(
-        rede::Tuple::Point(Pointer::Keyed("migrate-" + label)));
-    builder.Add(std::make_shared<PartitionMigrationStage>("copy/" + label,
-                                                          task));
-    LH_ASSIGN_OR_RETURN(rede::Job job, builder.Build());
-    PendingMove pending;
-    pending.partition = move.partition;
-    pending.task = std::move(task);
-    pending.job = std::make_unique<rede::Job>(std::move(job));
-    waiting.push_back(std::move(pending));
-  }
-
-  // Bounded-outstanding driver: keep at most max_concurrent_migrations
-  // jobs in the scheduler, completing them oldest-first. Failed partition
-  // jobs are resubmitted (their copy tasks resume from recorded offsets)
-  // up to max_partition_attempts submissions.
-  std::deque<PendingMove> outstanding;
-  auto drain_outstanding = [&](const Status& cause) {
-    for (PendingMove& pending : outstanding) {
-      pending.handle->Cancel(cause);
-      StatusOr<rede::JobResult> joined = pending.handle->Wait();
-      (void)joined;  // outcome no longer matters, only the join
-    }
-    outstanding.clear();
-  };
-  while (!waiting.empty() || !outstanding.empty()) {
-    if (cancel_.cancelled()) {
-      drain_outstanding(cancel_.cause());
-      return cancel_.cause();
-    }
-    while (!waiting.empty() &&
-           outstanding.size() < options_.max_concurrent_migrations) {
-      PendingMove pending = std::move(waiting.front());
-      waiting.pop_front();
-      if (file->PartitionHasUnmergedTail(pending.partition)) {
-        // A streaming-ingest fold is pending for this partition: copying
-        // its bytes mid-fold would ship a half-merged structure to the new
-        // replicas. Re-queue to let the merger drain — each deferral
-        // counts as an attempt, so a tail that never drains aborts the
-        // rebalance instead of spinning forever.
-        progress_.partitions_requeued_unmerged.fetch_add(
-            1, std::memory_order_relaxed);
-        ++pending.attempts;
-        if (pending.attempts >= options_.max_partition_attempts) {
-          drain_outstanding(Status::Aborted(
-              "partition " + std::to_string(pending.partition) +
-              " of file '" + file->name() +
-              "' still has an unmerged op-log tail"));
-          return Status::Aborted(
-              "migration of partition " + std::to_string(pending.partition) +
-              " deferred " + std::to_string(pending.attempts) +
-              " times waiting for the streaming-ingest backlog to drain; "
-              "quiesce ingest (or run the LogMerger) before rebalancing");
-        }
-        waiting.push_back(std::move(pending));
-        if (cancel_.WaitFor(1000)) {
-          drain_outstanding(cancel_.cause());
-          return cancel_.cause();
-        }
-        break;
-      }
-      sched::JobSpec spec;
-      spec.tenant = options_.tenant;
-      spec.job_class = sched::JobClass::kMigration;
-      StatusOr<sched::JobHandlePtr> submitted =
-          scheduler_->Submit(*pending.job, std::move(spec));
-      if (!submitted.ok()) {
-        if (submitted.status().IsResourceExhausted()) {
-          // Admission control pushed back. Let an outstanding job finish
-          // (or idle briefly when none is) and try again.
-          waiting.push_front(std::move(pending));
-          if (outstanding.empty() && cancel_.WaitFor(1000)) {
-            return cancel_.cause();
-          }
-          break;
-        }
-        drain_outstanding(submitted.status());
-        return submitted.status().WithContext(
-            "submitting migration of partition " +
-            std::to_string(pending.partition));
-      }
-      pending.handle = std::move(submitted).value();
-      ++pending.attempts;
-      if (pending.first_submit_us == 0) pending.first_submit_us = NowMicros();
-      outstanding.push_back(std::move(pending));
-    }
-    if (outstanding.empty()) continue;
-    PendingMove pending = std::move(outstanding.front());
-    outstanding.pop_front();
-    StatusOr<rede::JobResult> result = pending.handle->Wait();
-    if (result.ok() && pending.task->yielded.exchange(false)) {
-      // The copy ran out of rate budget and released its scheduler
-      // resources. Wait the deficit out here (holding nothing), then
-      // resubmit to resume from the recorded offsets. Yields are normal
-      // throttle operation, not failed attempts.
-      --pending.attempts;
-      const int64_t wait_us =
-          pending.task->yield_wait_us.load(std::memory_order_relaxed);
-      if (wait_us > 0 && cancel_.WaitFor(static_cast<uint64_t>(wait_us))) {
-        drain_outstanding(cancel_.cause());
-        return cancel_.cause();
-      }
-      pending.handle.reset();
-      waiting.push_back(std::move(pending));
-      continue;
-    }
-    if (result.ok()) {
-      // All copies of this partition landed: flip its epoch — queries now
-      // serve it from the new replicas with the old set as failover tail.
-      manager.MarkPartitionMigrated(pending.partition);
-      progress_.partitions_done.fetch_add(1, std::memory_order_relaxed);
-      const int64_t now_us = NowMicros();
-      if (now_us > pending.first_submit_us) {
-        copy_hist->Record(
-            static_cast<uint64_t>(now_us - pending.first_submit_us));
-      }
-      continue;
-    }
-    if (pending.attempts >= options_.max_partition_attempts) {
-      drain_outstanding(result.status());
-      return result.status().WithContext(
-          "migration of partition " + std::to_string(pending.partition) +
-          " failed after " + std::to_string(pending.attempts) +
-          " submissions");
-    }
-    LH_LOG_WARN << "rebalance: migration of partition " << pending.partition
-                << " failed (attempt " << pending.attempts << "): "
-                << result.status().ToString() << "; resubmitting";
-    progress_.job_resubmissions.fetch_add(1, std::memory_order_relaxed);
-    pending.handle.reset();
-    waiting.push_back(std::move(pending));
-  }
   return Status::OK();
 }
 

@@ -1,73 +1,43 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/macros.h"
 #include "common/retry.h"
 #include "common/status_or.h"
 #include "io/file.h"
 #include "io/placement.h"
 #include "obs/histogram.h"
+#include "sched/background_driver.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
 
 /// \file rebalancer.h
-/// Online partition rebalancing for elastic cluster membership (ISSUE 7
-/// tentpole). A node join or drain-first decommission produces, per
-/// registered File, an old→new PlacementMap pair (PlacementManager::
-/// BeginTransition) plus a per-partition migration plan; the Rebalancer
-/// then drives one background copy job per moved partition through the
-/// multi-tenant sched::JobScheduler as the low-priority kMigration class,
-/// so foreground point lookups and scans keep their fair share of the
-/// execution slots and disk tokens while data moves.
+/// Online partition rebalancing for elastic cluster membership. A node join
+/// or drain-first decommission produces, per registered File, an old→new
+/// PlacementMap pair (PlacementManager::BeginTransition) plus a
+/// per-partition migration plan; the Rebalancer then runs one background
+/// copy unit per moved partition through a sched::BackgroundDriver as the
+/// low-priority kMigration class, so foreground point lookups and scans
+/// keep their fair share of the execution slots and disk tokens while data
+/// moves. The driver owns the shared byte budget, yields, resubmission and
+/// cancellation (DESIGN.md §12, "Background work").
 ///
-/// Each copy is throttled by a shared byte-rate leaky bucket — a job out
-/// of budget YIELDS (returns, releasing its execution slot and disk
-/// tokens) and is resubmitted once the deficit elapses, so a tightly
-/// throttled rebalance parks no scheduler resources while it waits — and
-/// is chunked and fault-tolerant: chunks retry transient device faults
-/// under RetryPolicy,
-/// fail over to the next live old replica when the source node goes down
-/// mid-move, and record per-(partition, target) byte offsets so a
-/// resubmitted job RESUMES instead of re-charging writes already applied
-/// (exactly-once with respect to ChargeReplicatedWrite). A partition whose
-/// copies all landed flips its epoch atomically — queries immediately
-/// serve it from the new replicas with the old set as failover tail — and
-/// when every partition has flipped the transition commits and the old
-/// copies are released.
+/// What is the Rebalancer's own: each copy is chunked and fault-tolerant —
+/// chunks retry transient device faults under RetryPolicy, fail over to the
+/// next live old replica when the source node goes down mid-move, and
+/// record per-(partition, target) byte offsets so a resubmitted job RESUMES
+/// instead of re-charging writes already applied (exactly-once with respect
+/// to ChargeReplicatedWrite). A partition with an unmerged streaming-ingest
+/// tail is deferred, not copied. A partition whose copies all landed flips
+/// its epoch atomically — queries immediately serve it from the new
+/// replicas with the old set as failover tail — and when every partition
+/// has flipped the transition commits and the old copies are released.
 
 namespace lakeharbor::io {
-
-/// Leaky-bucket byte throttle shared by all concurrent migration copies.
-/// Acquire blocks until the requested bytes fit under the configured rate;
-/// the wait is cancellable so an aborted rebalance stops within one
-/// quantum. Thread-safe.
-class RateLimiter {
- public:
-  /// bytes_per_sec == 0 disables throttling (Acquire returns immediately).
-  explicit RateLimiter(uint64_t bytes_per_sec)
-      : bytes_per_sec_(bytes_per_sec) {}
-  LH_DISALLOW_COPY_AND_ASSIGN(RateLimiter);
-
-  /// Returns false when `cancel` flipped while waiting.
-  bool Acquire(uint64_t bytes, CancelToken* cancel);
-
-  /// Non-blocking variant: charges `bytes` and returns 0 when the budget
-  /// admits them now, otherwise returns the microseconds until the bucket
-  /// frees WITHOUT charging. Lets a copy job yield its scheduler slot and
-  /// disk tokens for the wait instead of sleeping while holding them.
-  int64_t TryAcquire(uint64_t bytes);
-
- private:
-  const uint64_t bytes_per_sec_;
-  std::mutex mutex_;
-  int64_t next_free_us_ = 0;
-};
 
 struct RebalanceOptions {
   /// Outstanding migration jobs in the scheduler at once. Together with
@@ -101,18 +71,13 @@ struct RebalanceOptions {
 };
 
 /// Live counters of the rebalance in flight (readable from other threads).
-struct RebalanceProgress {
+struct RebalanceProgress : sched::BackgroundProgress {
   std::atomic<uint64_t> partitions_total{0};
   std::atomic<uint64_t> partitions_done{0};
   std::atomic<uint64_t> bytes_copied{0};
   std::atomic<uint64_t> chunks_copied{0};
   std::atomic<uint64_t> chunk_retries{0};
   std::atomic<uint64_t> source_failovers{0};
-  std::atomic<uint64_t> job_resubmissions{0};
-  /// Copy jobs that returned early because the rate budget ran dry and
-  /// were resubmitted after the deficit elapsed (holding no scheduler
-  /// resources in between). Not failures and not counted as attempts.
-  std::atomic<uint64_t> throttle_yields{0};
   /// Moves deferred because the partition's file reported an unmerged
   /// streaming-ingest tail (ingest::StreamingFile): copying its bytes
   /// mid-fold would ship a half-merged structure. The move is re-queued to
@@ -121,14 +86,13 @@ struct RebalanceProgress {
   std::atomic<uint64_t> partitions_requeued_unmerged{0};
 
   void Reset() {
+    BackgroundProgress::Reset();
     partitions_total.store(0);
     partitions_done.store(0);
     bytes_copied.store(0);
     chunks_copied.store(0);
     chunk_retries.store(0);
     source_failovers.store(0);
-    job_resubmissions.store(0);
-    throttle_yields.store(0);
     partitions_requeued_unmerged.store(0);
   }
 };
@@ -186,7 +150,7 @@ class Rebalancer {
 
   /// Abort the rebalance in flight from any thread: copy loops stop within
   /// one chunk/backoff quantum and the driver rolls the transitions back.
-  void Cancel(Status cause) { cancel_.Cancel(std::move(cause)); }
+  void Cancel(Status cause) { driver_.Cancel(std::move(cause)); }
 
   const RebalanceProgress& progress() const { return progress_; }
   const RebalanceOptions& options() const { return options_; }
@@ -198,19 +162,14 @@ class Rebalancer {
   StatusOr<RebalanceReport> RebalanceToMembers(
       const std::vector<sim::NodeId>& members);
   Status RebalanceFile(File* file, const std::vector<sim::NodeId>& members,
-                       RebalanceReport* report,
-                       obs::LatencyHistogram* copy_hist);
-  Status RunMoves(File* file, const MigrationPlan& plan,
-                  RebalanceReport* report, obs::LatencyHistogram* copy_hist);
+                       RebalanceReport* report);
 
   sim::Cluster* cluster_;
-  sched::JobScheduler* scheduler_;
   RebalanceOptions options_;
-  RateLimiter limiter_;
-  CancelToken cancel_;
   RebalanceProgress progress_;
   RebalanceReport last_report_;
   std::vector<File*> files_;
+  sched::BackgroundDriver driver_;
 };
 
 }  // namespace lakeharbor::io

@@ -1,14 +1,10 @@
 #include "io/scrubber.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <utility>
 
 #include "common/clock.h"
-#include "common/logging.h"
-#include "rede/job.h"
-#include "rede/stage_function.h"
 
 namespace lakeharbor::io {
 
@@ -40,53 +36,20 @@ struct PartitionScrubTask {
   uint32_t partition = 0;
   uint64_t bytes = 0;
   RetryPolicy retry;
-  RateLimiter* limiter = nullptr;
-  CancelToken* scrub_cancel = nullptr;
   ScrubProgress* progress = nullptr;
 
   /// One verdict per replica slot; the verify cursor is the first
   /// kUnverified entry, the repair cursor the first kCorrupt one.
   std::vector<uint8_t> verdicts;
 
-  /// Set when the last run returned early because the rate budget ran dry;
-  /// the driver waits the deficit out off-scheduler and resubmits.
-  std::atomic<bool> yielded{false};
-  std::atomic<int64_t> yield_wait_us{0};
-
-  /// Result summary the driver reads after the job completes (the job
+  /// Result summary the done hook reads after the job completes (the job
   /// handle's Wait() orders these writes before the driver's reads).
   uint32_t corrupt_found = 0;
   uint32_t repaired = 0;
   uint32_t live_replicas = 0;
   bool unrepairable = false;
 
-  bool Cancelled(const rede::ExecContext& ctx, Status* out) const {
-    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-      *out = ctx.cancel->cause();
-      return true;
-    }
-    if (scrub_cancel->cancelled()) {
-      *out = scrub_cancel->cause();
-      return true;
-    }
-    return false;
-  }
-
-  /// Out of budget: yield instead of sleeping here — a sleeping job would
-  /// park its execution slot and scrub io tokens for the whole wait,
-  /// starving foreground work of exactly the resources the throttle is
-  /// meant to protect. (Same discipline as the rebalancer's copy jobs.)
-  bool Yield(uint64_t want) {
-    if (limiter == nullptr) return false;
-    const int64_t wait_us = limiter->TryAcquire(want);
-    if (wait_us <= 0) return false;
-    yielded.store(true, std::memory_order_relaxed);
-    yield_wait_us.store(wait_us, std::memory_order_relaxed);
-    progress->throttle_yields.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  Status Run(const rede::ExecContext& ctx) {
+  Status Run(sched::Budget& budget) {
     const uint32_t rf = file->ReplicaCountFor(partition);
     if (verdicts.size() < rf) verdicts.resize(rf, kUnverified);
 
@@ -96,14 +59,13 @@ struct PartitionScrubTask {
     // repair candidate, not a transient device fault.
     for (uint32_t r = 0; r < rf; ++r) {
       if (verdicts[r] != kUnverified) continue;
-      Status cause;
-      if (Cancelled(ctx, &cause)) return cause;
+      LH_RETURN_NOT_OK(budget.CancelCause());
       const sim::NodeId node = file->NodeOfReplica(partition, r);
       if (cluster->NodeIsDown(node)) {
         verdicts[r] = kDown;
         continue;
       }
-      if (Yield(bytes)) return Status::OK();
+      if (!budget.Take(bytes)) return Status::OK();
       sim::ReadOutcome outcome;
       Status stream = RunWithRetry(
           retry,
@@ -114,7 +76,7 @@ struct PartitionScrubTask {
           [&](size_t, uint64_t) {
             progress->stream_retries.fetch_add(1, std::memory_order_relaxed);
           },
-          scrub_cancel,
+          budget.cancel_token(),
           (static_cast<uint64_t>(partition) << 32) ^
               static_cast<uint64_t>(r));
       if (stream.IsUnavailable()) {
@@ -142,8 +104,7 @@ struct PartitionScrubTask {
     // is unrepairable: reported, never silently skipped.
     for (uint32_t r = 0; r < rf; ++r) {
       if (verdicts[r] != kCorrupt) continue;
-      Status cause;
-      if (Cancelled(ctx, &cause)) return cause;
+      LH_RETURN_NOT_OK(budget.CancelCause());
       uint32_t source = kNoReplica;
       for (uint32_t s = 0; s < rf; ++s) {
         if ((verdicts[s] == kClean || verdicts[s] == kRepaired) &&
@@ -153,7 +114,7 @@ struct PartitionScrubTask {
         }
       }
       if (source == kNoReplica) break;  // summarized below
-      if (Yield(2 * bytes)) return Status::OK();
+      if (!budget.Take(2 * bytes)) return Status::OK();
       const sim::NodeId target_node = file->NodeOfReplica(partition, r);
       const sim::NodeId source_node = file->NodeOfReplica(partition, source);
       Status repair = RunWithRetry(
@@ -168,7 +129,7 @@ struct PartitionScrubTask {
           [&](size_t, uint64_t) {
             progress->stream_retries.fetch_add(1, std::memory_order_relaxed);
           },
-          scrub_cancel,
+          budget.cancel_token(),
           (static_cast<uint64_t>(partition) << 32) ^
               static_cast<uint64_t>(r) ^ 0x5c5b5c5bULL);
       LH_RETURN_NOT_OK(repair);
@@ -176,7 +137,7 @@ struct PartitionScrubTask {
       progress->replicas_repaired.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // Summarize for the driver.
+    // Summarize for the done hook.
     corrupt_found = 0;
     repaired = 0;
     live_replicas = 0;
@@ -196,48 +157,16 @@ struct PartitionScrubTask {
   }
 };
 
-/// The scrub work as a ReDe stage: a partition-pruning Dereferencer
-/// (WantsBroadcast = false, keyed initial pointer) that runs as exactly one
-/// task, so a scrub job flows through the scheduler and executor like any
-/// other job — same slots, tokens, cancellation, and metrics.
-class PartitionScrubStage final : public rede::Dereferencer {
- public:
-  PartitionScrubStage(std::string name,
-                      std::shared_ptr<PartitionScrubTask> task)
-      : rede::Dereferencer(std::move(name)), task_(std::move(task)) {}
-
-  bool WantsBroadcast() const override { return false; }
-
-  Status Execute(const rede::ExecContext& ctx, const rede::Tuple& /*input*/,
-                 std::vector<rede::Tuple>* /*out*/) const override {
-    return task_->Run(ctx);
-  }
-
- private:
-  std::shared_ptr<PartitionScrubTask> task_;
-};
-
-/// One partition's scrub in flight through the scheduler.
-struct PendingScrub {
-  File* file = nullptr;
-  uint32_t partition = 0;
-  std::shared_ptr<PartitionScrubTask> task;
-  std::unique_ptr<rede::Job> job;
-  sched::JobHandlePtr handle;
-  size_t attempts = 0;
-  int64_t first_submit_us = 0;
-};
-
 }  // namespace
 
 Scrubber::Scrubber(sim::Cluster* cluster, sched::JobScheduler* scheduler,
                    ScrubOptions options)
     : cluster_(cluster),
-      scheduler_(scheduler),
       options_(std::move(options)),
-      limiter_(options_.throttle_bytes_per_sec) {
+      driver_(scheduler, sched::JobClass::kScrub, options_.tenant,
+              options_.throttle_bytes_per_sec, "scrub", "verify",
+              &progress_) {
   LH_CHECK(cluster_ != nullptr);
-  LH_CHECK(scheduler_ != nullptr);
   LH_CHECK_MSG(options_.max_concurrent_scrubs > 0,
                "scrubber needs at least one concurrent scrub");
   LH_CHECK_MSG(options_.max_partition_attempts > 0,
@@ -250,13 +179,12 @@ void Scrubber::RegisterFile(File* file) {
 }
 
 StatusOr<ScrubReport> Scrubber::ScrubAll() {
-  cancel_.Reset();
+  driver_.Reset();
   progress_.Reset();
   StopWatch watch;
   ScrubReport report;
-  obs::LatencyHistogram scrub_hist;
 
-  std::deque<PendingScrub> waiting;
+  std::vector<sched::BackgroundUnit> units;
   for (File* file : files_) {
     for (uint32_t p = 0; p < file->num_partitions(); ++p) {
       auto task = std::make_shared<PartitionScrubTask>();
@@ -266,130 +194,42 @@ StatusOr<ScrubReport> Scrubber::ScrubAll() {
       task->bytes = std::max<uint64_t>(file->PartitionBytes(p),
                                        kMinScrubBytes);
       task->retry = options_.retry;
-      task->limiter = &limiter_;
-      task->scrub_cancel = &cancel_;
       task->progress = &progress_;
-      const std::string label = file->name() + "/p" + std::to_string(p);
-      rede::JobBuilder builder("scrub/" + label);
-      builder.Initial(rede::Tuple::Point(Pointer::Keyed("scrub-" + label)));
-      builder.Add(std::make_shared<PartitionScrubStage>("verify/" + label,
-                                                        task));
-      LH_ASSIGN_OR_RETURN(rede::Job job, builder.Build());
-      PendingScrub pending;
-      pending.file = file;
-      pending.partition = p;
-      pending.task = std::move(task);
-      pending.job = std::make_unique<rede::Job>(std::move(job));
-      waiting.push_back(std::move(pending));
-    }
-  }
-  progress_.partitions_total.store(waiting.size(), std::memory_order_relaxed);
-
-  // Bounded-outstanding driver (same shape as the rebalancer's): keep at
-  // most max_concurrent_scrubs jobs in the scheduler, completing them
-  // oldest-first; throttle yields are resubmitted after the deficit
-  // elapses without counting as attempts.
-  std::deque<PendingScrub> outstanding;
-  auto drain_outstanding = [&](const Status& cause) {
-    for (PendingScrub& pending : outstanding) {
-      pending.handle->Cancel(cause);
-      StatusOr<rede::JobResult> joined = pending.handle->Wait();
-      (void)joined;  // outcome no longer matters, only the join
-    }
-    outstanding.clear();
-  };
-  while (!waiting.empty() || !outstanding.empty()) {
-    if (cancel_.cancelled()) {
-      drain_outstanding(cancel_.cause());
-      return cancel_.cause();
-    }
-    while (!waiting.empty() &&
-           outstanding.size() < options_.max_concurrent_scrubs) {
-      PendingScrub pending = std::move(waiting.front());
-      waiting.pop_front();
-      if (pending.file->PartitionHasUnmergedTail(pending.partition)) {
+      sched::BackgroundUnit unit;
+      unit.label = file->name() + "/p" + std::to_string(p);
+      unit.body = [task](const rede::ExecContext&, const rede::Tuple&,
+                         sched::Budget& budget) { return task->Run(budget); };
+      unit.admit = [this, file, p] {
+        if (!file->PartitionHasUnmergedTail(p)) return sched::Admission::Run();
         // A streaming-ingest fold is pending for this partition: its
         // device-resident bytes are about to change, so a verify stream
         // would race the merger. Skip-and-report; the next pass catches it.
         progress_.partitions_skipped_unmerged.fetch_add(
             1, std::memory_order_relaxed);
-        continue;
-      }
-      sched::JobSpec spec;
-      spec.tenant = options_.tenant;
-      spec.job_class = sched::JobClass::kScrub;
-      StatusOr<sched::JobHandlePtr> submitted =
-          scheduler_->Submit(*pending.job, std::move(spec));
-      if (!submitted.ok()) {
-        if (submitted.status().IsResourceExhausted()) {
-          waiting.push_front(std::move(pending));
-          if (outstanding.empty() && cancel_.WaitFor(1000)) {
-            return cancel_.cause();
-          }
-          break;
+        return sched::Admission::Skip();
+      };
+      unit.done = [this, task, &report] {
+        progress_.partitions_done.fetch_add(1, std::memory_order_relaxed);
+        if (task->unrepairable) {
+          report.unrepairable.push_back(UnrepairablePartition{
+              task->file->name(), task->partition, task->corrupt_found,
+              task->live_replicas});
         }
-        drain_outstanding(submitted.status());
-        return submitted.status().WithContext(
-            "submitting scrub of partition " +
-            std::to_string(pending.partition));
-      }
-      pending.handle = std::move(submitted).value();
-      ++pending.attempts;
-      if (pending.first_submit_us == 0) pending.first_submit_us = NowMicros();
-      outstanding.push_back(std::move(pending));
+        const PlacementMap placement = task->file->placement();
+        const uint32_t requested = placement.requested_replication_factor();
+        if (task->live_replicas < requested) {
+          report.under_replicated.push_back(UnderReplicatedPartition{
+              task->file->name(), task->partition, requested,
+              task->live_replicas, placement.clamped()});
+        }
+      };
+      units.push_back(std::move(unit));
     }
-    if (outstanding.empty()) continue;
-    PendingScrub pending = std::move(outstanding.front());
-    outstanding.pop_front();
-    StatusOr<rede::JobResult> result = pending.handle->Wait();
-    if (result.ok() && pending.task->yielded.exchange(false)) {
-      --pending.attempts;
-      const int64_t wait_us =
-          pending.task->yield_wait_us.load(std::memory_order_relaxed);
-      if (wait_us > 0 && cancel_.WaitFor(static_cast<uint64_t>(wait_us))) {
-        drain_outstanding(cancel_.cause());
-        return cancel_.cause();
-      }
-      pending.handle.reset();
-      waiting.push_back(std::move(pending));
-      continue;
-    }
-    if (result.ok()) {
-      progress_.partitions_done.fetch_add(1, std::memory_order_relaxed);
-      const int64_t now_us = NowMicros();
-      if (now_us > pending.first_submit_us) {
-        scrub_hist.Record(
-            static_cast<uint64_t>(now_us - pending.first_submit_us));
-      }
-      const PartitionScrubTask& task = *pending.task;
-      if (task.unrepairable) {
-        report.unrepairable.push_back(UnrepairablePartition{
-            pending.file->name(), pending.partition, task.corrupt_found,
-            task.live_replicas});
-      }
-      const PlacementMap placement = pending.file->placement();
-      const uint32_t requested = placement.requested_replication_factor();
-      if (task.live_replicas < requested) {
-        report.under_replicated.push_back(UnderReplicatedPartition{
-            pending.file->name(), pending.partition, requested,
-            task.live_replicas, placement.clamped()});
-      }
-      continue;
-    }
-    if (pending.attempts >= options_.max_partition_attempts) {
-      drain_outstanding(result.status());
-      return result.status().WithContext(
-          "scrub of partition " + std::to_string(pending.partition) +
-          " failed after " + std::to_string(pending.attempts) +
-          " submissions");
-    }
-    LH_LOG_WARN << "scrub: partition " << pending.partition
-                << " failed (attempt " << pending.attempts << "): "
-                << result.status().ToString() << "; resubmitting";
-    progress_.job_resubmissions.fetch_add(1, std::memory_order_relaxed);
-    pending.handle.reset();
-    waiting.push_back(std::move(pending));
   }
+  progress_.partitions_total.store(units.size(), std::memory_order_relaxed);
+  LH_RETURN_NOT_OK(driver_.Run(std::move(units),
+                               options_.max_concurrent_scrubs,
+                               options_.max_partition_attempts));
 
   report.partitions_scrubbed =
       progress_.partitions_done.load(std::memory_order_relaxed);
@@ -410,7 +250,7 @@ StatusOr<ScrubReport> Scrubber::ScrubAll() {
   report.partitions_skipped_unmerged =
       progress_.partitions_skipped_unmerged.load(std::memory_order_relaxed);
   report.elapsed_ms = static_cast<uint64_t>(watch.ElapsedMillis());
-  report.partition_scrub_us = scrub_hist.Snapshot();
+  report.partition_scrub_us = driver_.latency();
   last_report_ = report;
   return report;
 }

@@ -1,40 +1,39 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/macros.h"
 #include "common/retry.h"
 #include "common/status_or.h"
 #include "io/file.h"
-#include "io/rebalancer.h"  // RateLimiter
 #include "obs/histogram.h"
+#include "sched/background_driver.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
 
 /// \file scrubber.h
-/// Throttled background integrity scrubbing (ISSUE 9 tentpole). Read-repair
-/// only heals the replicas that foreground queries happen to touch; cold
-/// data rots silently until something reads it. The Scrubber closes that
-/// gap: it drives one verify/repair job per (file, partition) through the
-/// multi-tenant sched::JobScheduler as the low-priority kScrub maintenance
-/// class, so foreground lookups and scans keep their fair share of the
-/// execution slots and disk tokens while every replica of every partition
-/// gets streamed and checksum-verified.
+/// Throttled background integrity scrubbing. Read-repair only heals the
+/// replicas that foreground queries happen to touch; cold data rots
+/// silently until something reads it. The Scrubber closes that gap: it runs
+/// one verify/repair unit per (file, partition) through a
+/// sched::BackgroundDriver as the low-priority kScrub maintenance class, so
+/// foreground lookups and scans keep their fair share of the execution
+/// slots and disk tokens while every replica of every partition gets
+/// streamed and checksum-verified. The driver owns the shared byte budget,
+/// yields, resubmission and cancellation (DESIGN.md §12, "Background
+/// work").
 ///
-/// Each job streams each live replica of its partition at the replica's own
-/// node (a local verify pass — no cross-node transfer) under the corruption
-/// injector, and rewrites any replica whose stream fails verification from
-/// a clean sibling (one sequential read at the source plus one replicated
-/// write at the target — the same charges as a read repair). A partition
-/// where NO clean live replica exists is reported unrepairable, never
-/// silently skipped. The shared byte-rate leaky bucket is the Rebalancer's
-/// RateLimiter with the same yield-not-sleep discipline: a job out of
-/// budget RETURNS (releasing its execution slot and scrub io tokens) and is
-/// resubmitted by the driver once the deficit elapses, so a tightly
-/// throttled scrub parks no scheduler resources while it waits.
+/// What is the Scrubber's own: each job streams each live replica of its
+/// partition at the replica's own node (a local verify pass — no cross-node
+/// transfer) under the corruption injector, and rewrites any replica whose
+/// stream fails verification from a clean sibling (one sequential read at
+/// the source plus one replicated write at the target — the same charges as
+/// a read repair). A partition where NO clean live replica exists is
+/// reported unrepairable, never silently skipped; one with an unmerged
+/// streaming-ingest tail is skipped and counted.
 ///
 /// The pass also audits placement health: any partition whose live replica
 /// count is below the file's REQUESTED replication factor — because the rf
@@ -74,7 +73,7 @@ struct ScrubOptions {
 };
 
 /// Live counters of the scrub pass in flight (readable from other threads).
-struct ScrubProgress {
+struct ScrubProgress : sched::BackgroundProgress {
   std::atomic<uint64_t> partitions_total{0};
   std::atomic<uint64_t> partitions_done{0};
   std::atomic<uint64_t> replicas_verified{0};
@@ -82,8 +81,6 @@ struct ScrubProgress {
   std::atomic<uint64_t> corrupt_replicas_found{0};
   std::atomic<uint64_t> replicas_repaired{0};
   std::atomic<uint64_t> stream_retries{0};
-  std::atomic<uint64_t> job_resubmissions{0};
-  std::atomic<uint64_t> throttle_yields{0};
   /// Partitions left unverified this pass because their file reported an
   /// unmerged op-log tail (ingest::StreamingFile): the device-resident
   /// bytes are about to change under a fold, so a verify stream would race
@@ -92,6 +89,7 @@ struct ScrubProgress {
   std::atomic<uint64_t> partitions_skipped_unmerged{0};
 
   void Reset() {
+    BackgroundProgress::Reset();
     partitions_total.store(0);
     partitions_done.store(0);
     replicas_verified.store(0);
@@ -99,8 +97,6 @@ struct ScrubProgress {
     corrupt_replicas_found.store(0);
     replicas_repaired.store(0);
     stream_retries.store(0);
-    job_resubmissions.store(0);
-    throttle_yields.store(0);
     partitions_skipped_unmerged.store(0);
   }
 };
@@ -166,7 +162,7 @@ class Scrubber {
   StatusOr<ScrubReport> ScrubAll();
 
   /// Abort the pass in flight from any thread.
-  void Cancel(Status cause) { cancel_.Cancel(std::move(cause)); }
+  void Cancel(Status cause) { driver_.Cancel(std::move(cause)); }
 
   const ScrubProgress& progress() const { return progress_; }
   const ScrubOptions& options() const { return options_; }
@@ -176,13 +172,11 @@ class Scrubber {
 
  private:
   sim::Cluster* cluster_;
-  sched::JobScheduler* scheduler_;
   ScrubOptions options_;
-  RateLimiter limiter_;
-  CancelToken cancel_;
   ScrubProgress progress_;
   ScrubReport last_report_;
   std::vector<File*> files_;
+  sched::BackgroundDriver driver_;
 };
 
 }  // namespace lakeharbor::io

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/string_util.h"
 #include "io/key_codec.h"
 #include "io/partitioned_file.h"
@@ -242,29 +241,6 @@ TEST(ElasticCluster, ReplicatedWriteAgainstANodeRemovedMidWrite) {
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.IsUnavailable());
   EXPECT_EQ(cluster.node(1).disk().stats().bytes_written.load(), node1_mid);
-}
-
-// ------------------------------------------------------- rate limiting
-
-TEST(RateLimiter, PacesAcquiresAndCancelsPromptly) {
-  io::RateLimiter unlimited(0);
-  EXPECT_TRUE(unlimited.Acquire(1 << 30, nullptr));
-
-  // 10 MB/s: the second 100 KB chunk must wait ~10 ms for the first.
-  io::RateLimiter limiter(10 * 1000 * 1000);
-  EXPECT_TRUE(limiter.Acquire(100 * 1000, nullptr));
-  StopWatch watch;
-  EXPECT_TRUE(limiter.Acquire(100 * 1000, nullptr));
-  EXPECT_GE(watch.ElapsedMillis(), 5.0);
-
-  // A cancelled token aborts the wait instead of draining it.
-  io::RateLimiter slow(1000);  // 1 KB/s: the next acquire would wait ~100 s
-  EXPECT_TRUE(slow.Acquire(100 * 1000, nullptr));
-  CancelToken cancel;
-  cancel.Cancel(Status::Aborted("stop"));
-  StopWatch cancelled_watch;
-  EXPECT_FALSE(slow.Acquire(1000, &cancel));
-  EXPECT_LT(cancelled_watch.ElapsedMillis(), 1000.0);
 }
 
 // --------------------------------------------------- engine lab fixture
@@ -760,6 +736,63 @@ TEST(Rebalance, OutageOfBothMigrationSourcesFailsOverThenResumes) {
   EXPECT_EQ(rebalancer.progress().partitions_done.load(),
             rebalancer.progress().partitions_total.load());
   EXPECT_TRUE(SchedulerDrained(scheduler));
+}
+
+TEST(Rebalance, CancelMidMigrationRollsBackAndCountsNoResubmission) {
+  // Every source of the join's moves is down, so the one outstanding copy
+  // sits in retry backoff. A Cancel that lands there fails the running job
+  // with the cancel cause: that ends the rebalance (rolled back, nothing
+  // left in the scheduler) and is not a failed attempt to resubmit.
+  ElasticLab lab(1);
+  auto job = lab.DeptJoinJob();
+  ASSERT_TRUE(job.ok());
+  auto baseline = lab.engine->ExecuteCollect(*job, ExecutionMode::kSmpe);
+  ASSERT_TRUE(baseline.ok());
+
+  sched::JobScheduler scheduler(&lab.engine->executor(ExecutionMode::kSmpe),
+                                sched::SchedulerOptions{});
+  io::RebalanceOptions options;
+  options.max_concurrent_migrations = 1;
+  options.retry.max_retries = 1000;  // outlive the cancel
+  options.retry.backoff_initial_us = 500;
+  options.retry.backoff_max_us = 5000;
+  io::Rebalancer rebalancer(&lab.cluster, &scheduler, options);
+  lab.RegisterAll(&rebalancer);
+
+  const std::vector<sim::NodeId> sources = lab.cluster.ActiveNodeIds();
+  for (sim::NodeId node : sources) lab.cluster.SetNodeOutage(node, true);
+  std::atomic<bool> rebalance_done{false};
+  StatusOr<sim::NodeId> join_result = Status::Internal("not run");
+  std::thread rebalance_thread([&] {
+    join_result = rebalancer.AddNodeAndRebalance();
+    rebalance_done.store(true);
+  });
+  while (rebalancer.progress().chunk_retries.load() == 0 &&
+         !rebalance_done.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  rebalancer.Cancel(Status::Aborted("operator cancelled the join"));
+  rebalance_thread.join();
+  for (sim::NodeId node : sources) lab.cluster.SetNodeOutage(node, false);
+
+  ASSERT_FALSE(join_result.ok());
+  EXPECT_TRUE(join_result.status().IsAborted())
+      << join_result.status().ToString();
+  EXPECT_NE(join_result.status().message().find("operator cancelled the join"),
+            std::string::npos)
+      << join_result.status().ToString();
+  EXPECT_GT(rebalancer.progress().chunk_retries.load(), 0u);
+  EXPECT_EQ(rebalancer.progress().job_resubmissions.load(), 0u);
+  EXPECT_FALSE(lab.emp->placement_manager().rebalancing());
+  EXPECT_FALSE(lab.dept->placement_manager().rebalancing());
+  EXPECT_FALSE(lab.idx->placement_manager().rebalancing());
+  EXPECT_TRUE(SchedulerDrained(scheduler));
+
+  // Rolled back: the lifted cluster answers exactly as before the join.
+  auto after = lab.engine->ExecuteCollect(*job, ExecutionMode::kSmpe);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(ElasticLab::Canonical(after->tuples),
+            ElasticLab::Canonical(baseline->tuples));
 }
 
 }  // namespace

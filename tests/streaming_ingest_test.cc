@@ -35,6 +35,7 @@
 #include "ingest/snapshot_view.h"
 #include "ingest/streaming_file.h"
 #include "io/key_codec.h"
+#include "io/rebalancer.h"
 #include "io/record.h"
 #include "io/scrubber.h"
 #include "rede/async_executor.h"
