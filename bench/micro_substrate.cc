@@ -3,6 +3,12 @@
 // claims parsing, MPMC queue and thread-pool overhead, and the simulated
 // disk in counting mode. These bound the engine-side (non-simulated)
 // overheads that sit under every figure harness.
+//
+// The timed rows measure what a modeled device access costs in wall time:
+// one 500 us random read and one 30 us network hop, each submitted and
+// waited for, on the blocking call and on the async submission. Their real
+// time per iteration minus the modeled time is the timer's overshoot plus
+// the hand-off to the waiting thread.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +24,7 @@
 #include "concurrent/thread_pool.h"
 #include "index/btree.h"
 #include "io/key_codec.h"
+#include "sim/cluster.h"
 #include "sim/disk.h"
 
 namespace lakeharbor {
@@ -186,6 +193,61 @@ void BM_SimDiskCountingMode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimDiskCountingMode);
+
+/// The perfbench device model's read and hop, timed at time scale 1.
+sim::ClusterOptions TimedSubstrate() {
+  sim::ClusterOptions options = sim::ClusterOptions::ForNodes(1);
+  options.disk.random_read_latency_us = 500;
+  options.network.message_latency_us = 30;
+  options.EnableTiming(true);
+  return options;
+}
+
+void BM_TimedRead(benchmark::State& state) {
+  const bool async = state.range(0) != 0;
+  sim::Cluster cluster(TimedSubstrate());
+  sim::Disk& disk = cluster.node(0).disk();
+  for (auto _ : state) {
+    if (async) {
+      sim::CompletionLatch done;
+      disk.SubmitRandomRead(128, 0, done.queue());
+      benchmark::DoNotOptimize(done.Wait());
+    } else {
+      benchmark::DoNotOptimize(disk.RandomRead(128));
+    }
+  }
+  state.counters["model_us"] = 500;
+  state.SetLabel(async ? "async" : "blocking");
+}
+BENCHMARK(BM_TimedRead)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(1000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_TimedHop(benchmark::State& state) {
+  const bool async = state.range(0) != 0;
+  sim::Cluster cluster(TimedSubstrate());
+  sim::Network& network = cluster.network();
+  for (auto _ : state) {
+    if (async) {
+      sim::CompletionLatch done;
+      network.SubmitTransfer(64, 0, done.queue());
+      benchmark::DoNotOptimize(done.Wait());
+    } else {
+      benchmark::DoNotOptimize(network.Transfer(64));
+    }
+  }
+  state.counters["model_us"] = 30;
+  state.SetLabel(async ? "async" : "blocking");
+}
+BENCHMARK(BM_TimedHop)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(5000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace lakeharbor

@@ -17,8 +17,13 @@
 # completion queue racing their destroyers (concurrent_test), and the async
 # workers' work-stealing sleep/wake protocol, whose tests the
 # async_executor_work_stealing_repeated entry runs 15 times over (a lost
-# wake-up hangs it into its timeout) — so a TSan-clean pass is the "zero
-# leaked inflight tasks, no torn state" acceptance gate. The obs-labeled
+# wake-up hangs it into its timeout), the device timer thread ending the
+# waits of blocking device calls, async submissions and the overlapped
+# replica legs of a replicated write (sim_test's DeviceQueue.* tests, run
+# as the sim_device_queue_timed entry), and the timer's wake-up only on a
+# new earliest deadline (concurrent_test's TimerService.* test) — so a
+# TSan-clean pass is the "zero leaked inflight tasks, no torn state"
+# acceptance gate. The obs-labeled
 # suite (trace recorder, histograms, profiler) rides along: its lock-free
 # thread-local span buffers are exactly the kind of code TSan exists for.
 #

@@ -11,9 +11,8 @@
 namespace lakeharbor {
 
 /// Counting semaphore with a runtime-chosen permit count (std::counting_
-/// semaphore fixes the maximum at compile time). Models bounded device
-/// concurrency in sim::Disk — the queue-depth analogue of the paper's
-/// `queue_depth=1008` setting — and the scheduler's per-node disk slots.
+/// semaphore fixes the maximum at compile time). Models the scheduler's
+/// per-node disk tokens.
 class Semaphore {
  public:
   explicit Semaphore(size_t permits) : permits_(permits) {}

@@ -71,19 +71,38 @@ void CountUnrepairable(const ExecContext& ctx, const Status& s) {
 /// that ultimately served the read — one replicated write per rotten node,
 /// best-effort (a faulted repair write leaves the replica for the
 /// scrubber to retry later). Bumps read_repairs per successful rewrite.
+///
+/// With an AsyncRuntime the writes are submitted and the read goes on at
+/// once: each write pins the run (RetainIo), as a hedge arm does, and
+/// counts its repair when it lands. Inline calls and deterministic replay
+/// (no runtime) submit and wait.
 void RepairCorruptReplicas(const ExecContext& ctx, const io::File& file,
                            uint32_t partition,
                            const std::vector<uint32_t>& corrupt_replicas,
                            uint64_t bytes) {
   if (ctx.cluster == nullptr) return;
+  const uint64_t repair_bytes = std::max(bytes, kMinRepairBytes);
   for (uint32_t r : corrupt_replicas) {
     const sim::NodeId bad = file.NodeOfReplica(partition, r);
-    if (ctx.cluster
-            ->ChargeReplicatedWrite(ctx.node, {bad},
-                                    std::max(bytes, kMinRepairBytes))
-            .ok()) {
-      Bump(ctx, &ExecMetricsCounters::read_repairs);
+    if (ctx.async == nullptr || ctx.completion_queue == nullptr) {
+      if (ctx.cluster->ChargeReplicatedWrite(ctx.node, {bad}, repair_bytes)
+              .ok()) {
+        Bump(ctx, &ExecMetricsCounters::read_repairs);
+      }
+      continue;
     }
+    AsyncRuntime* async = ctx.async;
+    ExecMetricsCounters* metrics = ctx.metrics;
+    async->RetainIo();
+    ctx.cluster->SubmitChargeReplicatedWrite(
+        ctx.node, {bad}, repair_bytes,
+        sim::MakeCallbackTag([async, metrics](Status s) {
+          if (s.ok() && metrics != nullptr) {
+            metrics->read_repairs.fetch_add(1, std::memory_order_relaxed);
+          }
+          async->ReleaseIo();  // last: the pin keeps `metrics` alive
+        }),
+        ctx.completion_queue);
   }
 }
 

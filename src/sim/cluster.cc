@@ -14,6 +14,34 @@ uint32_t ResolveMaxNodes(const ClusterOptions& options) {
   return doubled > 64 ? doubled : 64;
 }
 
+/// One in-flight replicated write: its replicas submitted so far (plus
+/// the submitter's guard) and the first error to land. The last release
+/// delivers the completion and deletes it.
+struct ReplicatedWrite {
+  ReplicatedWrite(uint64_t t, CompletionQueue* q) : tag(t), cq(q) {}
+
+  void Fail(Status s) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (status.ok()) status = std::move(s);
+    failed.store(true, std::memory_order_relaxed);
+  }
+
+  void Release() {
+    if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    CompletionQueue* out = cq;
+    Completion done{tag, std::move(status), ReadOutcome()};
+    delete this;
+    out->Push(std::move(done));
+  }
+
+  const uint64_t tag;
+  CompletionQueue* const cq;
+  std::atomic<size_t> pending{1};
+  std::atomic<bool> failed{false};
+  std::mutex mutex;
+  Status status;  // guarded by mutex
+};
+
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
@@ -26,13 +54,13 @@ Cluster::Cluster(ClusterOptions options)
       // leg; when the network leg lands, deliver the user's completion.
       chain_disk_cq_([this](const Completion& c) { OnChainDiskDone(c); }),
       chain_net_cq_([](const Completion& c) { OnChainNetDone(c); }),
+      callback_cq_([](const Completion& c) { DeliverCallbackTag(c); }),
       timers_(std::make_unique<TimerService>()) {
   LH_CHECK_MSG(options.num_nodes > 0, "cluster needs at least one node");
   for (NodeId id = 0; id < options.num_nodes; ++id) {
     InitNodeSlot(id);
   }
-  network_ = std::make_unique<Network>(options.network);
-  network_->SetTimerService(timers_.get());
+  network_ = std::make_unique<Network>(options.network, timers_.get());
   num_nodes_.store(options.num_nodes, std::memory_order_release);
 }
 
@@ -66,8 +94,7 @@ void Cluster::InitNodeSlot(NodeId id) {
   // Independent per-node fault streams from one cluster-level seed.
   disk.faults.seed = options_.disk.faults.seed + id;
   disk.timing_enabled = timing_enabled_;
-  nodes_[id] = std::make_unique<Node>(id, disk);
-  nodes_[id]->disk().SetTimerService(timers_.get());
+  nodes_[id] = std::make_unique<Node>(id, disk, timers_.get());
   if (fault_knobs_set_) {
     FaultOptions per_node = current_disk_faults_;
     per_node.seed = current_disk_faults_.seed + id;
@@ -177,19 +204,59 @@ Status Cluster::ChargeWrite(NodeId compute_node, NodeId storage_node,
 Status Cluster::ChargeReplicatedWrite(NodeId compute_node,
                                       const std::vector<NodeId>& replicas,
                                       size_t bytes) {
+  CompletionLatch latch;
+  SubmitChargeReplicatedWrite(compute_node, replicas, bytes, 0,
+                              latch.queue());
+  return latch.Wait();
+}
+
+void Cluster::SubmitChargeReplicatedWrite(NodeId compute_node,
+                                          const std::vector<NodeId>& replicas,
+                                          size_t bytes, uint64_t tag,
+                                          CompletionQueue* cq) {
+  auto* write = new ReplicatedWrite(tag, cq);
   for (NodeId storage_node : replicas) {
     // A removed node cannot accept writes — surface it as kUnavailable
     // with the node named, instead of silently charging a ghost disk.
     if (storage_node < num_nodes() && NodeIsRemoved(storage_node)) {
-      return Status::Unavailable("replica write to removed node " +
-                                 std::to_string(storage_node));
+      write->Fail(Status::Unavailable("replica write to removed node " +
+                                      std::to_string(storage_node)));
+      break;
     }
-    LH_RETURN_NOT_OK(
-        ChargeWrite(compute_node, storage_node, bytes)
-            .WithContext("replica write to node " +
-                         std::to_string(storage_node)));
+    write->pending.fetch_add(1, std::memory_order_relaxed);
+    SubmitReplicaWrite(
+        compute_node, storage_node, bytes,
+        MakeCallbackTag([write, storage_node](Status s) {
+          if (!s.ok()) {
+            write->Fail(s.WithContext("replica write to node " +
+                                      std::to_string(storage_node)));
+          }
+          write->Release();
+        }));
+    // A fault drawn at submission has landed already (untimed, the whole
+    // replica has): stop, as a serial loop would.
+    if (write->failed.load(std::memory_order_relaxed)) break;
   }
-  return Status::OK();
+  write->Release();  // the submitter's guard
+}
+
+void Cluster::SubmitReplicaWrite(NodeId compute_node, NodeId storage_node,
+                                 size_t bytes, uint64_t tag) {
+  LH_CHECK(storage_node < num_nodes());
+  Disk* disk = &nodes_[storage_node]->disk();
+  if (compute_node == storage_node) {
+    disk->SubmitWrite(bytes, tag, &callback_cq_);
+    return;
+  }
+  network_->SubmitTransfer(
+      bytes, MakeCallbackTag([this, disk, bytes, tag](Status s) {
+        if (s.ok()) {
+          disk->SubmitWrite(bytes, tag, &callback_cq_);
+        } else {
+          callback_cq_.Push(Completion{tag, std::move(s), ReadOutcome()});
+        }
+      }),
+      &callback_cq_);
 }
 
 void Cluster::SubmitChargeRandomRead(NodeId compute_node, NodeId storage_node,

@@ -24,8 +24,8 @@ using NodeId = uint32_t;
 /// I/O devices are simulated.
 class Node {
  public:
-  Node(NodeId id, DiskOptions disk_options)
-      : id_(id), disk_(std::make_unique<Disk>(disk_options)) {}
+  Node(NodeId id, DiskOptions disk_options, TimerService* timers)
+      : id_(id), disk_(std::make_unique<Disk>(disk_options, timers)) {}
   LH_DISALLOW_COPY_AND_ASSIGN(Node);
 
   NodeId id() const { return id_; }
@@ -156,12 +156,17 @@ class Cluster {
   Status ChargeWrite(NodeId compute_node, NodeId storage_node, size_t bytes);
 
   /// Charge a replicated write: the payload is written to EVERY replica
-  /// node (disk write each, plus a transfer per remote replica). This is
-  /// the ingest-side cost of replication_factor > 1 — durability is paid
-  /// for up front, not discovered at failover time. Replicas are charged
-  /// in list order and the first failure aborts the remainder; the error
-  /// names the failing node so callers can tell a removed/downed replica
-  /// from a transient fault.
+  /// node (disk write each, plus a transfer per remote replica, hop before
+  /// write). This is the ingest-side cost of replication_factor > 1 —
+  /// durability is paid for up front, not discovered at failover time. The
+  /// replicas are submitted in list order and written at once, so a
+  /// replicated write takes as long as its slowest replica, not the sum of
+  /// them. A removed replica or a failed submission stops the remaining
+  /// submissions, and the first error to land is returned once every
+  /// submitted replica has landed; it names the failing node so callers
+  /// can tell a removed/downed replica from a transient fault. Untimed,
+  /// every replica lands before the next is submitted, so the charges and
+  /// fault-stream draws are those of writing the replicas one by one.
   Status ChargeReplicatedWrite(NodeId compute_node,
                                const std::vector<NodeId>& replicas,
                                size_t bytes);
@@ -186,6 +191,14 @@ class Cluster {
   void SubmitChargeSequentialRead(NodeId compute_node, NodeId storage_node,
                                   size_t bytes, uint64_t tag,
                                   CompletionQueue* cq);
+
+  /// Async analogue of ChargeReplicatedWrite (which is this submission plus
+  /// a wait): one completion, carrying the first error, once every
+  /// submitted replica has landed.
+  void SubmitChargeReplicatedWrite(NodeId compute_node,
+                                   const std::vector<NodeId>& replicas,
+                                   size_t bytes, uint64_t tag,
+                                   CompletionQueue* cq);
 
   /// The cluster-owned timer thread that retires timed async device
   /// operations. Exposed for executors that need delayed continuations tied
@@ -241,6 +254,10 @@ class Cluster {
 
   /// Build and install the node for slot `id` (membership lock held).
   void InitNodeSlot(NodeId id);
+  /// One replica's write, delivered as a callback tag on `callback_cq_`:
+  /// the hop first when remote, then the disk write.
+  void SubmitReplicaWrite(NodeId compute_node, NodeId storage_node,
+                          size_t bytes, uint64_t tag);
   /// Listeners of the chain queues below.
   void OnChainDiskDone(const Completion& c);
   static void OnChainNetDone(const Completion& c);
@@ -263,13 +280,16 @@ class Cluster {
   bool fault_knobs_set_ = false;
   bool timing_enabled_;
 
-  /// Internal completion queues chaining remote async charges: disk
-  /// completions feed the network leg, network completions feed the user.
+  /// Internal completion queues chaining async charges: a remote read's
+  /// disk completion feeds its network leg, and the network completion
+  /// feeds the user. The replica legs of a replicated write carry
+  /// callback tags, which `callback_cq_` runs where they are delivered.
   /// Listener-mode queues (lock-free Push), built with their listeners at
-  /// construction; the listeners only route/delete heap ChainOps — they
-  /// never run user continuations.
+  /// construction; the listeners only route/delete heap state — they never
+  /// run user continuations.
   CompletionQueue chain_disk_cq_;
   CompletionQueue chain_net_cq_;
+  CompletionQueue callback_cq_;
   /// Declared last so it is destroyed first: pending timer closures
   /// reference disks and the chain queues above.
   std::unique_ptr<TimerService> timers_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -82,6 +83,41 @@ class CompletionQueue {
   const Listener listener_;  // empty in pull mode
   mutable std::mutex mutex_;
   std::deque<Completion> buffered_;  // pull mode only; guarded by mutex_
+};
+
+/// A blocking caller's side of one submission: pass `queue()` to a Submit*
+/// call, then `Wait()` for the completion it delivers. Every blocking device
+/// call is built this way (submit, then wait for the timer thread to end
+/// the wait), so a blocked thread holds no device state and each device
+/// has one admission path. The arrival notifies under the lock, because the
+/// waiter destroys the latch as soon as Wait returns.
+class CompletionLatch {
+ public:
+  CompletionLatch() : cq_([this](const Completion& c) { Arrive(c); }) {}
+  LH_DISALLOW_COPY_AND_ASSIGN(CompletionLatch);
+
+  CompletionQueue* queue() { return &cq_; }
+
+  /// The delivered status, once the completion has arrived.
+  Status Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return arrived_; });
+    return std::move(status_);
+  }
+
+ private:
+  void Arrive(const Completion& c) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    status_ = c.status;
+    arrived_ = true;
+    cv_.notify_one();
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool arrived_ = false;
+  Status status_;
+  CompletionQueue cq_;
 };
 
 /// Callback-as-tag convention used by every layer above the raw devices:

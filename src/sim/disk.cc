@@ -1,18 +1,21 @@
 #include "sim/disk.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "concurrent/timer_service.h"
 
 namespace lakeharbor::sim {
 
-Disk::Disk(DiskOptions options)
-    : options_(options),
-      slots_(options.io_slots == 0 ? 1 : options.io_slots),
-      injector_(options.faults) {}
+Disk::Disk(DiskOptions options, TimerService* timers)
+    : options_(options), injector_(options.faults), timers_(timers) {
+  if (timers_ == nullptr) {
+    own_timers_ = std::make_unique<TimerService>();
+    timers_ = own_timers_.get();
+  }
+}
+
+Disk::~Disk() = default;
 
 Status Disk::MaybeFault(double* latency_scale, ReadOutcome* outcome) {
   FaultInjector::Decision decision = injector_.Assess("disk");
@@ -49,133 +52,46 @@ Status Disk::MaybeFault(double* latency_scale, ReadOutcome* outcome) {
   return Status::OK();
 }
 
-void Disk::SleepUs(double us) const {
-  if (!options_.timing_enabled) return;
-  double scaled = us * options_.time_scale;
-  if (scaled < 1.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(static_cast<int64_t>(scaled)));
-}
-
-Status Disk::RandomRead(size_t bytes, ReadOutcome* outcome) {
+Status Disk::Assess(Op* op, ReadOutcome* outcome) {
   double latency_scale = 1.0;
   LH_RETURN_NOT_OK(MaybeFault(&latency_scale, outcome));
-  const double service_us =
-      static_cast<double>(options_.random_read_latency_us) * latency_scale;
-  if (options_.timing_enabled) {
-    SemaphoreGuard guard(slots_);
-    SleepUs(service_us);
-  }
-  stats_.random_reads.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_random.fetch_add(bytes, std::memory_order_relaxed);
-  stats_.RecordService(service_us);
+  op->service_us =
+      (static_cast<double>(options_.random_read_latency_us) +
+       static_cast<double>(op->ops - 1) *
+           static_cast<double>(options_.batch_followup_latency_us)) *
+      latency_scale;
   return Status::OK();
+}
+
+Status Disk::Assess(Scan* scan, ReadOutcome* outcome) {
+  double latency_scale = 1.0;
+  LH_RETURN_NOT_OK(MaybeFault(&latency_scale, outcome));
+  scan->us_per_byte =
+      latency_scale * 1e6 /
+      static_cast<double>(options_.scan_bandwidth_bytes_per_sec);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Random reads, batch reads and writes: one slot count, one FIFO.
+// ---------------------------------------------------------------------------
+
+Status Disk::RandomRead(size_t bytes, ReadOutcome* outcome) {
+  return RunBlocking(Op(OpKind::kRead, 1, bytes), outcome);
 }
 
 Status Disk::BatchRandomRead(size_t ops, size_t bytes, ReadOutcome* outcome) {
   if (ops == 0) return Status::OK();
-  double latency_scale = 1.0;
-  LH_RETURN_NOT_OK(MaybeFault(&latency_scale, outcome));
-  const double service_us =
-      (static_cast<double>(options_.random_read_latency_us) +
-       static_cast<double>(ops - 1) *
-           static_cast<double>(options_.batch_followup_latency_us)) *
-      latency_scale;
-  if (options_.timing_enabled) {
-    SemaphoreGuard guard(slots_);
-    SleepUs(service_us);
-  }
-  stats_.random_reads.fetch_add(1, std::memory_order_relaxed);
-  stats_.batched_reads.fetch_add(1, std::memory_order_relaxed);
-  stats_.batched_ops.fetch_add(ops, std::memory_order_relaxed);
-  stats_.bytes_random.fetch_add(bytes, std::memory_order_relaxed);
-  stats_.RecordService(service_us);
-  return Status::OK();
-}
-
-Status Disk::SequentialRead(size_t bytes, ReadOutcome* outcome) {
-  double latency_scale = 1.0;
-  LH_RETURN_NOT_OK(MaybeFault(&latency_scale, outcome));
-  size_t remaining = bytes;
-  const double us_per_byte =
-      latency_scale *
-      1e6 / static_cast<double>(options_.scan_bandwidth_bytes_per_sec);
-  while (remaining > 0) {
-    size_t chunk = std::min(remaining, options_.scan_chunk_bytes);
-    if (options_.timing_enabled) {
-      // Hold the scan lock for the duration of the chunk so that concurrent
-      // scans on one device interleave at chunk granularity.
-      std::lock_guard<std::mutex> lock(scan_mutex_);
-      SleepUs(static_cast<double>(chunk) * us_per_byte);
-    }
-    stats_.sequential_chunks.fetch_add(1, std::memory_order_relaxed);
-    stats_.bytes_sequential.fetch_add(chunk, std::memory_order_relaxed);
-    stats_.RecordService(static_cast<double>(chunk) * us_per_byte);
-    remaining -= chunk;
-  }
-  return Status::OK();
+  return RunBlocking(Op(OpKind::kBatchRead, ops, bytes), outcome);
 }
 
 Status Disk::Write(size_t bytes) {
-  double latency_scale = 1.0;
-  LH_RETURN_NOT_OK(MaybeFault(&latency_scale));
-  const double service_us =
-      static_cast<double>(options_.random_read_latency_us) * latency_scale;
-  if (options_.timing_enabled) {
-    SemaphoreGuard guard(slots_);
-    SleepUs(service_us);
-  }
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
-  stats_.RecordService(service_us);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Asynchronous submission path. Fault decisions are drawn at submission time
-// (preserving the deterministic fault-stream order of the blocking path);
-// counters and service accounting are charged when the operation's modeled
-// service time elapses, with the exact values the blocking path would charge.
-// ---------------------------------------------------------------------------
-
-void Disk::ChargeAsyncRead(const AsyncCharge& charge) {
-  stats_.random_reads.fetch_add(1, std::memory_order_relaxed);
-  if (charge.batched) {
-    stats_.batched_reads.fetch_add(1, std::memory_order_relaxed);
-    stats_.batched_ops.fetch_add(charge.ops, std::memory_order_relaxed);
-  }
-  stats_.bytes_random.fetch_add(charge.bytes, std::memory_order_relaxed);
-  stats_.RecordService(charge.service_us);
-  charge.cq->Push(Completion{charge.tag, Status::OK(), charge.outcome});
-}
-
-void Disk::FinishAsyncRead(const AsyncCharge& charge) {
-  ChargeAsyncRead(charge);
-  // Hand the freed slot to the next waiting submission, if any.
-  AsyncCharge next;
-  bool have_next = false;
-  {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    if (async_waiting_.empty()) {
-      LH_CHECK(async_in_service_ > 0);
-      --async_in_service_;
-    } else {
-      next = std::move(async_waiting_.front());
-      async_waiting_.pop_front();
-      have_next = true;  // slot transfers directly
-    }
-  }
-  if (have_next) StartAsyncService(std::move(next));
-}
-
-void Disk::StartAsyncService(AsyncCharge charge) {
-  const double delay_us = charge.service_us * options_.time_scale;
-  timers_->After(static_cast<uint64_t>(delay_us),
-                 [this, charge = std::move(charge)] { FinishAsyncRead(charge); });
+  // A write drawing a corrupt fate neither counts nor delivers it.
+  return RunBlocking(Op(OpKind::kWrite, 1, bytes), nullptr);
 }
 
 void Disk::SubmitRandomRead(size_t bytes, uint64_t tag, CompletionQueue* cq) {
-  SubmitReadInternal(/*ops=*/1, bytes, tag, cq, /*batched=*/false);
+  Submit(Op(OpKind::kRead, 1, bytes, tag, cq));
 }
 
 void Disk::SubmitBatchRandomRead(size_t ops, size_t bytes, uint64_t tag,
@@ -184,90 +100,158 @@ void Disk::SubmitBatchRandomRead(size_t ops, size_t bytes, uint64_t tag,
     cq->Push(Completion{tag, Status::OK(), ReadOutcome()});
     return;
   }
-  SubmitReadInternal(ops, bytes, tag, cq, /*batched=*/true);
+  Submit(Op(OpKind::kBatchRead, ops, bytes, tag, cq));
 }
 
-void Disk::SubmitReadInternal(size_t ops, size_t bytes, uint64_t tag,
-                              CompletionQueue* cq, bool batched) {
-  double latency_scale = 1.0;
-  ReadOutcome outcome;
-  Status fate = MaybeFault(&latency_scale, &outcome);
+void Disk::SubmitWrite(size_t bytes, uint64_t tag, CompletionQueue* cq) {
+  Submit(Op(OpKind::kWrite, 1, bytes, tag, cq));
+}
+
+Status Disk::RunBlocking(Op op, ReadOutcome* outcome) {
+  LH_RETURN_NOT_OK(Assess(&op, outcome));
+  if (!Timed(op.service_us)) {
+    Charge(op);
+    return Status::OK();
+  }
+  CompletionLatch latch;
+  op.cq = latch.queue();
+  Admit(std::move(op));
+  return latch.Wait();
+}
+
+void Disk::Submit(Op op) {
+  Status fate =
+      Assess(&op, op.kind == OpKind::kWrite ? nullptr : &op.outcome);
   if (!fate.ok()) {
-    cq->Push(Completion{tag, std::move(fate), ReadOutcome()});
+    op.cq->Push(Completion{op.tag, std::move(fate), ReadOutcome()});
     return;
   }
-  const double service_us =
-      (static_cast<double>(options_.random_read_latency_us) +
-       static_cast<double>(ops - 1) *
-           static_cast<double>(options_.batch_followup_latency_us)) *
-      latency_scale;
-  AsyncCharge charge;
-  charge.tag = tag;
-  charge.cq = cq;
-  charge.service_us = service_us;
-  charge.ops = ops;
-  charge.bytes = bytes;
-  charge.batched = batched;
-  charge.outcome = outcome;
-  if (!options_.timing_enabled || timers_ == nullptr ||
-      service_us * options_.time_scale < 1.0) {
-    // Same condition under which the blocking path skips its sleep.
-    ChargeAsyncRead(charge);
+  if (!Timed(op.service_us)) {
+    Charge(op);
+    op.cq->Push(Completion{op.tag, Status::OK(), op.outcome});
     return;
   }
-  bool admit = false;
+  Admit(std::move(op));
+}
+
+void Disk::Charge(const Op& op) {
+  if (op.kind == OpKind::kWrite) {
+    stats_.writes.fetch_add(1, std::memory_order_relaxed);
+    stats_.bytes_written.fetch_add(op.bytes, std::memory_order_relaxed);
+  } else {
+    stats_.random_reads.fetch_add(1, std::memory_order_relaxed);
+    if (op.kind == OpKind::kBatchRead) {
+      stats_.batched_reads.fetch_add(1, std::memory_order_relaxed);
+      stats_.batched_ops.fetch_add(op.ops, std::memory_order_relaxed);
+    }
+    stats_.bytes_random.fetch_add(op.bytes, std::memory_order_relaxed);
+  }
+  stats_.RecordService(op.service_us);
+}
+
+void Disk::Admit(Op op) {
   {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    if (async_in_service_ < async_slot_capacity()) {
-      ++async_in_service_;
-      admit = true;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (in_service_ >= slot_capacity()) {
+      waiting_.push_back(std::move(op));
+      return;
+    }
+    ++in_service_;
+  }
+  StartService(std::move(op));
+}
+
+void Disk::StartService(Op op) {
+  const double delay_us = op.service_us * options_.time_scale;
+  timers_->After(static_cast<uint64_t>(delay_us),
+                 [this, op = std::move(op)] { FinishService(op); });
+}
+
+void Disk::FinishService(const Op& op) {
+  Charge(op);
+  // Hand the freed slot to the next waiting operation, if any, before the
+  // completion goes out: a blocking caller may return (and its disk be torn
+  // down after a join of this thread) as soon as it sees it.
+  Op next;
+  bool have_next = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (waiting_.empty()) {
+      LH_CHECK(in_service_ > 0);
+      --in_service_;
     } else {
-      async_waiting_.push_back(std::move(charge));
+      next = std::move(waiting_.front());
+      waiting_.pop_front();
+      have_next = true;  // the slot transfers directly
     }
   }
-  if (admit) StartAsyncService(std::move(charge));
+  if (have_next) StartService(std::move(next));
+  op.cq->Push(Completion{op.tag, Status::OK(), op.outcome});
+}
+
+// ---------------------------------------------------------------------------
+// Sequential scans: one chunk in service at a time, rotating among scans.
+// ---------------------------------------------------------------------------
+
+Status Disk::SequentialRead(size_t bytes, ReadOutcome* outcome) {
+  Scan scan;
+  scan.remaining = bytes;
+  LH_RETURN_NOT_OK(Assess(&scan, outcome));
+  if (!options_.timing_enabled || bytes == 0) {
+    ChargeScan(scan);
+    return Status::OK();
+  }
+  CompletionLatch latch;
+  scan.cq = latch.queue();
+  AdmitScan(std::move(scan));
+  return latch.Wait();
 }
 
 void Disk::SubmitSequentialRead(size_t bytes, uint64_t tag,
                                 CompletionQueue* cq) {
-  double latency_scale = 1.0;
-  ReadOutcome outcome;
-  Status fate = MaybeFault(&latency_scale, &outcome);
+  Scan scan;
+  scan.remaining = bytes;
+  scan.tag = tag;
+  scan.cq = cq;
+  Status fate = Assess(&scan, &scan.outcome);
   if (!fate.ok()) {
     cq->Push(Completion{tag, std::move(fate), ReadOutcome()});
     return;
   }
-  const double us_per_byte =
-      latency_scale * 1e6 /
-      static_cast<double>(options_.scan_bandwidth_bytes_per_sec);
-  if (!options_.timing_enabled || timers_ == nullptr) {
-    size_t remaining = bytes;
-    while (remaining > 0) {
-      size_t chunk = std::min(remaining, options_.scan_chunk_bytes);
-      stats_.sequential_chunks.fetch_add(1, std::memory_order_relaxed);
-      stats_.bytes_sequential.fetch_add(chunk, std::memory_order_relaxed);
-      stats_.RecordService(static_cast<double>(chunk) * us_per_byte);
-      remaining -= chunk;
-    }
-    cq->Push(Completion{tag, Status::OK(), outcome});
+  if (!options_.timing_enabled || bytes == 0) {
+    ChargeScan(scan);
+    cq->Push(Completion{tag, Status::OK(), scan.outcome});
     return;
   }
-  if (bytes == 0) {
-    cq->Push(Completion{tag, Status::OK(), outcome});
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    async_scans_.push_back(AsyncScan{tag, cq, bytes, us_per_byte, outcome});
-    if (scan_chunk_in_service_) return;  // rotation will reach this scan
-    scan_chunk_in_service_ = true;
-    ScheduleNextScanChunkLocked();
+  AdmitScan(std::move(scan));
+}
+
+void Disk::ChargeScanChunk(size_t chunk, double chunk_us) {
+  stats_.sequential_chunks.fetch_add(1, std::memory_order_relaxed);
+  stats_.bytes_sequential.fetch_add(chunk, std::memory_order_relaxed);
+  stats_.RecordService(chunk_us);
+}
+
+void Disk::ChargeScan(const Scan& scan) {
+  size_t remaining = scan.remaining;
+  while (remaining > 0) {
+    const size_t chunk = std::min(remaining, options_.scan_chunk_bytes);
+    ChargeScanChunk(chunk, static_cast<double>(chunk) * scan.us_per_byte);
+    remaining -= chunk;
   }
 }
 
+void Disk::AdmitScan(Scan scan) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  scans_.push_back(std::move(scan));
+  if (scan_chunk_in_service_) return;  // the rotation will reach this scan
+  scan_chunk_in_service_ = true;
+  ScheduleNextScanChunkLocked();
+}
+
 void Disk::ScheduleNextScanChunkLocked() {
-  LH_CHECK(!async_scans_.empty());
-  const AsyncScan& scan = async_scans_.front();
+  LH_CHECK(!scans_.empty());
+  const Scan& scan = scans_.front();
   const size_t chunk = std::min(scan.remaining, options_.scan_chunk_bytes);
   const double chunk_us = static_cast<double>(chunk) * scan.us_per_byte;
   timers_->After(static_cast<uint64_t>(chunk_us * options_.time_scale),
@@ -275,31 +259,27 @@ void Disk::ScheduleNextScanChunkLocked() {
 }
 
 void Disk::FinishScanChunk(size_t chunk, double chunk_us) {
-  stats_.sequential_chunks.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sequential.fetch_add(chunk, std::memory_order_relaxed);
-  stats_.RecordService(chunk_us);
+  ChargeScanChunk(chunk, chunk_us);
   Completion done;
-  bool deliver = false;
   CompletionQueue* cq = nullptr;
   {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    AsyncScan scan = std::move(async_scans_.front());
-    async_scans_.pop_front();
+    std::lock_guard<std::mutex> lock(mutex_);
+    Scan scan = std::move(scans_.front());
+    scans_.pop_front();
     scan.remaining -= chunk;
     if (scan.remaining == 0) {
-      deliver = true;
       cq = scan.cq;
       done = Completion{scan.tag, Status::OK(), scan.outcome};
     } else {
-      async_scans_.push_back(std::move(scan));  // round-robin rotation
+      scans_.push_back(std::move(scan));  // round-robin rotation
     }
-    if (async_scans_.empty()) {
+    if (scans_.empty()) {
       scan_chunk_in_service_ = false;
     } else {
       ScheduleNextScanChunkLocked();
     }
   }
-  if (deliver) cq->Push(std::move(done));
+  if (cq != nullptr) cq->Push(std::move(done));
 }
 
 void Disk::InjectFaultAfter(uint64_t n) {

@@ -6,8 +6,8 @@
 #include <memory>
 #include <mutex>
 
+#include "common/macros.h"
 #include "common/status.h"
-#include "concurrent/semaphore.h"
 #include "sim/completion_queue.h"
 #include "sim/fault.h"
 #include "sim/resource_stats.h"
@@ -46,18 +46,36 @@ struct DiskOptions {
   FaultOptions faults;
 };
 
-/// A simulated disk: bounded-concurrency random reads with fixed service
-/// latency, plus bandwidth-modeled sequential scans. Real threads block in
-/// RandomRead/SequentialRead exactly as they would block on a synchronous
-/// pread, so executor-level concurrency behaviour is genuine.
+/// A simulated disk: bounded-concurrency random reads and writes with fixed
+/// service latency, plus bandwidth-modeled sequential scans.
+///
+/// One admission path. Every operation is a submission: its fate is drawn
+/// from the fault stream when it is submitted, and it is charged (counters
+/// and modeled service time) when its service ends. Random reads, batch
+/// reads and writes share one slot count (`io_slots`) and one FIFO; scans
+/// hold the device one chunk at a time and rotate among the active scans
+/// after every chunk. With timing enabled an admitted operation occupies
+/// its slot (or the scan head) for its scaled service time, and the timer
+/// service ends it. The blocking calls (RandomRead, BatchRandomRead,
+/// SequentialRead, Write) are a submission plus a wait for that
+/// completion, so a blocked thread waits in the same queue as async
+/// submissions and the device never serves more than its modeled capacity.
+///
+/// Untimed — or when the scaled service time rounds below 1 us — an
+/// operation is charged inline on the calling thread: a blocking call then
+/// takes no queue lock, builds no waiter and allocates nothing.
 class Disk {
  public:
-  explicit Disk(DiskOptions options);
+  /// `timers` ends timed operations; a Cluster passes its own. A disk built
+  /// without one owns a timer service.
+  explicit Disk(DiskOptions options, TimerService* timers = nullptr);
+  ~Disk();
+  LH_DISALLOW_COPY_AND_ASSIGN(Disk);
 
-  /// One random record read of `bytes`. Blocks the calling thread for the
-  /// modeled service time (timing mode). Fault injection may fail it.
-  /// `outcome` (optional) receives the silent-corruption verdict of a
-  /// successful read — see FaultOptions::corruption_rate.
+  /// One random record read of `bytes`. Waits for the modeled service time
+  /// (timing mode). Fault injection may fail it. `outcome` (optional)
+  /// receives the silent-corruption verdict of a successful read — see
+  /// FaultOptions::corruption_rate.
   Status RandomRead(size_t bytes, ReadOutcome* outcome = nullptr);
 
   /// One *fused* random read resolving `ops` same-partition keys totalling
@@ -69,48 +87,34 @@ class Disk {
   Status BatchRandomRead(size_t ops, size_t bytes,
                          ReadOutcome* outcome = nullptr);
 
-  /// Stream `bytes` sequentially, reserving the device in chunks so that
-  /// concurrent scanners on the same disk share bandwidth fairly.
+  /// Stream `bytes` sequentially, holding the device one chunk at a time so
+  /// that concurrent scans on the same disk share bandwidth fairly.
   Status SequentialRead(size_t bytes, ReadOutcome* outcome = nullptr);
 
-  /// Model an index/file write (structure maintenance cost accounting).
+  /// Model an index/file write (structure maintenance cost accounting). A
+  /// write occupies a slot for one random-read latency.
   Status Write(size_t bytes);
 
   /// --- Asynchronous submission interface -----------------------------------
   ///
-  /// Submit* never blocks: the operation's fate is assessed immediately (the
-  /// SAME fault-stream draw, in submission order, as the blocking path), its
-  /// counters and service-time accounting are charged identically, and the
-  /// result is delivered as a `(tag, Status)` Completion on `cq`.
-  ///
-  /// Timing model equivalence: with timing enabled, at most `io_slots`
-  /// submitted random/batch reads are "in service" at once (the async
-  /// analogue of the blocking path's semaphore) and each occupies the device
-  /// for its scaled service time before completing via the timer service;
-  /// excess submissions queue FIFO. With timing disabled — or when the
-  /// scaled delay would round below 1us, where the blocking path also skips
-  /// its sleep — the charge lands and the completion is delivered inline on
-  /// the submitting thread. Note the async slot count is tracked separately
-  /// from the blocking semaphore: a single engine drives a device through
-  /// one interface per timed phase.
-  ///
-  /// Requires SetTimerService() before any timed submission.
+  /// Submit* never blocks: the operation's fate is drawn immediately (the
+  /// SAME fault-stream draw, in submission order, as the blocking call),
+  /// and the result is delivered as a `(tag, Status)` Completion on `cq`
+  /// once the charge has landed — inline on the submitting thread when
+  /// untimed or when the fate is a fault, on the timer thread otherwise.
   void SubmitRandomRead(size_t bytes, uint64_t tag, CompletionQueue* cq);
 
   /// Async analogue of BatchRandomRead. ops == 0 completes immediately with
-  /// OK and, like the blocking path, charges nothing.
+  /// OK and, like the blocking call, charges nothing.
   void SubmitBatchRandomRead(size_t ops, size_t bytes, uint64_t tag,
                              CompletionQueue* cq);
 
-  /// Async analogue of SequentialRead. In timing mode the device services
-  /// one scan chunk at a time and rotates among active scans after every
-  /// chunk — the same chunk-granularity interleaving the blocking path gets
-  /// from its scan mutex, applied round-robin across whole scans. Per-chunk
-  /// counters and service accounting are identical.
+  /// Async analogue of SequentialRead: per-chunk counters and service
+  /// accounting land chunk by chunk, and one completion follows the last.
   void SubmitSequentialRead(size_t bytes, uint64_t tag, CompletionQueue* cq);
 
-  /// Timer backend for timed async completions (owned by the Cluster).
-  void SetTimerService(TimerService* timers) { timers_ = timers; }
+  /// Async analogue of Write.
+  void SubmitWrite(size_t bytes, uint64_t tag, CompletionQueue* cq);
 
   /// After `n` more successful operations, every operation fails with
   /// IOError until ClearFault(). n == 0 makes the next operation fail.
@@ -144,26 +148,32 @@ class Disk {
   const DiskOptions& options() const { return options_; }
 
  private:
-  /// What an admitted async random/batch read charges when its service
-  /// time elapses.
-  struct AsyncCharge {
-    uint64_t tag = 0;
-    CompletionQueue* cq = nullptr;
-    double service_us = 0;  // unscaled model time, recorded in stats
-    size_t ops = 0;
+  enum class OpKind : uint8_t { kRead, kBatchRead, kWrite };
+  /// One random read, batch read or write: what it charges and where its
+  /// completion goes.
+  struct Op {
+    Op() = default;
+    Op(OpKind k, size_t n, size_t b, uint64_t t = 0,
+       CompletionQueue* q = nullptr)
+        : kind(k), ops(n), bytes(b), tag(t), cq(q) {}
+
+    OpKind kind = OpKind::kRead;
+    size_t ops = 1;
     size_t bytes = 0;
-    bool batched = false;  // charge batched_reads/batched_ops too
-    /// Silent-corruption verdict drawn at submission (same stream position
-    /// as the blocking path), delivered with the final completion.
+    double service_us = 0;  // unscaled model time, recorded in stats
+    /// Silent-corruption verdict drawn at submission, delivered with the
+    /// completion (async reads only).
     ReadOutcome outcome;
-  };
-  /// One in-progress async sequential scan (timing mode).
-  struct AsyncScan {
     uint64_t tag = 0;
     CompletionQueue* cq = nullptr;
+  };
+  /// One sequential scan in the chunk rotation.
+  struct Scan {
     size_t remaining = 0;
     double us_per_byte = 0;
     ReadOutcome outcome;
+    uint64_t tag = 0;
+    CompletionQueue* cq = nullptr;
   };
 
   /// Draws the next operation's fate. On success, `*latency_scale` (when
@@ -171,38 +181,54 @@ class Disk {
   /// (when non-null) receives the silent-corruption verdict.
   Status MaybeFault(double* latency_scale = nullptr,
                     ReadOutcome* outcome = nullptr);
-  void SleepUs(double us) const;
+  /// Draw `op`'s fate and set its service time.
+  Status Assess(Op* op, ReadOutcome* outcome);
+  /// Draw a scan's fate and set its bandwidth.
+  Status Assess(Scan* scan, ReadOutcome* outcome);
+  bool Timed(double service_us) const {
+    return options_.timing_enabled &&
+           service_us * options_.time_scale >= 1.0;
+  }
 
-  void SubmitReadInternal(size_t ops, size_t bytes, uint64_t tag,
-                          CompletionQueue* cq, bool batched);
-  /// Bump counters + deliver the completion for one finished async read.
-  void ChargeAsyncRead(const AsyncCharge& charge);
-  /// ChargeAsyncRead, then hand the freed slot to the next waiting read.
-  void FinishAsyncRead(const AsyncCharge& charge);
-  void StartAsyncService(AsyncCharge charge);  // timer for one admitted read
-  void ScheduleNextScanChunkLocked();          // requires async_mutex_
+  /// The blocking call: charge inline when untimed, else submit and wait.
+  Status RunBlocking(Op op, ReadOutcome* outcome);
+  void Submit(Op op);
+  void Charge(const Op& op);
+  /// Timed: take a slot, or join the FIFO behind the occupied ones.
+  void Admit(Op op);
+  void StartService(Op op);         // timer for one admitted op
+  void FinishService(const Op& op); // charge, hand the slot on, deliver
+
+  void ChargeScanChunk(size_t chunk, double chunk_us);
+  /// Untimed: charge every chunk of `scan` now.
+  void ChargeScan(const Scan& scan);
+  void AdmitScan(Scan scan);
+  void ScheduleNextScanChunkLocked();  // requires mutex_
   void FinishScanChunk(size_t chunk, double chunk_us);
-  size_t async_slot_capacity() const {
+
+  size_t slot_capacity() const {
     return options_.io_slots == 0 ? 1 : options_.io_slots;
   }
 
   DiskOptions options_;
-  Semaphore slots_;
-  std::mutex scan_mutex_;  // scans are serialized per device (HDD-like)
   ResourceStats stats_;
   FaultInjector injector_;
 
   TimerService* timers_ = nullptr;
-  std::mutex async_mutex_;  // guards the async service/scan state below
-  size_t async_in_service_ = 0;
-  std::deque<AsyncCharge> async_waiting_;
-  std::deque<AsyncScan> async_scans_;  // front = scan owning the next chunk
+  std::mutex mutex_;  // guards the device queue state below
+  size_t in_service_ = 0;
+  std::deque<Op> waiting_;
+  std::deque<Scan> scans_;  // front = scan owning the next chunk
   bool scan_chunk_in_service_ = false;
 
   std::atomic<bool> fault_armed_{false};
   std::atomic<int64_t> ops_until_fault_{0};
   std::atomic<uint64_t> fault_every_{0};  // 0 = off
   std::atomic<uint64_t> op_counter_{0};
+
+  /// Declared last so it is destroyed first: its thread is joined before
+  /// the state its pending closures reference goes away.
+  std::unique_ptr<TimerService> own_timers_;
 };
 
 }  // namespace lakeharbor::sim

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "sim/completion_queue.h"
 #include "sim/fault.h"
@@ -30,10 +32,21 @@ struct NetworkOptions {
 /// pays per-message latency plus size/bandwidth. Latency dominates for the
 /// small record-sized messages ReDe sends, which matches the fine-grained
 /// access pattern the paper targets.
+///
+/// Like sim::Disk, a transfer is a submission that the timer service ends
+/// after its scaled service time; the blocking Transfer submits and waits.
+/// Untimed (or below 1 us scaled) a transfer is charged inline. A remote
+/// replica of a replicated write pays one transfer before its disk write,
+/// and the replicas are in flight together, so the write costs its slowest
+/// replica; they are still submitted in replica order, and the first
+/// failure stops the rest (Cluster::ChargeReplicatedWrite).
 class Network {
  public:
-  explicit Network(NetworkOptions options)
-      : options_(options), injector_(options.faults) {}
+  /// `timers` ends timed transfers; a Cluster passes its own. A network
+  /// built without one owns a timer service.
+  explicit Network(NetworkOptions options, TimerService* timers = nullptr);
+  ~Network();
+  LH_DISALLOW_COPY_AND_ASSIGN(Network);
 
   /// Model moving `bytes` between two distinct nodes. Fault injection may
   /// fail the transfer (a dropped/timed-out message).
@@ -41,13 +54,10 @@ class Network {
 
   /// Async analogue of Transfer: never blocks, delivers `(tag, Status)` on
   /// `cq` after the modeled (scaled) transfer time. The fault decision is
-  /// drawn at submission, counters are charged at completion with the same
-  /// values as the blocking path. The full-bisection model has no
-  /// concurrency limit, so transfers never queue behind each other.
+  /// drawn at submission, counters are charged at completion. The
+  /// full-bisection model has no concurrency limit, so transfers never
+  /// queue behind each other.
   void SubmitTransfer(size_t bytes, uint64_t tag, CompletionQueue* cq);
-
-  /// Timer backend for timed async completions (owned by the Cluster).
-  void SetTimerService(TimerService* timers) { timers_ = timers; }
 
   /// Install new probabilistic fault knobs at runtime and rewind the
   /// deterministic fault stream.
@@ -67,10 +77,23 @@ class Network {
   void SetTimingEnabled(bool enabled) { options_.timing_enabled = enabled; }
 
  private:
+  /// Draw a transfer's fate and return its modeled service time.
+  Status Assess(size_t bytes, double* service_us);
+  bool Timed(double service_us) const {
+    return options_.timing_enabled &&
+           service_us * options_.time_scale >= 1.0;
+  }
+  void Charge(size_t bytes, double service_us);
+  /// Timed: deliver on `cq` once the scaled service time has passed.
+  void Schedule(size_t bytes, double service_us, uint64_t tag,
+                CompletionQueue* cq);
+
   NetworkOptions options_;
   ResourceStats stats_;
   FaultInjector injector_;
   TimerService* timers_ = nullptr;
+  /// Declared last so it is destroyed first (see sim::Disk).
+  std::unique_ptr<TimerService> own_timers_;
 };
 
 }  // namespace lakeharbor::sim

@@ -14,6 +14,7 @@
 #include "concurrent/run_queue.h"
 #include "concurrent/semaphore.h"
 #include "concurrent/thread_pool.h"
+#include "concurrent/timer_service.h"
 #include "sim/completion_queue.h"
 
 namespace lakeharbor {
@@ -401,6 +402,33 @@ TEST(CompletionQueue, ListenerModeDeliversEveryPushFromManyThreadsOnce) {
     ASSERT_EQ(seen[tag].load(), 1u) << "tag " << tag;
   }
   EXPECT_TRUE(cq.empty());  // nothing buffered in listener mode
+}
+
+TEST(TimerService, EarlierEntryAddedAfterALaterOneFiresAtItsOwnDeadline) {
+  TimerService timers;
+  // First let the thread drain its map, so the next entry arrives while it
+  // waits on an empty map.
+  std::atomic<bool> warm{false};
+  timers.After(0, [&warm] { warm.store(true); });
+  while (!warm.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  while (timers.pending() != 0) std::this_thread::yield();
+
+  std::atomic<int64_t> later_us{0};
+  std::atomic<int64_t> earlier_us{0};
+  const int64_t start_us = NowMicros();
+  timers.After(400000, [&later_us] { later_us.store(NowMicros()); });
+  timers.After(20000, [&earlier_us] { earlier_us.store(NowMicros()); });
+  while (earlier_us.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  // The thread slept toward the later deadline when the earlier entry came;
+  // it must wake for the new earliest deadline, not the old one.
+  EXPECT_GE(earlier_us.load() - start_us, 20000);
+  EXPECT_LT(earlier_us.load() - start_us, 200000);
+  EXPECT_EQ(later_us.load(), 0);
+  EXPECT_EQ(timers.pending(), 1u);
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {

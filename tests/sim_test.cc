@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -166,6 +167,93 @@ TEST(Cluster, FaultOnOneNodePropagates) {
   cluster.node(2).disk().InjectFaultAfter(0);
   EXPECT_TRUE(cluster.ChargeRandomRead(0, 1, 10).ok());
   EXPECT_TRUE(cluster.ChargeRandomRead(0, 2, 10).IsIOError());
+}
+
+
+// ------------------------------------------------------ one device queue
+//
+// Each disk admits every operation through one queue: blocking calls wait
+// in the same slots and FIFO as async submissions, scans share one chunk
+// rotation, and a replicated write overlaps its replicas. The timed cases
+// also run under ThreadSanitizer (ctest entry `sim_device_queue_timed`,
+// label chaos): the timer thread ends every wait.
+
+/// Wait until `cq` (pull mode) holds a completion, and return it.
+Completion AwaitCompletion(CompletionQueue& cq) {
+  for (;;) {
+    if (auto c = cq.TryPop()) return *c;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
+ClusterOptions TimedCluster(uint32_t nodes) {
+  ClusterOptions opts;
+  opts.num_nodes = nodes;
+  opts.EnableTiming(true);
+  return opts;
+}
+
+TEST(DeviceQueue, AsyncReadAndBlockingWriteShareOneSlot) {
+  ClusterOptions opts = TimedCluster(1);
+  opts.disk.io_slots = 1;
+  opts.disk.random_read_latency_us = 20000;
+  Cluster cluster(opts);
+  Disk& disk = cluster.node(0).disk();
+  CompletionQueue cq;
+  StopWatch watch;
+  disk.SubmitRandomRead(10, /*tag=*/7, &cq);
+  ASSERT_TRUE(disk.Write(64).ok());
+  Completion read = AwaitCompletion(cq);
+  // One slot serves one 20 ms operation at a time: 40 ms, not 20.
+  EXPECT_GE(watch.ElapsedMicros(), 39000);
+  EXPECT_EQ(read.tag, 7u);
+  EXPECT_TRUE(read.status.ok());
+  EXPECT_EQ(disk.stats().random_reads.load(), 1u);
+  EXPECT_EQ(disk.stats().writes.load(), 1u);
+}
+
+TEST(DeviceQueue, AsyncAndBlockingScansShareOneRotation) {
+  ClusterOptions opts = TimedCluster(1);
+  opts.disk.scan_bandwidth_bytes_per_sec = 1000 * 1000;  // 1 byte per us
+  Cluster cluster(opts);
+  Disk& disk = cluster.node(0).disk();
+  CompletionQueue cq;
+  StopWatch watch;
+  disk.SubmitSequentialRead(20000, /*tag=*/3, &cq);
+  ASSERT_TRUE(disk.SequentialRead(20000).ok());
+  ASSERT_TRUE(AwaitCompletion(cq).status.ok());
+  // The device streams one chunk at a time: two 20 ms scans take 40 ms.
+  EXPECT_GE(watch.ElapsedMicros(), 39000);
+  EXPECT_EQ(disk.stats().bytes_sequential.load(), 40000u);
+}
+
+TEST(DeviceQueue, ReplicatedWriteCostsItsSlowestReplica) {
+  ClusterOptions opts = TimedCluster(2);
+  opts.disk.random_read_latency_us = 50000;  // one write
+  opts.network.message_latency_us = 10000;   // one hop
+  Cluster cluster(opts);
+  StopWatch watch;
+  // Node 0 writes its local replica while the hop to node 1 and node 1's
+  // write run: 10 + 50 ms, not 50 + 10 + 50 ms.
+  ASSERT_TRUE(cluster.ChargeReplicatedWrite(0, {0, 1}, 64).ok());
+  const int64_t elapsed_us = watch.ElapsedMicros();
+  EXPECT_GE(elapsed_us, 59000);
+  EXPECT_LT(elapsed_us, 100000);
+  EXPECT_EQ(cluster.node(0).disk().stats().writes.load(), 1u);
+  EXPECT_EQ(cluster.node(1).disk().stats().writes.load(), 1u);
+  EXPECT_EQ(cluster.TotalStats().network_messages, 1u);
+}
+
+TEST(DeviceQueue, UntimedReplicatedWriteStopsAtTheFirstFault) {
+  Cluster cluster(SmallCluster(3));
+  cluster.node(1).disk().InjectFaultAfter(0);
+  Status s = cluster.ChargeReplicatedWrite(0, {1, 2}, 64);
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_NE(s.message().find("node 1"), std::string::npos) << s.ToString();
+  // The second replica is never charged: no hop to it, no write on it.
+  EXPECT_EQ(cluster.node(2).disk().stats().writes.load(), 0u);
+  EXPECT_EQ(cluster.node(1).disk().stats().writes.load(), 0u);
+  EXPECT_EQ(cluster.TotalStats().network_messages, 1u);
 }
 
 }  // namespace
