@@ -29,9 +29,14 @@
 // noise at toy scale keeps it out of the exit gate). These three cells run
 // with device timing off, so they measure CPU only. Two more cells,
 // `timed_none` and `timed_throttled`, run with device timing on at time
-// scale 1: the scrub's scans and repair writes then queue with the
-// foreground reads on each disk, and the throttled cell's p99 is bounded
-// against the timed cell without a scrubber.
+// scale 1: the scrub's repair writes then share each disk's slots with the
+// foreground reads, and its scans share the disk's chunk rotation with the
+// foreground scans. `timed_none` loops a fixed number of jobs for its
+// reference, and the throttled cell's median dereference latency (about
+// one modeled read and hop plus slot queueing) must stay within 1.5x of
+// it. The timed p99 is recorded but not gated: it is set by completions
+// waiting for a CPU worker, not by the device, and moves several-fold
+// between runs of the same cell.
 //
 // Output: one JSON object per cell on stdout, mirrored to BENCH_scrub.json
 // (override with LH_BENCH_OUT).
@@ -69,6 +74,13 @@ using namespace lakeharbor;  // NOLINT — bench brevity
 namespace {
 
 constexpr uint64_t kMaxSeedScan = 32;
+/// Jobs the timed no-scrub cell loops for its reference (one timed Q5' job
+/// is ~15 ms, one claims Q1 job ~55 ms at default scale).
+constexpr uint32_t kTimedReferenceJobs = 32;
+/// A timed scrubbed cell's median dereference latency may reach this
+/// multiple of the timed reference's. Measured ratios sit at 0.95-1.10, so
+/// a scrub that doubles the typical foreground read crosses it.
+constexpr double kTimedP50Slack = 1.5;
 
 struct CellResult {
   bool completed = false;
@@ -82,7 +94,10 @@ struct CellResult {
   uint64_t failovers = 0;
   bool reconciles = false;
   double wall_ms = 0.0;
+  uint64_t deref_p50_us = 0;
   uint64_t deref_p99_us = 0;
+  uint64_t jobs = 0;         // foreground jobs that completed
+  double job_p50_ms = 0.0;   // their median wall time
   // Scrub-phase extras (zero in the rot grid).
   uint64_t scrub_passes = 0;
   uint64_t scrub_corrupt_found = 0;
@@ -119,8 +134,12 @@ void EmitJson(bench::Ledger& ledger, const std::string& workload,
   row.Set("failovers", Json::MakeNumber(static_cast<double>(r.failovers)));
   row.Set("reconciles", Json::MakeNumber(r.reconciles ? 1 : 0));
   row.Set("wall_ms", Json::MakeNumber(r.wall_ms));
+  row.Set("deref_p50_us",
+          Json::MakeNumber(static_cast<double>(r.deref_p50_us)));
   row.Set("deref_p99_us",
           Json::MakeNumber(static_cast<double>(r.deref_p99_us)));
+  row.Set("jobs", Json::MakeNumber(static_cast<double>(r.jobs)));
+  row.Set("job_p50_ms", Json::MakeNumber(r.job_p50_ms));
   row.Set("scrub_passes",
           Json::MakeNumber(static_cast<double>(r.scrub_passes)));
   row.Set("scrub_corrupt_found",
@@ -262,7 +281,7 @@ struct SweepStats {
   bool rf2_all_reconcile = true;
   uint64_t rf1_corruption_failures = 0;
   uint64_t rf1_rot_cells = 0;
-  bool p99_bounded = true;
+  bool latency_bounded = true;
   bool p99_monotone = true;
 };
 
@@ -355,7 +374,8 @@ uint64_t ReplicatedBytes(Workload& w) {
 /// (so a throttled pass overlaps real foreground traffic end to end),
 /// bounded by a wall-clock cap so a tight throttle cannot wedge the cell —
 /// a capped cell cancels the pass and reports its partial progress.
-/// `timed` turns device timing on for the whole cell.
+/// `timed` turns device timing on for the whole cell; a timed cell without
+/// a scrubber loops kTimedReferenceJobs jobs instead of one.
 CellResult RunScrubCell(Workload& w, const rede::SmpeOptions& smpe_options,
                         double rot, uint64_t fault_seed, uint64_t scrub_bps,
                         bool timed) {
@@ -398,10 +418,15 @@ CellResult RunScrubCell(Workload& w, const rede::SmpeOptions& smpe_options,
   cell.fault_seed = fault_seed;
   cell.reconciles = true;
   obs::HistogramSnapshot foreground_latency;
+  std::vector<double> job_ms;
   const auto start = std::chrono::steady_clock::now();
   const auto cap = std::chrono::seconds(15);
+  const uint32_t min_jobs =
+      timed && scrub_bps == 0 ? kTimedReferenceJobs : 1;
+  uint32_t jobs = 0;
   bool ok = true;
   do {
+    ++jobs;
     rede::TupleCollector collector;
     sched::JobSpec spec;
     spec.tenant = "analytics";
@@ -438,9 +463,10 @@ CellResult RunScrubCell(Workload& w, const rede::SmpeOptions& smpe_options,
     cell.unrepairable += result->metrics.unrepairable;
     cell.failovers += result->metrics.failovers;
     cell.wall_ms += result->metrics.wall_ms;
+    job_ms.push_back(result->metrics.wall_ms);
     foreground_latency.Merge(result->metrics.deref_latency_us);
     cell.reconciles = cell.reconciles && ProfileOf(*result).Reconciles();
-  } while (!scrub_done.load(std::memory_order_acquire) &&
+  } while ((!scrub_done.load(std::memory_order_acquire) || jobs < min_jobs) &&
            std::chrono::steady_clock::now() - start < cap);
 
   if (scrub_bps > 0) {
@@ -454,7 +480,14 @@ CellResult RunScrubCell(Workload& w, const rede::SmpeOptions& smpe_options,
     ok = false;
   }
   cell.completed = ok;
+  cell.deref_p50_us = foreground_latency.P50();
   cell.deref_p99_us = foreground_latency.P99();
+  cell.jobs = job_ms.size();
+  if (!job_ms.empty()) {
+    std::nth_element(job_ms.begin(), job_ms.begin() + job_ms.size() / 2,
+                     job_ms.end());
+    cell.job_p50_ms = job_ms[job_ms.size() / 2];
+  }
   if (pass_completed) {
     cell.scrub_passes = 1;
     cell.scrub_corrupt_found = pass_report.corrupt_replicas_found;
@@ -549,11 +582,13 @@ int main(int argc, char** argv) {
                                {"unthrottled", UINT64_MAX, false},
                                {"timed_none", 0, true},
                                {"timed_throttled", throttled_bps, true}};
-    // Each timing mode bounds its p99s against its own no-scrub cell. The
-    // informational monotone check reads the untimed series only: a timed
-    // no-scrub cell's p99 comes from one job, not a loop of them.
+    // Each timing mode bounds its scrubbed cells against its own no-scrub
+    // cell: the untimed series on p99 by the CPU-time rule below, the timed
+    // series on p50 by kTimedP50Slack. The informational monotone check
+    // reads the untimed series only.
     uint64_t prev_p99 = 0;
-    uint64_t none_p99[2] = {0, 0};
+    uint64_t none_p99 = 0;
+    uint64_t timed_none_p50 = 0;
     for (const ScrubRate& rate : rates) {
       Workload w = make(2);
       CellResult cell =
@@ -565,14 +600,23 @@ int main(int argc, char** argv) {
         stats.checksums_agree = false;
       }
       if (cell.unrepairable != 0) stats.rf2_all_repaired = false;
-      const int series = rate.timed ? 1 : 0;
+      uint64_t& reference = rate.timed ? timed_none_p50 : none_p99;
+      const uint64_t observed =
+          rate.timed ? cell.deref_p50_us : cell.deref_p99_us;
+      const uint64_t bound =
+          rate.timed ? static_cast<uint64_t>(static_cast<double>(reference) *
+                                             kTimedP50Slack)
+                     : reference * 50 + 50000;
       if (rate.bps == 0) {
-        none_p99[series] = cell.deref_p99_us;
-      } else if (none_p99[series] > 0 &&
-                 cell.deref_p99_us > none_p99[series] * 50 + 50000) {
+        reference = observed;
+      } else if (reference > 0 && observed > bound) {
         // Bounded: background scrubbing may cost foreground latency but
         // must not starve it (kScrub holds the smallest slot share).
-        stats.p99_bounded = false;
+        std::printf("%s %s: foreground %s %llu us over its bound %llu us\n",
+                    w.name.c_str(), rate.mode, rate.timed ? "p50" : "p99",
+                    static_cast<unsigned long long>(observed),
+                    static_cast<unsigned long long>(bound));
+        stats.latency_bounded = false;
       }
       if (rate.timed) continue;
       if (cell.deref_p99_us + cell.deref_p99_us / 2 < prev_p99) {
@@ -587,7 +631,8 @@ int main(int argc, char** argv) {
       "\ncells=%llu; checksums all match fault-free baseline: %s; every "
       "rf=2 rot cell repaired (repairs>0, unrepairable==0): %s; profiles "
       "reconcile: %s; rf=1 rot cells failed kCorruption: %llu/%llu; "
-      "foreground p99 bounded under scrub: %s (monotone in scrub rate: "
+      "foreground latency bounded under scrub (untimed p99, timed p50): %s "
+      "(untimed p99 monotone in scrub rate: "
       "%s)\n",
       static_cast<unsigned long long>(stats.cells),
       stats.checksums_agree ? "yes" : "NO",
@@ -595,19 +640,21 @@ int main(int argc, char** argv) {
       stats.rf2_all_reconcile ? "yes" : "NO",
       static_cast<unsigned long long>(stats.rf1_corruption_failures),
       static_cast<unsigned long long>(stats.rf1_rot_cells),
-      stats.p99_bounded ? "yes" : "NO",
+      stats.latency_bounded ? "yes" : "NO",
       stats.p99_monotone ? "yes" : "no (informational)");
   std::printf(
       "Expected shape: every completed cell checksums identical to the "
       "fault-free baseline (zero divergence), rf=2 rot cells heal via "
       "read-repair on both engines, rf=1 fails loudly, and background "
       "scrubbing costs bounded foreground p99 that grows with the scrub "
-      "rate; timed, where scrub scans and repair writes queue with the "
-      "foreground reads, the throttled pass still costs a bounded p99.\n");
+      "rate; timed, where repair writes queue with the foreground reads, "
+      "the throttled pass keeps the median foreground dereference within "
+      "%.1fx of the timed cell without a scrubber.\n",
+      kTimedP50Slack);
   const bool passed = stats.checksums_agree && stats.rf2_all_repaired &&
                       stats.rf2_all_reconcile &&
                       stats.rf1_corruption_failures == stats.rf1_rot_cells &&
-                      stats.p99_bounded;
+                      stats.latency_bounded;
   if (passed) ledger.Commit();
   return passed ? 0 : 1;
 }

@@ -1,5 +1,9 @@
 #include "sim/cluster.h"
 
+#include <span>
+#include <string>
+#include <utility>
+
 namespace lakeharbor::sim {
 
 namespace {
@@ -14,32 +18,104 @@ uint32_t ResolveMaxNodes(const ClusterOptions& options) {
   return doubled > 64 ? doubled : 64;
 }
 
-/// One in-flight replicated write: its replicas submitted so far (plus
-/// the submitter's guard) and the first error to land. The last release
-/// delivers the completion and deletes it.
-struct ReplicatedWrite {
-  ReplicatedWrite(uint64_t t, CompletionQueue* q) : tag(t), cq(q) {}
+/// One replicated write in flight. Each replica is a hop (when remote)
+/// and then a disk write: the hop lands on `hops_` and the write on
+/// `writes_`, both tagged with the replica's node. The submitter holds one
+/// reference and each submitted replica another; the last release delivers
+/// the first error to land, or OK. A blocking write lives on its caller's
+/// stack, an async one on the heap (`owned`), deleted by the last release.
+class ReplicatedWrite {
+ public:
+  ReplicatedWrite(Cluster* cluster, NodeId compute, size_t bytes,
+                  uint64_t tag, CompletionQueue* cq, bool owned)
+      : cluster_(cluster),
+        compute_(compute),
+        bytes_(bytes),
+        tag_(tag),
+        cq_(cq),
+        owned_(owned) {}
+  LH_DISALLOW_COPY_AND_ASSIGN(ReplicatedWrite);
+
+  /// The blocking write: submit every replica, wait once for the last.
+  /// The write's state stays on this stack until the wait returns.
+  static Status Run(Cluster* cluster, NodeId compute,
+                    std::span<const NodeId> replicas, size_t bytes) {
+    CompletionLatch latch;
+    ReplicatedWrite write(cluster, compute, bytes, 0, latch.queue(),
+                          /*owned=*/false);
+    write.Start(replicas);
+    return latch.Wait().status;
+  }
+
+  /// Submit the replicas in order. A removed replica, or a failure that
+  /// has landed by the time a submission returns (untimed, the whole
+  /// replica has), stops the rest, as a serial loop would.
+  void Start(std::span<const NodeId> replicas) {
+    for (NodeId node : replicas) {
+      // A removed node cannot accept writes — surface it as kUnavailable
+      // with the node named, instead of silently charging a ghost disk.
+      if (node < cluster_->num_nodes() && cluster_->NodeIsRemoved(node)) {
+        Fail(Status::Unavailable("replica write to removed node " +
+                                 std::to_string(node)));
+        break;
+      }
+      LH_CHECK(node < cluster_->num_nodes());
+      pending_.fetch_add(1, std::memory_order_relaxed);
+      if (node == compute_) {
+        cluster_->node(node).disk().SubmitWrite(bytes_, node, &writes_);
+      } else {
+        cluster_->network().SubmitTransfer(bytes_, node, &hops_);
+      }
+      if (failed_.load(std::memory_order_relaxed)) break;
+    }
+    Release();  // the submitter's reference
+  }
+
+ private:
+  void OnHop(const Completion& c) {
+    if (!c.status.ok()) {
+      OnWrite(c);
+      return;
+    }
+    cluster_->node(static_cast<NodeId>(c.tag))
+        .disk()
+        .SubmitWrite(bytes_, c.tag, &writes_);
+  }
+
+  void OnWrite(const Completion& c) {
+    if (!c.status.ok()) {
+      Fail(c.status.WithContext("replica write to node " +
+                                std::to_string(c.tag)));
+    }
+    Release();
+  }
 
   void Fail(Status s) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (status.ok()) status = std::move(s);
-    failed.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (status_.ok()) status_ = std::move(s);
+    failed_.store(true, std::memory_order_relaxed);
   }
 
   void Release() {
-    if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    CompletionQueue* out = cq;
-    Completion done{tag, std::move(status), ReadOutcome()};
-    delete this;
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    CompletionQueue* out = cq_;
+    Completion done{tag_, std::move(status_), ReadOutcome()};
+    if (owned_) delete this;
     out->Push(std::move(done));
   }
 
-  const uint64_t tag;
-  CompletionQueue* const cq;
-  std::atomic<size_t> pending{1};
-  std::atomic<bool> failed{false};
-  std::mutex mutex;
-  Status status;  // guarded by mutex
+  Cluster* const cluster_;
+  const NodeId compute_;
+  const size_t bytes_;
+  const uint64_t tag_;
+  CompletionQueue* const cq_;
+  const bool owned_;
+  std::atomic<size_t> pending_{1};
+  std::atomic<bool> failed_{false};
+  std::mutex mutex_;
+  Status status_;  // guarded by mutex_
+  CompletionQueue hops_{[this](const Completion& c) { OnHop(c); }};
+  CompletionQueue writes_{[this](const Completion& c) { OnWrite(c); }};
 };
 
 }  // namespace
@@ -50,11 +126,12 @@ Cluster::Cluster(ClusterOptions options)
       node_down_(ResolveMaxNodes(options)),
       node_removed_(ResolveMaxNodes(options)),
       timing_enabled_(options.disk.timing_enabled),
-      // Remote async charges: when the disk leg lands, launch the network
-      // leg; when the network leg lands, deliver the user's completion.
+      // Remote reads: when the disk leg lands, launch the hop; when the
+      // hop lands, deliver the caller's completion.
       chain_disk_cq_([this](const Completion& c) { OnChainDiskDone(c); }),
-      chain_net_cq_([](const Completion& c) { OnChainNetDone(c); }),
-      callback_cq_([](const Completion& c) { DeliverCallbackTag(c); }),
+      chain_net_cq_([](const Completion& c) {
+        FinishRead(reinterpret_cast<ReadOp*>(c.tag), c.status);
+      }),
       timers_(std::make_unique<TimerService>()) {
   LH_CHECK_MSG(options.num_nodes > 0, "cluster needs at least one node");
   for (NodeId id = 0; id < options.num_nodes; ++id) {
@@ -65,28 +142,20 @@ Cluster::Cluster(ClusterOptions options)
 }
 
 void Cluster::OnChainDiskDone(const Completion& c) {
-  auto* op = reinterpret_cast<ChainOp*>(c.tag);
+  auto* op = reinterpret_cast<ReadOp*>(c.tag);
   if (!c.status.ok()) {
-    CompletionQueue* user_cq = op->user_cq;
-    Completion done{op->user_tag, c.status, ReadOutcome()};
-    delete op;
-    user_cq->Push(std::move(done));
+    FinishRead(op, c.status);
     return;
   }
-  // Park the disk leg's corruption verdict on the op: the network leg
-  // transfers the (already rotten) bytes and the final completion must
-  // still report them rotten.
   op->outcome = c.outcome;
-  network_->SubmitTransfer(op->bytes, reinterpret_cast<uint64_t>(op),
-                           &chain_net_cq_);
+  network_->SubmitTransfer(op->bytes, c.tag, &chain_net_cq_);
 }
 
-void Cluster::OnChainNetDone(const Completion& c) {
-  auto* op = reinterpret_cast<ChainOp*>(c.tag);
-  CompletionQueue* user_cq = op->user_cq;
-  Completion done{op->user_tag, c.status, op->outcome};
-  delete op;
-  user_cq->Push(std::move(done));
+void Cluster::FinishRead(ReadOp* op, Status status) {
+  CompletionQueue* cq = op->cq;
+  Completion done{op->tag, std::move(status), op->outcome};
+  if (op->owned) delete op;
+  cq->Push(std::move(done));
 }
 
 void Cluster::InitNodeSlot(NodeId id) {
@@ -160,147 +229,106 @@ uint32_t Cluster::num_active_nodes() const {
 
 Status Cluster::ChargeRandomRead(NodeId compute_node, NodeId storage_node,
                                  size_t bytes, ReadOutcome* outcome) {
-  LH_CHECK(storage_node < num_nodes());
-  LH_RETURN_NOT_OK(nodes_[storage_node]->disk().RandomRead(bytes, outcome));
-  if (compute_node != storage_node) {
-    LH_RETURN_NOT_OK(network_->Transfer(bytes));
-  }
-  return Status::OK();
+  return ChargeRead({ReadKind::kRandom, compute_node, storage_node, 1, bytes},
+                    outcome);
 }
 
 Status Cluster::ChargeBatchRead(NodeId compute_node, NodeId storage_node,
                                 size_t ops, size_t bytes,
                                 ReadOutcome* outcome) {
-  LH_CHECK(storage_node < num_nodes());
   if (ops == 0) return Status::OK();
-  LH_RETURN_NOT_OK(
-      nodes_[storage_node]->disk().BatchRandomRead(ops, bytes, outcome));
-  if (compute_node != storage_node) {
-    LH_RETURN_NOT_OK(network_->Transfer(bytes));
-  }
-  return Status::OK();
+  return ChargeRead({ReadKind::kBatch, compute_node, storage_node, ops, bytes},
+                    outcome);
 }
 
 Status Cluster::ChargeSequentialRead(NodeId compute_node, NodeId storage_node,
                                      size_t bytes, ReadOutcome* outcome) {
-  LH_CHECK(storage_node < num_nodes());
-  LH_RETURN_NOT_OK(
-      nodes_[storage_node]->disk().SequentialRead(bytes, outcome));
-  if (compute_node != storage_node) {
-    LH_RETURN_NOT_OK(network_->Transfer(bytes));
+  return ChargeRead(
+      {ReadKind::kSequential, compute_node, storage_node, 1, bytes}, outcome);
+}
+
+void Cluster::SubmitChargeRandomRead(NodeId compute_node, NodeId storage_node,
+                                     size_t bytes, uint64_t tag,
+                                     CompletionQueue* cq) {
+  SubmitRead({ReadKind::kRandom, compute_node, storage_node, 1, bytes, tag, cq});
+}
+
+void Cluster::SubmitChargeBatchRead(NodeId compute_node, NodeId storage_node,
+                                    size_t ops, size_t bytes, uint64_t tag,
+                                    CompletionQueue* cq) {
+  if (ops == 0) {
+    cq->Push(Completion{tag, Status::OK(), ReadOutcome()});
+    return;
   }
-  return Status::OK();
+  SubmitRead(
+      {ReadKind::kBatch, compute_node, storage_node, ops, bytes, tag, cq});
+}
+
+void Cluster::SubmitChargeSequentialRead(NodeId compute_node,
+                                         NodeId storage_node, size_t bytes,
+                                         uint64_t tag, CompletionQueue* cq) {
+  SubmitRead(
+      {ReadKind::kSequential, compute_node, storage_node, 1, bytes, tag, cq});
+}
+
+Status Cluster::ChargeRead(ReadOp op, ReadOutcome* outcome) {
+  return SubmitAndWait(
+      [&](CompletionQueue* cq) {
+        op.cq = cq;
+        StartRead(&op);
+      },
+      outcome);
+}
+
+void Cluster::SubmitRead(ReadOp op) {
+  if (op.compute == op.storage) {
+    StartRead(&op);  // the disk's completion is the caller's
+    return;
+  }
+  auto* chained = new ReadOp(op);
+  chained->owned = true;
+  StartRead(chained);
+}
+
+void Cluster::StartRead(ReadOp* op) {
+  LH_CHECK(op->storage < num_nodes());
+  uint64_t tag = op->tag;
+  CompletionQueue* cq = op->cq;
+  if (op->compute != op->storage) {
+    tag = reinterpret_cast<uint64_t>(op);
+    cq = &chain_disk_cq_;
+  }
+  Disk& disk = nodes_[op->storage]->disk();
+  switch (op->kind) {
+    case ReadKind::kRandom:
+      disk.SubmitRandomRead(op->bytes, tag, cq);
+      break;
+    case ReadKind::kBatch:
+      disk.SubmitBatchRandomRead(op->ops, op->bytes, tag, cq);
+      break;
+    case ReadKind::kSequential:
+      disk.SubmitSequentialRead(op->bytes, tag, cq);
+      break;
+  }
 }
 
 Status Cluster::ChargeWrite(NodeId compute_node, NodeId storage_node,
                             size_t bytes) {
-  LH_CHECK(storage_node < num_nodes());
-  if (compute_node != storage_node) {
-    LH_RETURN_NOT_OK(network_->Transfer(bytes));
-  }
-  return nodes_[storage_node]->disk().Write(bytes);
+  return ReplicatedWrite::Run(this, compute_node, {&storage_node, 1}, bytes);
 }
 
 Status Cluster::ChargeReplicatedWrite(NodeId compute_node,
                                       const std::vector<NodeId>& replicas,
                                       size_t bytes) {
-  CompletionLatch latch;
-  SubmitChargeReplicatedWrite(compute_node, replicas, bytes, 0,
-                              latch.queue());
-  return latch.Wait();
+  return ReplicatedWrite::Run(this, compute_node, replicas, bytes);
 }
 
 void Cluster::SubmitChargeReplicatedWrite(NodeId compute_node,
                                           const std::vector<NodeId>& replicas,
                                           size_t bytes, uint64_t tag,
                                           CompletionQueue* cq) {
-  auto* write = new ReplicatedWrite(tag, cq);
-  for (NodeId storage_node : replicas) {
-    // A removed node cannot accept writes — surface it as kUnavailable
-    // with the node named, instead of silently charging a ghost disk.
-    if (storage_node < num_nodes() && NodeIsRemoved(storage_node)) {
-      write->Fail(Status::Unavailable("replica write to removed node " +
-                                      std::to_string(storage_node)));
-      break;
-    }
-    write->pending.fetch_add(1, std::memory_order_relaxed);
-    SubmitReplicaWrite(
-        compute_node, storage_node, bytes,
-        MakeCallbackTag([write, storage_node](Status s) {
-          if (!s.ok()) {
-            write->Fail(s.WithContext("replica write to node " +
-                                      std::to_string(storage_node)));
-          }
-          write->Release();
-        }));
-    // A fault drawn at submission has landed already (untimed, the whole
-    // replica has): stop, as a serial loop would.
-    if (write->failed.load(std::memory_order_relaxed)) break;
-  }
-  write->Release();  // the submitter's guard
-}
-
-void Cluster::SubmitReplicaWrite(NodeId compute_node, NodeId storage_node,
-                                 size_t bytes, uint64_t tag) {
-  LH_CHECK(storage_node < num_nodes());
-  Disk* disk = &nodes_[storage_node]->disk();
-  if (compute_node == storage_node) {
-    disk->SubmitWrite(bytes, tag, &callback_cq_);
-    return;
-  }
-  network_->SubmitTransfer(
-      bytes, MakeCallbackTag([this, disk, bytes, tag](Status s) {
-        if (s.ok()) {
-          disk->SubmitWrite(bytes, tag, &callback_cq_);
-        } else {
-          callback_cq_.Push(Completion{tag, std::move(s), ReadOutcome()});
-        }
-      }),
-      &callback_cq_);
-}
-
-void Cluster::SubmitChargeRandomRead(NodeId compute_node, NodeId storage_node,
-                                     size_t bytes, uint64_t tag,
-                                     CompletionQueue* cq) {
-  LH_CHECK(storage_node < num_nodes());
-  if (compute_node == storage_node) {
-    // Local fast path: the disk completion IS the user completion.
-    nodes_[storage_node]->disk().SubmitRandomRead(bytes, tag, cq);
-    return;
-  }
-  auto* op = new ChainOp{compute_node, storage_node, bytes, tag, cq, ReadOutcome()};
-  nodes_[storage_node]->disk().SubmitRandomRead(
-      bytes, reinterpret_cast<uint64_t>(op), &chain_disk_cq_);
-}
-
-void Cluster::SubmitChargeBatchRead(NodeId compute_node, NodeId storage_node,
-                                    size_t ops, size_t bytes, uint64_t tag,
-                                    CompletionQueue* cq) {
-  LH_CHECK(storage_node < num_nodes());
-  if (ops == 0) {
-    cq->Push(Completion{tag, Status::OK(), ReadOutcome()});
-    return;
-  }
-  if (compute_node == storage_node) {
-    nodes_[storage_node]->disk().SubmitBatchRandomRead(ops, bytes, tag, cq);
-    return;
-  }
-  auto* op = new ChainOp{compute_node, storage_node, bytes, tag, cq, ReadOutcome()};
-  nodes_[storage_node]->disk().SubmitBatchRandomRead(
-      ops, bytes, reinterpret_cast<uint64_t>(op), &chain_disk_cq_);
-}
-
-void Cluster::SubmitChargeSequentialRead(NodeId compute_node,
-                                         NodeId storage_node, size_t bytes,
-                                         uint64_t tag, CompletionQueue* cq) {
-  LH_CHECK(storage_node < num_nodes());
-  if (compute_node == storage_node) {
-    nodes_[storage_node]->disk().SubmitSequentialRead(bytes, tag, cq);
-    return;
-  }
-  auto* op = new ChainOp{compute_node, storage_node, bytes, tag, cq, ReadOutcome()};
-  nodes_[storage_node]->disk().SubmitSequentialRead(
-      bytes, reinterpret_cast<uint64_t>(op), &chain_disk_cq_);
+  (new ReplicatedWrite(this, compute_node, bytes, tag, cq, /*owned=*/true))
+      ->Start(replicas);
 }
 
 Status Cluster::ChargeMessage(NodeId from, NodeId to, size_t bytes) {

@@ -152,7 +152,8 @@ class Cluster {
   Status ChargeSequentialRead(NodeId compute_node, NodeId storage_node,
                               size_t bytes, ReadOutcome* outcome = nullptr);
 
-  /// Charge a write of `bytes` on `storage_node` (structure maintenance).
+  /// Charge a write of `bytes` on `storage_node` (structure maintenance):
+  /// a replicated write with that one replica.
   Status ChargeWrite(NodeId compute_node, NodeId storage_node, size_t bytes);
 
   /// Charge a replicated write: the payload is written to EVERY replica
@@ -177,12 +178,12 @@ class Cluster {
 
   /// --- Asynchronous charge interface ---------------------------------------
   ///
-  /// Async analogues of the Charge* reads: never block, deliver a single
-  /// `(tag, Status)` completion on `cq` once the whole charge (disk, then
-  /// network when remote) has landed. The charging order, fault-stream
-  /// draws, counters, and service accounting are identical to the blocking
-  /// path; a disk failure completes immediately without touching the
-  /// network, exactly as the blocking path short-circuits.
+  /// Async analogues of the Charge* calls: never block, deliver a single
+  /// `(tag, Status)` completion on `cq` once the whole charge has landed.
+  /// Each blocking Charge* call is its submission plus one wait, so both
+  /// share one charging order, fault-stream draws, counters and service
+  /// accounting. A remote read's disk leg comes first, and a disk failure
+  /// completes without touching the network.
   void SubmitChargeRandomRead(NodeId compute_node, NodeId storage_node,
                               size_t bytes, uint64_t tag, CompletionQueue* cq);
   void SubmitChargeBatchRead(NodeId compute_node, NodeId storage_node,
@@ -192,9 +193,8 @@ class Cluster {
                                   size_t bytes, uint64_t tag,
                                   CompletionQueue* cq);
 
-  /// Async analogue of ChargeReplicatedWrite (which is this submission plus
-  /// a wait): one completion, carrying the first error, once every
-  /// submitted replica has landed.
+  /// Async analogue of ChargeReplicatedWrite: one completion, carrying the
+  /// first error, once every submitted replica has landed.
   void SubmitChargeReplicatedWrite(NodeId compute_node,
                                    const std::vector<NodeId>& replicas,
                                    size_t bytes, uint64_t tag,
@@ -240,27 +240,43 @@ class Cluster {
   }
 
  private:
-  /// One in-flight remote async charge: disk first, then one transfer.
-  /// `outcome` captures the disk leg's corruption verdict so the final
-  /// user completion (delivered after the network leg) still carries it.
-  struct ChainOp {
-    NodeId compute = 0;
-    NodeId storage = 0;
-    size_t bytes = 0;
-    uint64_t user_tag = 0;
-    CompletionQueue* user_cq = nullptr;
+  enum class ReadKind : uint8_t { kRandom, kBatch, kSequential };
+  /// One read charge: a disk read on `storage`, then one hop when the
+  /// reader runs on another node. A blocking read keeps it on its stack;
+  /// an async remote read allocates it and it is deleted when it finishes.
+  struct ReadOp {
+    ReadOp(ReadKind k, NodeId c, NodeId s, size_t n, size_t b,
+           uint64_t t = 0, CompletionQueue* q = nullptr)
+        : kind(k), compute(c), storage(s), ops(n), bytes(b), tag(t), cq(q) {}
+
+    ReadKind kind;
+    NodeId compute;
+    NodeId storage;
+    size_t ops;
+    size_t bytes;
+    uint64_t tag;
+    CompletionQueue* cq;
+    /// The disk leg's corruption verdict: the hop transfers the (already
+    /// rotten) bytes, and the final completion must still report them.
     ReadOutcome outcome;
+    bool owned = false;
   };
 
   /// Build and install the node for slot `id` (membership lock held).
   void InitNodeSlot(NodeId id);
-  /// One replica's write, delivered as a callback tag on `callback_cq_`:
-  /// the hop first when remote, then the disk write.
-  void SubmitReplicaWrite(NodeId compute_node, NodeId storage_node,
-                          size_t bytes, uint64_t tag);
-  /// Listeners of the chain queues below.
+  /// Blocking read: submit `op`, wait once for its final completion.
+  Status ChargeRead(ReadOp op, ReadOutcome* outcome);
+  /// Async read: `op` is copied to the heap only when remote.
+  void SubmitRead(ReadOp op);
+  /// Submit `op`'s disk leg. A local read's leg completes to the caller;
+  /// a remote read's leg reports to `chain_disk_cq_`, tagged with `op`.
+  void StartRead(ReadOp* op);
+  /// `chain_disk_cq_`'s listener: a failed disk leg finishes the read, a
+  /// landed one launches the hop.
   void OnChainDiskDone(const Completion& c);
-  static void OnChainNetDone(const Completion& c);
+  /// Deliver the caller's completion (and free a heap `op`); the landed
+  /// hop's path through `chain_net_cq_`.
+  static void FinishRead(ReadOp* op, Status status);
 
   ClusterOptions options_;
   /// Pre-sized to max_nodes; slots [0, num_nodes_) are populated. The
@@ -280,16 +296,13 @@ class Cluster {
   bool fault_knobs_set_ = false;
   bool timing_enabled_;
 
-  /// Internal completion queues chaining async charges: a remote read's
-  /// disk completion feeds its network leg, and the network completion
-  /// feeds the user. The replica legs of a replicated write carry
-  /// callback tags, which `callback_cq_` runs where they are delivered.
-  /// Listener-mode queues (lock-free Push), built with their listeners at
-  /// construction; the listeners only route/delete heap state — they never
-  /// run user continuations.
+  /// Internal completion queues chaining remote reads: the disk leg's
+  /// completion launches the hop, and the hop's completion finishes the
+  /// read. Listener-mode queues (lock-free Push), built with their
+  /// listeners at construction; the listeners only route/delete read state
+  /// — they never run user continuations.
   CompletionQueue chain_disk_cq_;
   CompletionQueue chain_net_cq_;
-  CompletionQueue callback_cq_;
   /// Declared last so it is destroyed first: pending timer closures
   /// reference disks and the chain queues above.
   std::unique_ptr<TimerService> timers_;

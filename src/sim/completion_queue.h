@@ -1,11 +1,13 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/macros.h"
@@ -82,15 +84,25 @@ class CompletionQueue {
  private:
   const Listener listener_;  // empty in pull mode
   mutable std::mutex mutex_;
-  std::deque<Completion> buffered_;  // pull mode only; guarded by mutex_
+  /// Pull mode only; guarded by mutex_. A std::list, because a
+  /// default-constructed one allocates nothing (a std::deque allocates its
+  /// map), so a listener-mode queue on a caller's stack costs no allocation.
+  std::list<Completion> buffered_;
 };
 
 /// A blocking caller's side of one submission: pass `queue()` to a Submit*
 /// call, then `Wait()` for the completion it delivers. Every blocking device
 /// call is built this way (submit, then wait for the timer thread to end
 /// the wait), so a blocked thread holds no device state and each device
-/// has one admission path. The arrival notifies under the lock, because the
-/// waiter destroys the latch as soon as Wait returns.
+/// has one admission path. The thread that builds the latch must be the one
+/// that waits on it.
+///
+/// A completion delivered inline, on that thread before it waits (an
+/// untimed charge), costs a plain store: no atomic read-modify-write, no
+/// lock, no allocation. Only a waiter that finds nothing there builds its
+/// mutex and condition variable and sleeps; the arrival then wakes it
+/// under the lock, because the waiter destroys the latch as soon as Wait
+/// returns.
 class CompletionLatch {
  public:
   CompletionLatch() : cq_([this](const Completion& c) { Arrive(c); }) {}
@@ -98,27 +110,68 @@ class CompletionLatch {
 
   CompletionQueue* queue() { return &cq_; }
 
-  /// The delivered status, once the completion has arrived.
-  Status Wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return arrived_; });
-    return std::move(status_);
+  /// The delivered completion (status and read outcome), once it has
+  /// arrived.
+  Completion Wait() {
+    if (state_.load(std::memory_order_acquire) != kArrived) {
+      Sleeper& sleeper = sleeper_.emplace();
+      std::unique_lock<std::mutex> lock(sleeper.mutex);
+      uint8_t idle = kIdle;
+      // Failing, the arrival came first and will not touch the latch again.
+      if (state_.compare_exchange_strong(idle, kSleeping,
+                                         std::memory_order_acq_rel)) {
+        sleeper.cv.wait(lock, [&] { return sleeper.woken; });
+      }
+    }
+    return std::move(completion_);
   }
 
  private:
+  static constexpr uint8_t kIdle = 0;
+  static constexpr uint8_t kArrived = 1;
+  static constexpr uint8_t kSleeping = 2;  // a waiter is, or is about to be
+
+  struct Sleeper {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool woken = false;  // guarded by mutex
+  };
+
   void Arrive(const Completion& c) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    status_ = c.status;
-    arrived_ = true;
-    cv_.notify_one();
+    completion_ = c;
+    if (std::this_thread::get_id() == waiter_) {
+      // Inline: the waiter is this thread and has not waited yet.
+      state_.store(kArrived, std::memory_order_relaxed);
+      return;
+    }
+    if (state_.exchange(kArrived, std::memory_order_acq_rel) != kSleeping) {
+      return;  // no waiter yet: Wait will see kArrived and not sleep
+    }
+    Sleeper& sleeper = *sleeper_;  // built before the waiter's exchange
+    std::lock_guard<std::mutex> lock(sleeper.mutex);
+    sleeper.woken = true;
+    sleeper.cv.notify_one();
   }
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool arrived_ = false;
-  Status status_;
+  const std::thread::id waiter_ = std::this_thread::get_id();
+  std::atomic<uint8_t> state_{kIdle};
+  Completion completion_;  // written before state_ becomes kArrived
+  std::optional<Sleeper> sleeper_;
   CompletionQueue cq_;
 };
+
+/// The blocking form of a Submit* call: run `submit` on a latch's queue
+/// and wait for the one completion it delivers. A read's corruption
+/// verdict is copied to `outcome` (when non-null). The blocking device,
+/// network and cluster read calls are each one of these.
+template <typename Submit>
+Status SubmitAndWait(const Submit& submit, ReadOutcome* outcome = nullptr) {
+  CompletionLatch latch;
+  submit(latch.queue());
+  Completion done = latch.Wait();
+  if (outcome != nullptr && done.outcome.corrupted) *outcome = done.outcome;
+  return std::move(done.status);
+}
 
 /// Callback-as-tag convention used by every layer above the raw devices:
 /// the submitter packages its continuation as a heap-allocated function

@@ -77,17 +77,19 @@ Status Disk::Assess(Scan* scan, ReadOutcome* outcome) {
 // ---------------------------------------------------------------------------
 
 Status Disk::RandomRead(size_t bytes, ReadOutcome* outcome) {
-  return RunBlocking(Op(OpKind::kRead, 1, bytes), outcome);
+  return SubmitAndWait(
+      [&](CompletionQueue* cq) { SubmitRandomRead(bytes, 0, cq); }, outcome);
 }
 
 Status Disk::BatchRandomRead(size_t ops, size_t bytes, ReadOutcome* outcome) {
-  if (ops == 0) return Status::OK();
-  return RunBlocking(Op(OpKind::kBatchRead, ops, bytes), outcome);
+  return SubmitAndWait(
+      [&](CompletionQueue* cq) { SubmitBatchRandomRead(ops, bytes, 0, cq); },
+      outcome);
 }
 
 Status Disk::Write(size_t bytes) {
-  // A write drawing a corrupt fate neither counts nor delivers it.
-  return RunBlocking(Op(OpKind::kWrite, 1, bytes), nullptr);
+  return SubmitAndWait(
+      [&](CompletionQueue* cq) { SubmitWrite(bytes, 0, cq); });
 }
 
 void Disk::SubmitRandomRead(size_t bytes, uint64_t tag, CompletionQueue* cq) {
@@ -107,19 +109,8 @@ void Disk::SubmitWrite(size_t bytes, uint64_t tag, CompletionQueue* cq) {
   Submit(Op(OpKind::kWrite, 1, bytes, tag, cq));
 }
 
-Status Disk::RunBlocking(Op op, ReadOutcome* outcome) {
-  LH_RETURN_NOT_OK(Assess(&op, outcome));
-  if (!Timed(op.service_us)) {
-    Charge(op);
-    return Status::OK();
-  }
-  CompletionLatch latch;
-  op.cq = latch.queue();
-  Admit(std::move(op));
-  return latch.Wait();
-}
-
 void Disk::Submit(Op op) {
+  // A write drawing a corrupt fate neither counts nor delivers it.
   Status fate =
       Assess(&op, op.kind == OpKind::kWrite ? nullptr : &op.outcome);
   if (!fate.ok()) {
@@ -194,17 +185,9 @@ void Disk::FinishService(const Op& op) {
 // ---------------------------------------------------------------------------
 
 Status Disk::SequentialRead(size_t bytes, ReadOutcome* outcome) {
-  Scan scan;
-  scan.remaining = bytes;
-  LH_RETURN_NOT_OK(Assess(&scan, outcome));
-  if (!options_.timing_enabled || bytes == 0) {
-    ChargeScan(scan);
-    return Status::OK();
-  }
-  CompletionLatch latch;
-  scan.cq = latch.queue();
-  AdmitScan(std::move(scan));
-  return latch.Wait();
+  return SubmitAndWait(
+      [&](CompletionQueue* cq) { SubmitSequentialRead(bytes, 0, cq); },
+      outcome);
 }
 
 void Disk::SubmitSequentialRead(size_t bytes, uint64_t tag,

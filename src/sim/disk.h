@@ -62,8 +62,9 @@ struct DiskOptions {
 /// submissions and the device never serves more than its modeled capacity.
 ///
 /// Untimed — or when the scaled service time rounds below 1 us — an
-/// operation is charged inline on the calling thread: a blocking call then
-/// takes no queue lock, builds no waiter and allocates nothing.
+/// operation is charged inline on the calling thread and its completion
+/// delivered before the submission returns: a blocking call's latch then
+/// finds it there, so the call takes no lock and allocates nothing.
 class Disk {
  public:
   /// `timers` ends timed operations; a Cluster passes its own. A disk built
@@ -190,8 +191,6 @@ class Disk {
            service_us * options_.time_scale >= 1.0;
   }
 
-  /// The blocking call: charge inline when untimed, else submit and wait.
-  Status RunBlocking(Op op, ReadOutcome* outcome);
   void Submit(Op op);
   void Charge(const Op& op);
   /// Timed: take a slot, or join the FIFO behind the occupied ones.

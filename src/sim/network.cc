@@ -40,25 +40,9 @@ void Network::Charge(size_t bytes, double service_us) {
   stats_.RecordService(service_us);
 }
 
-void Network::Schedule(size_t bytes, double service_us, uint64_t tag,
-                       CompletionQueue* cq) {
-  timers_->After(static_cast<uint64_t>(service_us * options_.time_scale),
-                 [this, bytes, service_us, tag, cq] {
-                   Charge(bytes, service_us);
-                   cq->Push(Completion{tag, Status::OK(), ReadOutcome()});
-                 });
-}
-
 Status Network::Transfer(size_t bytes) {
-  double service_us = 0;
-  LH_RETURN_NOT_OK(Assess(bytes, &service_us));
-  if (!Timed(service_us)) {
-    Charge(bytes, service_us);
-    return Status::OK();
-  }
-  CompletionLatch latch;
-  Schedule(bytes, service_us, 0, latch.queue());
-  return latch.Wait();
+  return SubmitAndWait(
+      [&](CompletionQueue* cq) { SubmitTransfer(bytes, 0, cq); });
 }
 
 void Network::SubmitTransfer(size_t bytes, uint64_t tag, CompletionQueue* cq) {
@@ -73,7 +57,11 @@ void Network::SubmitTransfer(size_t bytes, uint64_t tag, CompletionQueue* cq) {
     cq->Push(Completion{tag, Status::OK(), ReadOutcome()});
     return;
   }
-  Schedule(bytes, service_us, tag, cq);
+  timers_->After(static_cast<uint64_t>(service_us * options_.time_scale),
+                 [this, bytes, service_us, tag, cq] {
+                   Charge(bytes, service_us);
+                   cq->Push(Completion{tag, Status::OK(), ReadOutcome()});
+                 });
 }
 
 }  // namespace lakeharbor::sim

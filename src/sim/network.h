@@ -84,9 +84,6 @@ class Network {
            service_us * options_.time_scale >= 1.0;
   }
   void Charge(size_t bytes, double service_us);
-  /// Timed: deliver on `cq` once the scaled service time has passed.
-  void Schedule(size_t bytes, double service_us, uint64_t tag,
-                CompletionQueue* cq);
 
   NetworkOptions options_;
   ResourceStats stats_;
