@@ -20,8 +20,11 @@
 # wake-up hangs it into its timeout), the device timer thread ending the
 # waits of blocking device calls, async submissions and the overlapped
 # replica legs of a replicated write (sim_test's DeviceQueue.* tests, run
-# as the sim_device_queue_timed entry), and the timer's wake-up only on a
-# new earliest deadline (concurrent_test's TimerService.* test) — so a
+# as the sim_device_queue_timed entry), the io reads, timed and untimed,
+# both blocking and submitted on a queue that the test thread drains
+# (io_test's *AsyncReads* tests, run as the io_async_reads_timed entry),
+# and the timer's wake-up only on a new earliest deadline
+# (concurrent_test's TimerService.* test) — so a
 # TSan-clean pass is the "zero leaked inflight tasks, no torn state"
 # acceptance gate. The obs-labeled
 # suite (trace recorder, histograms, profiler) rides along: its lock-free

@@ -4,51 +4,6 @@
 
 namespace lakeharbor::ingest {
 
-Status SnapshotView::Get(sim::NodeId compute_node, const io::Pointer& ptr,
-                         std::vector<io::Record>* out) {
-  if (!ptr.has_partition) {
-    return Status::InvalidArgument(
-        "Get on snapshot view '" + name() +
-        "' requires partition information (broadcast pointers are resolved "
-        "by the executor)");
-  }
-  const uint32_t partition = partitioner().PartitionOf(ptr.partition_key);
-  return GetInPartition(compute_node, partition, ptr.key, out);
-}
-
-Status SnapshotView::GetInPartition(sim::NodeId compute_node,
-                                    uint32_t partition, const std::string& key,
-                                    std::vector<io::Record>* out) {
-  return base_->GetInPartitionOnReplicaAt(snapshot_, compute_node, partition,
-                                          /*replica=*/0, key, out);
-}
-
-Status SnapshotView::GetInPartitionOnReplica(sim::NodeId compute_node,
-                                             uint32_t partition,
-                                             uint32_t replica,
-                                             const std::string& key,
-                                             std::vector<io::Record>* out) {
-  return base_->GetInPartitionOnReplicaAt(snapshot_, compute_node, partition,
-                                          replica, key, out);
-}
-
-Status SnapshotView::GetBatchInPartition(
-    sim::NodeId compute_node, uint32_t partition,
-    const std::vector<std::string>& keys,
-    std::vector<std::vector<io::Record>>* out) {
-  return base_->GetBatchInPartitionOnReplicaAt(snapshot_, compute_node,
-                                               partition, /*replica=*/0, keys,
-                                               out);
-}
-
-Status SnapshotView::GetBatchInPartitionOnReplica(
-    sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-    const std::vector<std::string>& keys,
-    std::vector<std::vector<io::Record>>* out) {
-  return base_->GetBatchInPartitionOnReplicaAt(snapshot_, compute_node,
-                                               partition, replica, keys, out);
-}
-
 void SnapshotView::GetInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::string& key, std::vector<io::Record>* out,

@@ -55,22 +55,8 @@ class SnapshotView final : public io::File {
     return base_->BroadcastOwner(partition, fanout_epoch);
   }
 
-  Status Get(sim::NodeId compute_node, const io::Pointer& ptr,
-             std::vector<io::Record>* out) override;
-  Status GetInPartition(sim::NodeId compute_node, uint32_t partition,
-                        const std::string& key,
-                        std::vector<io::Record>* out) override;
-  Status GetInPartitionOnReplica(sim::NodeId compute_node, uint32_t partition,
-                                 uint32_t replica, const std::string& key,
-                                 std::vector<io::Record>* out) override;
-  Status GetBatchInPartition(sim::NodeId compute_node, uint32_t partition,
-                             const std::vector<std::string>& keys,
-                             std::vector<std::vector<io::Record>>* out)
-      override;
-  Status GetBatchInPartitionOnReplica(
-      sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-      const std::vector<std::string>& keys,
-      std::vector<std::vector<io::Record>>* out) override;
+  /// Reads resolve at the pinned LSN against the base file. A blocking
+  /// read is the async call with a null `cq` (see io::File).
   void GetInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                     uint32_t partition, uint32_t replica,
                                     const std::string& key,

@@ -9,41 +9,6 @@
 
 namespace lakeharbor::ingest {
 
-namespace {
-
-/// Mirrors the io layer's minimum probe charge: a lookup that resolves
-/// entirely from the tail still pays one page-sized tree probe.
-constexpr size_t kMinProbeBytes = 64;
-
-/// Local copies of the io layer's bit-rot applicators (file-static there).
-/// Rot applies to the device-resident TREE portion of a result only — tail
-/// records never crossed a platter.
-void RotRecords(const sim::ReadOutcome& outcome,
-                std::vector<io::Record>* records, size_t begin) {
-  if (!outcome.corrupted || records->size() <= begin) return;
-  const size_t victim =
-      begin + static_cast<size_t>(outcome.corruption_entropy %
-                                  (records->size() - begin));
-  (*records)[victim] =
-      (*records)[victim].CorruptedCopy(outcome.corruption_entropy);
-}
-
-void RotBatch(const sim::ReadOutcome& outcome,
-              std::vector<std::vector<io::Record>>* out, size_t found) {
-  if (!outcome.corrupted || found == 0) return;
-  size_t victim = static_cast<size_t>(outcome.corruption_entropy % found);
-  for (std::vector<io::Record>& bucket : *out) {
-    if (victim < bucket.size()) {
-      bucket[victim] =
-          bucket[victim].CorruptedCopy(outcome.corruption_entropy);
-      return;
-    }
-    victim -= bucket.size();
-  }
-}
-
-}  // namespace
-
 StreamingFile::StreamingFile(std::string name,
                              std::shared_ptr<io::Partitioner> partitioner,
                              sim::Cluster* cluster, IngestOptions options,
@@ -342,63 +307,81 @@ std::vector<std::shared_ptr<EpochBatch>> StreamingFile::SnapshotBatches()
   return batches;
 }
 
-void StreamingFile::CollectPoint(Lsn snapshot, uint32_t partition,
-                                 const std::string& key,
-                                 std::vector<io::Record>* out,
-                                 size_t* tree_bytes,
-                                 std::vector<io::Record>* tail) {
-  const auto batches = SnapshotBatches();
-  const PartitionIngest& ps = *ingest_parts_[partition];
-  std::shared_lock<std::shared_mutex> lock(ps.mu);
-  const size_t before = out->size();
-  partitions_[partition].tree->Get(key, out);
-  for (size_t i = before; i < out->size(); ++i) {
-    *tree_bytes += (*out)[i].size();
+void StreamingFile::GetInPartitionOnReplicaAsyncAt(
+    Lsn snapshot, sim::NodeId compute_node, uint32_t partition,
+    uint32_t replica, const std::string& key, std::vector<io::Record>* out,
+    sim::CompletionQueue* cq, AsyncReadDone done) {
+  Status pre = CheckSealed();
+  if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
+  if (!pre.ok()) {
+    done(std::move(pre));
+    return;
   }
-  for (const auto& batch : batches) {
-    const EpochBatch::PartitionDelta& pd = batch->parts[partition];
-    if (pd.folded) continue;
-    auto it = pd.bucket.find(key);
-    if (it == pd.bucket.end()) continue;
-    for (const index::DeltaEntry<io::Record>& entry : it->second) {
-      if (entry.lsn <= snapshot) tail->push_back(entry.value);
-    }
-  }
-}
-
-Status StreamingFile::GetInPartitionOnReplicaAt(Lsn snapshot,
-                                                sim::NodeId compute_node,
-                                                uint32_t partition,
-                                                uint32_t replica,
-                                                const std::string& key,
-                                                std::vector<io::Record>* out) {
-  LH_RETURN_NOT_OK(CheckSealed());
-  LH_RETURN_NOT_OK(CheckPartitionAndReplica(partition, replica));
   access_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
   const size_t before = out->size();
+  // Tree matches go to `out` (device-resident: their bytes are charged),
+  // filtered tail matches to `tail` in LSN order.
   std::vector<io::Record> tail;
   size_t bytes = 0;
-  CollectPoint(snapshot, partition, key, out, &bytes, &tail);
+  {
+    const auto batches = SnapshotBatches();
+    const PartitionIngest& ps = *ingest_parts_[partition];
+    std::shared_lock<std::shared_mutex> lock(ps.mu);
+    partitions_[partition].tree->Get(key, out);
+    for (size_t i = before; i < out->size(); ++i) bytes += (*out)[i].size();
+    for (const auto& batch : batches) {
+      const EpochBatch::PartitionDelta& pd = batch->parts[partition];
+      if (pd.folded) continue;
+      auto it = pd.bucket.find(key);
+      if (it == pd.bucket.end()) continue;
+      for (const index::DeltaEntry<io::Record>& entry : it->second) {
+        if (entry.lsn <= snapshot) tail.push_back(entry.value);
+      }
+    }
+  }
   const size_t found = out->size() - before;
-  sim::ReadOutcome outcome;
-  LH_RETURN_NOT_OK(
-      ChargeLookup(compute_node, partition, replica, bytes, found, &outcome));
-  RotRecords(outcome, out, before);
-  LH_RETURN_NOT_OK(VerifyRecords(out, before, key, nullptr, partition,
-                                 replica));
-  for (io::Record& record : tail) out->push_back(std::move(record));
-  return Status::OK();
+  // A lookup that resolves entirely from the tail still pays one
+  // page-sized tree probe.
+  ChargeRead(ReadKind::kRandom, compute_node, NodeOfReplica(partition, replica),
+             1, std::max(bytes, kMinProbeBytes), cq,
+             [this, partition, replica, found, before, out, key = &key,
+              tail = std::move(tail),
+              done = std::move(done)](const sim::Completion& c) mutable {
+               Status s = c.status;
+               if (s.ok()) {
+                 CountEpochRead(partition, replica);
+                 access_stats_.records_read.fetch_add(
+                     found, std::memory_order_relaxed);
+                 ApplyBitRot(c.outcome, out, before);
+                 s = VerifyRecords(out, before, *key, nullptr, partition,
+                                   replica);
+               }
+               if (s.ok()) {
+                 for (io::Record& record : tail) {
+                   out->push_back(std::move(record));
+                 }
+               }
+               done(std::move(s));
+             });
 }
 
-Status StreamingFile::GetBatchInPartitionOnReplicaAt(
+void StreamingFile::GetBatchInPartitionOnReplicaAsyncAt(
     Lsn snapshot, sim::NodeId compute_node, uint32_t partition,
     uint32_t replica, const std::vector<std::string>& keys,
-    std::vector<std::vector<io::Record>>* out) {
-  LH_RETURN_NOT_OK(CheckSealed());
-  LH_RETURN_NOT_OK(CheckPartitionAndReplica(partition, replica));
+    std::vector<std::vector<io::Record>>* out, sim::CompletionQueue* cq,
+    AsyncReadDone done) {
+  Status pre = CheckSealed();
+  if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
+  if (!pre.ok()) {
+    done(std::move(pre));
+    return;
+  }
   out->clear();
   out->resize(keys.size());
-  if (keys.empty()) return Status::OK();
+  if (keys.empty()) {
+    done(Status::OK());
+    return;
+  }
   std::vector<std::vector<io::Record>> tail(keys.size());
   size_t bytes = 0;
   size_t found = 0;
@@ -424,143 +407,32 @@ Status StreamingFile::GetBatchInPartitionOnReplicaAt(
   }
   // Charge BEFORE exposing results, exactly like the base fused path; the
   // tail joins each bucket only after the verification verdict.
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  sim::ReadOutcome outcome;
-  LH_RETURN_NOT_OK(cluster_->ChargeBatchRead(compute_node, storage_node,
-                                             keys.size(),
-                                             std::max(bytes, kMinProbeBytes),
-                                             &outcome));
-  CountEpochRead(partition, replica);
-  access_stats_.batched_gets.fetch_add(1, std::memory_order_relaxed);
-  access_stats_.batched_keys.fetch_add(keys.size(), std::memory_order_relaxed);
-  access_stats_.records_read.fetch_add(found, std::memory_order_relaxed);
-  RotBatch(outcome, out, found);
-  LH_RETURN_NOT_OK(VerifyBatch(out, keys, partition, replica));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (io::Record& record : tail[i]) (*out)[i].push_back(std::move(record));
-  }
-  return Status::OK();
-}
-
-void StreamingFile::GetInPartitionOnReplicaAsyncAt(
-    Lsn snapshot, sim::NodeId compute_node, uint32_t partition,
-    uint32_t replica, const std::string& key, std::vector<io::Record>* out,
-    sim::CompletionQueue* cq, AsyncReadDone done) {
-  if (cq == nullptr) {
-    done(GetInPartitionOnReplicaAt(snapshot, compute_node, partition, replica,
-                                   key, out));
-    return;
-  }
-  Status pre = CheckSealed();
-  if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
-  if (!pre.ok()) {
-    done(std::move(pre));
-    return;
-  }
-  access_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  const size_t before = out->size();
-  auto tail = std::make_shared<std::vector<io::Record>>();
-  size_t bytes = 0;
-  CollectPoint(snapshot, partition, key, out, &bytes, tail.get());
-  const size_t found = out->size() - before;
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  cluster_->SubmitChargeRandomRead(
-      compute_node, storage_node, std::max(bytes, kMinProbeBytes),
-      sim::MakeCompletionCallbackTag(
-          [this, partition, replica, found, before, out, key, tail,
-           done = std::move(done)](const sim::Completion& c) {
-            Status s = c.status;
-            if (s.ok()) {
-              CountEpochRead(partition, replica);
-              access_stats_.records_read.fetch_add(found,
-                                                   std::memory_order_relaxed);
-              RotRecords(c.outcome, out, before);
-              s = VerifyRecords(out, before, key, nullptr, partition,
-                                replica);
-            }
-            if (s.ok()) {
-              for (io::Record& record : *tail) out->push_back(std::move(record));
-            }
-            done(std::move(s));
-          }),
-      cq);
-}
-
-void StreamingFile::GetBatchInPartitionOnReplicaAsyncAt(
-    Lsn snapshot, sim::NodeId compute_node, uint32_t partition,
-    uint32_t replica, const std::vector<std::string>& keys,
-    std::vector<std::vector<io::Record>>* out, sim::CompletionQueue* cq,
-    AsyncReadDone done) {
-  if (cq == nullptr) {
-    done(GetBatchInPartitionOnReplicaAt(snapshot, compute_node, partition,
-                                        replica, keys, out));
-    return;
-  }
-  Status pre = CheckSealed();
-  if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
-  if (!pre.ok()) {
-    done(std::move(pre));
-    return;
-  }
-  out->clear();
-  out->resize(keys.size());
-  if (keys.empty()) {
-    done(Status::OK());
-    return;
-  }
-  auto tail =
-      std::make_shared<std::vector<std::vector<io::Record>>>(keys.size());
-  size_t bytes = 0;
-  size_t found = 0;
-  {
-    const auto batches = SnapshotBatches();
-    const PartitionIngest& ps = *ingest_parts_[partition];
-    std::shared_lock<std::shared_mutex> lock(ps.mu);
-    const index::Btree<io::Record>* tree = partitions_[partition].tree.get();
-    for (size_t i = 0; i < keys.size(); ++i) {
-      tree->Get(keys[i], &(*out)[i]);
-      found += (*out)[i].size();
-      for (const io::Record& r : (*out)[i]) bytes += r.size();
-      for (const auto& batch : batches) {
-        const EpochBatch::PartitionDelta& pd = batch->parts[partition];
-        if (pd.folded) continue;
-        auto it = pd.bucket.find(keys[i]);
-        if (it == pd.bucket.end()) continue;
-        for (const index::DeltaEntry<io::Record>& entry : it->second) {
-          if (entry.lsn <= snapshot) (*tail)[i].push_back(entry.value);
-        }
-      }
-    }
-  }
-  const size_t num_keys = keys.size();
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  cluster_->SubmitChargeBatchRead(
-      compute_node, storage_node, num_keys, std::max(bytes, kMinProbeBytes),
-      sim::MakeCompletionCallbackTag(
-          [this, partition, replica, found, num_keys, out, keys_ptr = &keys,
-           tail, done = std::move(done)](const sim::Completion& c) {
-            Status s = c.status;
-            if (s.ok()) {
-              CountEpochRead(partition, replica);
-              access_stats_.batched_gets.fetch_add(1,
-                                                   std::memory_order_relaxed);
-              access_stats_.batched_keys.fetch_add(num_keys,
-                                                   std::memory_order_relaxed);
-              access_stats_.records_read.fetch_add(found,
-                                                   std::memory_order_relaxed);
-              RotBatch(c.outcome, out, found);
-              s = VerifyBatch(out, *keys_ptr, partition, replica);
-            }
-            if (s.ok()) {
-              for (size_t i = 0; i < tail->size(); ++i) {
-                for (io::Record& record : (*tail)[i]) {
-                  (*out)[i].push_back(std::move(record));
-                }
-              }
-            }
-            done(std::move(s));
-          }),
-      cq);
+  ChargeRead(ReadKind::kBatch, compute_node, NodeOfReplica(partition, replica),
+             keys.size(), std::max(bytes, kMinProbeBytes), cq,
+             [this, partition, replica, found, out, keys = &keys,
+              tail = std::move(tail),
+              done = std::move(done)](const sim::Completion& c) mutable {
+               Status s = c.status;
+               if (s.ok()) {
+                 CountEpochRead(partition, replica);
+                 access_stats_.batched_gets.fetch_add(
+                     1, std::memory_order_relaxed);
+                 access_stats_.batched_keys.fetch_add(
+                     keys->size(), std::memory_order_relaxed);
+                 access_stats_.records_read.fetch_add(
+                     found, std::memory_order_relaxed);
+                 ApplyBitRotBatch(c.outcome, out, found);
+                 s = VerifyBatch(out, *keys, partition, replica);
+               }
+               if (s.ok()) {
+                 for (size_t i = 0; i < tail.size(); ++i) {
+                   for (io::Record& record : tail[i]) {
+                     (*out)[i].push_back(std::move(record));
+                   }
+                 }
+               }
+               done(std::move(s));
+             });
 }
 
 Status StreamingFile::ScanPartitionKeyedAt(Lsn snapshot,
@@ -597,50 +469,10 @@ Status StreamingFile::ScanPartitionKeyedAt(Lsn snapshot,
       }
     }
   }
-  // Device side: identical failover/read-repair discipline to the base scan
-  // over the MERGED bytes (the tail is memory-resident).
-  const uint32_t rf = ReplicaCountFor(partition);
-  Status charge;
+  // Device side: the base scan's failover and read repair, over the
+  // MERGED bytes (the tail is memory-resident).
   sim::ReadOutcome outcome;
-  std::vector<sim::NodeId> rotten_nodes;
-  for (uint32_t r = 0; r < rf; ++r) {
-    sim::NodeId storage_node = NodeOfReplica(partition, r);
-    if (r + 1 < rf && cluster_->NodeIsDown(storage_node)) {
-      access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    outcome = sim::ReadOutcome();
-    charge = cluster_->ChargeSequentialRead(
-        compute_node, storage_node,
-        std::max<uint64_t>(merged_bytes, kMinProbeBytes), &outcome);
-    if (charge.ok() && outcome.corrupted && verify_checksums()) {
-      access_stats_.corrupt_reads.fetch_add(1, std::memory_order_relaxed);
-      charge = Status::Corruption(
-          "checksum mismatch scanning file '" + name_ + "' partition " +
-          std::to_string(partition) + " replica " + std::to_string(r) +
-          " (node " + std::to_string(storage_node) + ")");
-      if (r + 1 < rf) {
-        rotten_nodes.push_back(storage_node);
-        access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      break;
-    }
-    if (charge.ok()) CountEpochRead(partition, r);
-    if (charge.ok() || !charge.IsUnavailable() || r + 1 >= rf) break;
-    access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-  }
-  LH_RETURN_NOT_OK(charge);
-  for (sim::NodeId bad : rotten_nodes) {
-    if (cluster_
-            ->ChargeReplicatedWrite(
-                compute_node, {bad},
-                std::max<uint64_t>(merged_bytes, kMinProbeBytes))
-            .ok()) {
-      access_stats_.read_repairs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  access_stats_.partition_scans.fetch_add(1, std::memory_order_relaxed);
+  LH_RETURN_NOT_OK(ChargeScan(compute_node, partition, merged_bytes, &outcome));
   // Deliver a two-way merge by key. Ties emit tree records first — their
   // LSNs are strictly older than any unmerged record of the same key, so
   // this IS append order, bit-identical to a quiesced scan.
@@ -677,23 +509,6 @@ Status StreamingFile::ScanPartitionKeyedAt(Lsn snapshot,
   access_stats_.records_scanned.fetch_add(delivered,
                                           std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status StreamingFile::GetInPartitionOnReplica(sim::NodeId compute_node,
-                                              uint32_t partition,
-                                              uint32_t replica,
-                                              const std::string& key,
-                                              std::vector<io::Record>* out) {
-  return GetInPartitionOnReplicaAt(kLsnLatest, compute_node, partition,
-                                   replica, key, out);
-}
-
-Status StreamingFile::GetBatchInPartitionOnReplica(
-    sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-    const std::vector<std::string>& keys,
-    std::vector<std::vector<io::Record>>* out) {
-  return GetBatchInPartitionOnReplicaAt(kLsnLatest, compute_node, partition,
-                                        replica, keys, out);
 }
 
 void StreamingFile::GetInPartitionOnReplicaAsync(

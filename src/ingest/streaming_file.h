@@ -206,18 +206,11 @@ class StreamingFile : public io::PartitionedFile {
   /// File overrides below bind S = kLsnLatest, SnapshotView binds its
   /// pinned LSN. Charges, counters, bit-rot, and verification mirror the
   /// base paths exactly and apply to the TREE portion of the result (the
-  /// device-resident bytes); tail records are memory-resident and are
-  /// appended after the verification verdict, never before. The async
-  /// reads run the blocking ones in place when `cq` is null (see io::File).
+  /// device-resident bytes); tail records are memory-resident, never cross
+  /// a platter, and are appended after the verification verdict, never
+  /// before: the tail rides in the read's landing closure. A blocking read
+  /// is the async call with a null `cq` (see io::File).
 
-  Status GetInPartitionOnReplicaAt(Lsn snapshot, sim::NodeId compute_node,
-                                   uint32_t partition, uint32_t replica,
-                                   const std::string& key,
-                                   std::vector<io::Record>* out);
-  Status GetBatchInPartitionOnReplicaAt(
-      Lsn snapshot, sim::NodeId compute_node, uint32_t partition,
-      uint32_t replica, const std::vector<std::string>& keys,
-      std::vector<std::vector<io::Record>>* out);
   void GetInPartitionOnReplicaAsyncAt(Lsn snapshot, sim::NodeId compute_node,
                                       uint32_t partition, uint32_t replica,
                                       const std::string& key,
@@ -235,13 +228,6 @@ class StreamingFile : public io::PartitionedFile {
 
   /// --- File overrides (latest-read semantics) ------------------------------
 
-  Status GetInPartitionOnReplica(sim::NodeId compute_node, uint32_t partition,
-                                 uint32_t replica, const std::string& key,
-                                 std::vector<io::Record>* out) override;
-  Status GetBatchInPartitionOnReplica(
-      sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-      const std::vector<std::string>& keys,
-      std::vector<std::vector<io::Record>>* out) override;
   void GetInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                     uint32_t partition, uint32_t replica,
                                     const std::string& key,
@@ -297,13 +283,6 @@ class StreamingFile : public io::PartitionedFile {
   /// The open epoch has reached the age threshold (ingest mutex held).
   bool OpenEpochAgedLocked(int64_t now_us) const;
   void SealOpenLocked(rede::ExecMetricsCounters* metrics);
-
-  /// Resolve `key` at `snapshot`: tree matches are appended to `*out`
-  /// (device-resident — `*tree_bytes` accumulates their payload for the
-  /// charge), filtered tail matches go to `*tail` in LSN order.
-  void CollectPoint(Lsn snapshot, uint32_t partition, const std::string& key,
-                    std::vector<io::Record>* out, size_t* tree_bytes,
-                    std::vector<io::Record>* tail);
 
   mutable std::mutex ingest_mu_;
   IngestOptions options_;

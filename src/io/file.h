@@ -103,116 +103,125 @@ class File {
   PlacementManager& placement_manager() { return placement_; }
   const PlacementManager& placement_manager() const { return placement_; }
 
-  /// Resolve a pointer (must carry partition information) to the records
-  /// with the matching in-partition key. An empty result is not an error.
-  virtual Status Get(sim::NodeId compute_node, const Pointer& ptr,
-                     std::vector<Record>* out) = 0;
-
-  /// Resolve a key within one specific partition — used by the executor to
-  /// serve broadcast pointers locally. Reads the primary replica.
-  virtual Status GetInPartition(sim::NodeId compute_node, uint32_t partition,
-                                const std::string& key,
-                                std::vector<Record>* out) = 0;
-
-  /// Like GetInPartition but reads the given replica's copy (device charges
-  /// go to NodeOfReplica(partition, replica)). Replica 0 is the primary.
-  /// The base implementation ignores the replica index and reads the
-  /// primary — correct for files that never call SetReplicationFactor.
-  virtual Status GetInPartitionOnReplica(sim::NodeId compute_node,
-                                         uint32_t partition, uint32_t replica,
-                                         const std::string& key,
-                                         std::vector<Record>* out) {
-    (void)replica;
-    return GetInPartition(compute_node, partition, key, out);
-  }
-
-  /// Resolve many in-partition keys of ONE partition in a single fused
-  /// device operation. `out` is resized to `keys.size()`; slot i receives
-  /// the records matching keys[i] (possibly empty — not an error). The base
-  /// implementation degrades to a per-key GetInPartition loop; files that
-  /// can fuse the descent (PartitionedFile / BtreeFile) override it to
-  /// charge one batch read instead of keys.size() random reads. On error,
-  /// `out` contents are unspecified — callers must treat the whole batch as
-  /// unread (this is what lets executor retries re-issue it safely).
-  virtual Status GetBatchInPartition(sim::NodeId compute_node,
-                                     uint32_t partition,
-                                     const std::vector<std::string>& keys,
-                                     std::vector<std::vector<Record>>* out);
-
-  /// Replica-addressed batch read; base implementation reads the primary.
-  virtual Status GetBatchInPartitionOnReplica(
-      sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-      const std::vector<std::string>& keys,
-      std::vector<std::vector<Record>>* out) {
-    (void)replica;
-    return GetBatchInPartition(compute_node, partition, keys, out);
-  }
-
-  /// Range lookups are only supported by BtreeFile.
-  virtual Status GetRangeInPartition(sim::NodeId compute_node,
-                                     uint32_t partition, const std::string& lo,
-                                     const std::string& hi,
-                                     const RecordVisitor& visit);
-
-  /// Replica-addressed range read; base implementation reads the primary.
-  virtual Status GetRangeInPartitionOnReplica(sim::NodeId compute_node,
-                                              uint32_t partition,
-                                              uint32_t replica,
-                                              const std::string& lo,
-                                              const std::string& hi,
-                                              const RecordVisitor& visit) {
-    (void)replica;
-    return GetRangeInPartition(compute_node, partition, lo, hi, visit);
-  }
-
-  /// --- Asynchronous reads --------------------------------------------------
+  /// --- Reads ------------------------------------------------------------
   ///
-  /// Continuation-passing analogues of the replica-addressed reads, the
-  /// only reads the built-in dereferencers make. `done` fires exactly
-  /// once; `out` (and `keys`) must stay valid until then. On a non-OK
-  /// status, `out` contents are unspecified, exactly like the blocking
-  /// paths — callers clear and retry.
+  /// Each read has one body: its continuation form, the three virtual
+  /// *Async calls, which are also the only reads the built-in dereferencers
+  /// make. `done` fires exactly once; `key`, `keys`, `lo`, `hi` and `out`
+  /// must stay valid until then (the reads hold them by pointer and never
+  /// copy them). On a non-OK status, `out` contents are unspecified —
+  /// callers clear and retry.
   ///
   /// With a completion queue, record resolution (the in-memory structure
   /// descent) happens synchronously at submission and only the simulated
-  /// device charge is asynchronous, delivered through `cq`. A null `cq`
-  /// means "read here": the call runs the blocking replica read — the same
-  /// charges, fault and rot draws, and (timing on) device sleep on this
-  /// thread — and `done` fires before it returns. That is how a blocking
-  /// Execute runs the dereference state machines. The base implementations
-  /// always read this way, which keeps every File subclass correct.
+  /// device charge is asynchronous, delivered through `cq`. A blocking read
+  /// is the async call with a null `cq`: the charge is made in place (a
+  /// submission on a latch plus one wait: the same charges, fault and rot
+  /// draws, and, timing on, device wait on this thread), the read lands on
+  /// this thread, and `done` fires before the call returns. The blocking
+  /// reads below are exactly that call.
   using AsyncReadDone = std::function<void(Status)>;
 
+  /// Resolve an in-partition key against the given replica's copy (device
+  /// charges go to NodeOfReplica(partition, replica); replica 0 is the
+  /// primary). An empty result is not an error.
   virtual void GetInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                             uint32_t partition,
                                             uint32_t replica,
                                             const std::string& key,
                                             std::vector<Record>* out,
                                             sim::CompletionQueue* cq,
-                                            AsyncReadDone done) {
-    (void)cq;
-    done(GetInPartitionOnReplica(compute_node, partition, replica, key, out));
-  }
+                                            AsyncReadDone done) = 0;
 
+  /// Resolve many in-partition keys of ONE partition in a single fused
+  /// device operation. `out` is resized to `keys.size()`; slot i receives
+  /// the records matching keys[i] (possibly empty — not an error). On
+  /// error, callers must treat the whole batch as unread (this is what lets
+  /// executor retries re-issue it safely).
   virtual void GetBatchInPartitionOnReplicaAsync(
       sim::NodeId compute_node, uint32_t partition, uint32_t replica,
       const std::vector<std::string>& keys,
       std::vector<std::vector<Record>>* out, sim::CompletionQueue* cq,
-      AsyncReadDone done) {
-    (void)cq;
-    done(GetBatchInPartitionOnReplica(compute_node, partition, replica, keys,
-                                      out));
-  }
+      AsyncReadDone done) = 0;
 
-  /// `visit` is taken by value: it runs when the descent charge completes,
-  /// on the delivering thread, before `done`.
+  /// Visit the records with lo <= key <= hi. Only BtreeFile supports range
+  /// reads; the base fails kNotImplemented. `visit` is taken by value: it
+  /// runs once the read's charges landed, on the delivering thread, before
+  /// `done`.
   virtual void GetRangeInPartitionOnReplicaAsync(
       sim::NodeId compute_node, uint32_t partition, uint32_t replica,
       const std::string& lo, const std::string& hi, RecordVisitor visit,
-      sim::CompletionQueue* cq, AsyncReadDone done) {
-    (void)cq;
-    done(GetRangeInPartitionOnReplica(compute_node, partition, replica, lo,
-                                      hi, visit));
+      sim::CompletionQueue* cq, AsyncReadDone done);
+
+  /// Resolve a pointer (must carry partition information) to the records
+  /// with the matching in-partition key, reading the primary replica.
+  Status Get(sim::NodeId compute_node, const Pointer& ptr,
+             std::vector<Record>* out) {
+    if (!ptr.has_partition) {
+      return Status::InvalidArgument(
+          "Get on file '" + name_ +
+          "' requires partition information (broadcast pointers are "
+          "resolved by the executor)");
+    }
+    return GetInPartition(compute_node,
+                          partitioner_->PartitionOf(ptr.partition_key),
+                          ptr.key, out);
+  }
+
+  /// Resolve a key within one specific partition's primary replica — used
+  /// by the executor to serve broadcast pointers locally.
+  Status GetInPartition(sim::NodeId compute_node, uint32_t partition,
+                        const std::string& key, std::vector<Record>* out) {
+    return GetInPartitionOnReplica(compute_node, partition, /*replica=*/0, key,
+                                   out);
+  }
+
+  Status GetInPartitionOnReplica(sim::NodeId compute_node, uint32_t partition,
+                                 uint32_t replica, const std::string& key,
+                                 std::vector<Record>* out) {
+    Status status;
+    GetInPartitionOnReplicaAsync(
+        compute_node, partition, replica, key, out, nullptr,
+        [&status](Status s) { status = std::move(s); });
+    return status;
+  }
+
+  Status GetBatchInPartition(sim::NodeId compute_node, uint32_t partition,
+                             const std::vector<std::string>& keys,
+                             std::vector<std::vector<Record>>* out) {
+    return GetBatchInPartitionOnReplica(compute_node, partition,
+                                        /*replica=*/0, keys, out);
+  }
+
+  Status GetBatchInPartitionOnReplica(sim::NodeId compute_node,
+                                      uint32_t partition, uint32_t replica,
+                                      const std::vector<std::string>& keys,
+                                      std::vector<std::vector<Record>>* out) {
+    Status status;
+    GetBatchInPartitionOnReplicaAsync(
+        compute_node, partition, replica, keys, out, nullptr,
+        [&status](Status s) { status = std::move(s); });
+    return status;
+  }
+
+  Status GetRangeInPartition(sim::NodeId compute_node, uint32_t partition,
+                             const std::string& lo, const std::string& hi,
+                             const RecordVisitor& visit) {
+    return GetRangeInPartitionOnReplica(compute_node, partition,
+                                        /*replica=*/0, lo, hi, visit);
+  }
+
+  Status GetRangeInPartitionOnReplica(sim::NodeId compute_node,
+                                      uint32_t partition, uint32_t replica,
+                                      const std::string& lo,
+                                      const std::string& hi,
+                                      const RecordVisitor& visit) {
+    Status status;
+    GetRangeInPartitionOnReplicaAsync(
+        compute_node, partition, replica, lo, hi,
+        [&visit](const Record& record) { return visit(record); }, nullptr,
+        [&status](Status s) { status = std::move(s); });
+    return status;
   }
 
   /// Visit every record of a partition in key order (sequential scan).

@@ -5,18 +5,8 @@
 
 namespace lakeharbor::io {
 
-namespace {
-/// Minimum bytes charged for a device probe, even when the lookup misses:
-/// reading *nothing* still costs a page-sized I/O.
-constexpr size_t kMinProbeBytes = 64;
-
-/// Apply a corrupt read verdict to the records this operation returned:
-/// the entropy picks one victim among [begin, records->size()) and flips a
-/// bit in a COPY of its payload (the stored tree data is never touched —
-/// the simulation models rot on the wire/platter, not in the source of
-/// truth). A read that returned nothing has no payload to rot.
-void ApplyBitRot(const sim::ReadOutcome& outcome, std::vector<Record>* records,
-                 size_t begin) {
+void PartitionedFile::ApplyBitRot(const sim::ReadOutcome& outcome,
+                                  std::vector<Record>* records, size_t begin) {
   if (!outcome.corrupted || records->size() <= begin) return;
   const size_t victim =
       begin + static_cast<size_t>(outcome.corruption_entropy %
@@ -25,9 +15,9 @@ void ApplyBitRot(const sim::ReadOutcome& outcome, std::vector<Record>* records,
       (*records)[victim].CorruptedCopy(outcome.corruption_entropy);
 }
 
-/// Batched analogue: the victim index counts across the flattened buckets.
-void ApplyBitRotBatch(const sim::ReadOutcome& outcome,
-                      std::vector<std::vector<Record>>* out, size_t found) {
+void PartitionedFile::ApplyBitRotBatch(const sim::ReadOutcome& outcome,
+                                       std::vector<std::vector<Record>>* out,
+                                       size_t found) {
   if (!outcome.corrupted || found == 0) return;
   size_t victim = static_cast<size_t>(outcome.corruption_entropy % found);
   for (std::vector<Record>& bucket : *out) {
@@ -39,7 +29,6 @@ void ApplyBitRotBatch(const sim::ReadOutcome& outcome,
     victim -= bucket.size();
   }
 }
-}  // namespace
 
 PartitionedFile::PartitionedFile(std::string name,
                                  std::shared_ptr<Partitioner> partitioner,
@@ -90,7 +79,7 @@ Status PartitionedFile::CheckPartitionAndReplica(uint32_t partition,
   }
   // Per-partition count: during a rebalance a flipped partition exposes
   // old+new replica slots, and the count may legally SHRINK between the
-  // caller's check and the charge (flip/abort race) — ChargeLookup folds
+  // caller's check and the charge (flip/abort race) — NodeOfReplica folds
   // the index, so a stale-but-once-valid replica never crashes.
   const uint32_t count = ReplicaCountFor(partition);
   if (replica >= count) {
@@ -112,21 +101,6 @@ void PartitionedFile::CountEpochRead(uint32_t partition, uint32_t replica) {
       access_stats_.new_epoch_reads.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-}
-
-Status PartitionedFile::ChargeLookup(sim::NodeId compute_node,
-                                     uint32_t partition, uint32_t replica,
-                                     size_t result_bytes,
-                                     size_t result_records,
-                                     sim::ReadOutcome* outcome) {
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  LH_RETURN_NOT_OK(cluster_->ChargeRandomRead(
-      compute_node, storage_node, std::max(result_bytes, kMinProbeBytes),
-      outcome));
-  CountEpochRead(partition, replica);
-  access_stats_.records_read.fetch_add(result_records,
-                                       std::memory_order_relaxed);
-  return Status::OK();
 }
 
 Status PartitionedFile::VerifyRecords(std::vector<Record>* out, size_t begin,
@@ -172,108 +146,10 @@ Status PartitionedFile::VerifyBatch(std::vector<std::vector<Record>>* out,
   return Status::OK();
 }
 
-Status PartitionedFile::Get(sim::NodeId compute_node, const Pointer& ptr,
-                            std::vector<Record>* out) {
-  LH_RETURN_NOT_OK(CheckSealed());
-  if (!ptr.has_partition) {
-    return Status::InvalidArgument(
-        "Get on file '" + name_ +
-        "' requires partition information (broadcast pointers are resolved "
-        "by the executor)");
-  }
-  uint32_t partition = partitioner_->PartitionOf(ptr.partition_key);
-  return GetInPartition(compute_node, partition, ptr.key, out);
-}
-
-Status PartitionedFile::GetInPartition(sim::NodeId compute_node,
-                                       uint32_t partition,
-                                       const std::string& key,
-                                       std::vector<Record>* out) {
-  return GetInPartitionOnReplica(compute_node, partition, /*replica=*/0, key,
-                                 out);
-}
-
-Status PartitionedFile::GetInPartitionOnReplica(sim::NodeId compute_node,
-                                                uint32_t partition,
-                                                uint32_t replica,
-                                                const std::string& key,
-                                                std::vector<Record>* out) {
-  LH_RETURN_NOT_OK(CheckSealed());
-  LH_RETURN_NOT_OK(CheckPartitionAndReplica(partition, replica));
-  access_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  size_t before = out->size();
-  partitions_[partition].tree->Get(key, out);
-  size_t found = out->size() - before;
-  size_t bytes = 0;
-  for (size_t i = before; i < out->size(); ++i) bytes += (*out)[i].size();
-  sim::ReadOutcome outcome;
-  LH_RETURN_NOT_OK(
-      ChargeLookup(compute_node, partition, replica, bytes, found, &outcome));
-  ApplyBitRot(outcome, out, before);
-  return VerifyRecords(out, before, key, nullptr, partition, replica);
-}
-
-Status File::GetBatchInPartition(sim::NodeId compute_node, uint32_t partition,
-                                 const std::vector<std::string>& keys,
-                                 std::vector<std::vector<Record>>* out) {
-  out->clear();
-  out->resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    LH_RETURN_NOT_OK(
-        GetInPartition(compute_node, partition, keys[i], &(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status PartitionedFile::GetBatchInPartition(
-    sim::NodeId compute_node, uint32_t partition,
-    const std::vector<std::string>& keys,
-    std::vector<std::vector<Record>>* out) {
-  return GetBatchInPartitionOnReplica(compute_node, partition, /*replica=*/0,
-                                      keys, out);
-}
-
-Status PartitionedFile::GetBatchInPartitionOnReplica(
-    sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-    const std::vector<std::string>& keys,
-    std::vector<std::vector<Record>>* out) {
-  LH_RETURN_NOT_OK(CheckSealed());
-  LH_RETURN_NOT_OK(CheckPartitionAndReplica(partition, replica));
-  out->clear();
-  out->resize(keys.size());
-  if (keys.empty()) return Status::OK();
-  const Partition& p = partitions_[partition];
-  size_t bytes = 0;
-  size_t found = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    p.tree->Get(keys[i], &(*out)[i]);
-    found += (*out)[i].size();
-    for (const Record& r : (*out)[i]) bytes += r.size();
-  }
-  // Charge BEFORE exposing results as read: if the fused device operation
-  // faults, the caller sees an error and must discard `out` wholesale.
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  sim::ReadOutcome outcome;
-  LH_RETURN_NOT_OK(cluster_->ChargeBatchRead(compute_node, storage_node,
-                                             keys.size(),
-                                             std::max(bytes, kMinProbeBytes),
-                                             &outcome));
-  CountEpochRead(partition, replica);
-  access_stats_.batched_gets.fetch_add(1, std::memory_order_relaxed);
-  access_stats_.batched_keys.fetch_add(keys.size(), std::memory_order_relaxed);
-  access_stats_.records_read.fetch_add(found, std::memory_order_relaxed);
-  ApplyBitRotBatch(outcome, out, found);
-  return VerifyBatch(out, keys, partition, replica);
-}
-
 void PartitionedFile::GetInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::string& key, std::vector<Record>* out, sim::CompletionQueue* cq,
     AsyncReadDone done) {
-  if (cq == nullptr) {
-    done(GetInPartitionOnReplica(compute_node, partition, replica, key, out));
-    return;
-  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {
@@ -281,40 +157,32 @@ void PartitionedFile::GetInPartitionOnReplicaAsync(
     return;
   }
   access_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  size_t before = out->size();
+  const size_t before = out->size();
   partitions_[partition].tree->Get(key, out);
-  size_t found = out->size() - before;
+  const size_t found = out->size() - before;
   size_t bytes = 0;
   for (size_t i = before; i < out->size(); ++i) bytes += (*out)[i].size();
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  cluster_->SubmitChargeRandomRead(
-      compute_node, storage_node, std::max(bytes, kMinProbeBytes),
-      sim::MakeCompletionCallbackTag(
-          [this, partition, replica, found, before, out, key,
-           done = std::move(done)](const sim::Completion& c) {
-            Status s = c.status;
-            if (s.ok()) {
-              CountEpochRead(partition, replica);
-              access_stats_.records_read.fetch_add(found,
-                                                   std::memory_order_relaxed);
-              ApplyBitRot(c.outcome, out, before);
-              s = VerifyRecords(out, before, key, nullptr, partition,
-                                replica);
-            }
-            done(std::move(s));
-          }),
-      cq);
+  ChargeRead(ReadKind::kRandom, compute_node, NodeOfReplica(partition, replica),
+             1, std::max(bytes, kMinProbeBytes), cq,
+             [this, partition, replica, found, before, out, key = &key,
+              done = std::move(done)](const sim::Completion& c) {
+               Status s = c.status;
+               if (s.ok()) {
+                 CountEpochRead(partition, replica);
+                 access_stats_.records_read.fetch_add(
+                     found, std::memory_order_relaxed);
+                 ApplyBitRot(c.outcome, out, before);
+                 s = VerifyRecords(out, before, *key, nullptr, partition,
+                                   replica);
+               }
+               done(std::move(s));
+             });
 }
 
 void PartitionedFile::GetBatchInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::vector<std::string>& keys, std::vector<std::vector<Record>>* out,
     sim::CompletionQueue* cq, AsyncReadDone done) {
-  if (cq == nullptr) {
-    done(GetBatchInPartitionOnReplica(compute_node, partition, replica, keys,
-                                      out));
-    return;
-  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {
@@ -335,30 +203,72 @@ void PartitionedFile::GetBatchInPartitionOnReplicaAsync(
     found += (*out)[i].size();
     for (const Record& r : (*out)[i]) bytes += r.size();
   }
-  const size_t num_keys = keys.size();
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  // `keys` is captured by pointer: the async contract guarantees it stays
-  // valid until `done` fires.
-  cluster_->SubmitChargeBatchRead(
-      compute_node, storage_node, num_keys, std::max(bytes, kMinProbeBytes),
-      sim::MakeCompletionCallbackTag(
-          [this, partition, replica, found, num_keys, out, keys_ptr = &keys,
-           done = std::move(done)](const sim::Completion& c) {
-            Status s = c.status;
-            if (s.ok()) {
-              CountEpochRead(partition, replica);
-              access_stats_.batched_gets.fetch_add(1,
-                                                   std::memory_order_relaxed);
-              access_stats_.batched_keys.fetch_add(num_keys,
-                                                   std::memory_order_relaxed);
-              access_stats_.records_read.fetch_add(found,
-                                                   std::memory_order_relaxed);
-              ApplyBitRotBatch(c.outcome, out, found);
-              s = VerifyBatch(out, *keys_ptr, partition, replica);
-            }
-            done(std::move(s));
-          }),
-      cq);
+  // Charge BEFORE exposing results as read: if the fused device operation
+  // faults, the caller sees an error and must discard `out` wholesale.
+  ChargeRead(ReadKind::kBatch, compute_node, NodeOfReplica(partition, replica),
+             keys.size(), std::max(bytes, kMinProbeBytes), cq,
+             [this, partition, replica, found, out, keys = &keys,
+              done = std::move(done)](const sim::Completion& c) {
+               Status s = c.status;
+               if (s.ok()) {
+                 CountEpochRead(partition, replica);
+                 access_stats_.batched_gets.fetch_add(
+                     1, std::memory_order_relaxed);
+                 access_stats_.batched_keys.fetch_add(
+                     keys->size(), std::memory_order_relaxed);
+                 access_stats_.records_read.fetch_add(
+                     found, std::memory_order_relaxed);
+                 ApplyBitRotBatch(c.outcome, out, found);
+                 s = VerifyBatch(out, *keys, partition, replica);
+               }
+               done(std::move(s));
+             });
+}
+
+Status PartitionedFile::ChargeScan(sim::NodeId compute_node,
+                                   uint32_t partition, uint64_t bytes,
+                                   sim::ReadOutcome* outcome) {
+  const uint64_t stream_bytes = std::max<uint64_t>(bytes, kMinProbeBytes);
+  const uint32_t rf = ReplicaCountFor(partition);
+  Status charge;
+  // Replicas whose streams came back rotten; rewritten once a clean copy
+  // has been streamed.
+  std::vector<sim::NodeId> rotten_nodes;
+  for (uint32_t r = 0; r < rf; ++r) {
+    sim::NodeId storage_node = NodeOfReplica(partition, r);
+    if (r + 1 < rf && cluster_->NodeIsDown(storage_node)) {
+      access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    *outcome = sim::ReadOutcome();
+    charge = cluster_->ChargeSequentialRead(compute_node, storage_node,
+                                            stream_bytes, outcome);
+    if (charge.ok() && outcome->corrupted && verify_checksums()) {
+      access_stats_.corrupt_reads.fetch_add(1, std::memory_order_relaxed);
+      charge = Status::Corruption(
+          "checksum mismatch scanning file '" + name_ + "' partition " +
+          std::to_string(partition) + " replica " + std::to_string(r) +
+          " (node " + std::to_string(storage_node) + ")");
+      if (r + 1 < rf) {
+        rotten_nodes.push_back(storage_node);
+        access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      break;  // every replica rotten or unreachable: surface kCorruption
+    }
+    if (charge.ok()) CountEpochRead(partition, r);
+    if (charge.ok() || !charge.IsUnavailable() || r + 1 >= rf) break;
+    access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
+  }
+  LH_RETURN_NOT_OK(charge);
+  for (sim::NodeId bad : rotten_nodes) {
+    if (cluster_->ChargeReplicatedWrite(compute_node, {bad}, stream_bytes)
+            .ok()) {
+      access_stats_.read_repairs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  access_stats_.partition_scans.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Status PartitionedFile::ScanPartition(sim::NodeId compute_node,
@@ -378,59 +288,8 @@ Status PartitionedFile::ScanPartitionKeyed(sim::NodeId compute_node,
                               "'");
   }
   const Partition& p = partitions_[partition];
-  // Scans fail over at the io layer (no executor involvement): a down
-  // primary is skipped in favor of the next live replica, a replica whose
-  // charge comes back kUnavailable hands the scan to the next one, and —
-  // with verification on — a replica whose stream fails its checksums is
-  // treated exactly like a dead one. The charge happens BEFORE any record
-  // is visited, so switching replicas never double-delivers records.
-  const uint32_t rf = ReplicaCountFor(partition);
-  Status charge;
   sim::ReadOutcome outcome;
-  // Replicas whose streams came back rotten; rewritten in place (read
-  // repair) once a clean copy has been streamed.
-  std::vector<sim::NodeId> rotten_nodes;
-  for (uint32_t r = 0; r < rf; ++r) {
-    sim::NodeId storage_node = NodeOfReplica(partition, r);
-    if (r + 1 < rf && cluster_->NodeIsDown(storage_node)) {
-      access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    outcome = sim::ReadOutcome();
-    charge = cluster_->ChargeSequentialRead(
-        compute_node, storage_node,
-        std::max<uint64_t>(p.bytes, kMinProbeBytes), &outcome);
-    if (charge.ok() && outcome.corrupted && verify_checksums()) {
-      access_stats_.corrupt_reads.fetch_add(1, std::memory_order_relaxed);
-      charge = Status::Corruption(
-          "checksum mismatch scanning file '" + name_ + "' partition " +
-          std::to_string(partition) + " replica " + std::to_string(r) +
-          " (node " + std::to_string(storage_node) + ")");
-      if (r + 1 < rf) {
-        rotten_nodes.push_back(storage_node);
-        access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      break;  // every replica rotten or unreachable: surface kCorruption
-    }
-    if (charge.ok()) CountEpochRead(partition, r);
-    if (charge.ok() || !charge.IsUnavailable() || r + 1 >= rf) break;
-    access_stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-  }
-  LH_RETURN_NOT_OK(charge);
-  // Read repair: the clean stream just read is the source of truth — push
-  // it back over each rotten replica so the rot does not linger. Repair is
-  // best-effort (a faulted write leaves the replica for the scrubber).
-  for (sim::NodeId bad : rotten_nodes) {
-    if (cluster_
-            ->ChargeReplicatedWrite(compute_node, {bad},
-                                    std::max<uint64_t>(p.bytes,
-                                                       kMinProbeBytes))
-            .ok()) {
-      access_stats_.read_repairs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  access_stats_.partition_scans.fetch_add(1, std::memory_order_relaxed);
+  LH_RETURN_NOT_OK(ChargeScan(compute_node, partition, p.bytes, &outcome));
   uint64_t visited = 0;
   // Verification off models an unprotected lake: a corrupt stream delivers
   // one bit-rotted record to the visitor instead of failing the scan.
@@ -450,75 +309,20 @@ Status PartitionedFile::ScanPartitionKeyed(sim::NodeId compute_node,
   return Status::OK();
 }
 
-Status File::GetRangeInPartition(sim::NodeId, uint32_t, const std::string&,
-                                 const std::string&, const RecordVisitor&) {
-  return Status::NotImplemented("file '" + name_ +
-                                "' does not support range lookups; use a "
-                                "BtreeFile");
-}
-
-Status BtreeFile::GetRangeInPartition(sim::NodeId compute_node,
-                                      uint32_t partition, const std::string& lo,
-                                      const std::string& hi,
-                                      const RecordVisitor& visit) {
-  return GetRangeInPartitionOnReplica(compute_node, partition, /*replica=*/0,
-                                      lo, hi, visit);
-}
-
-Status BtreeFile::GetRangeInPartitionOnReplica(sim::NodeId compute_node,
-                                               uint32_t partition,
-                                               uint32_t replica,
-                                               const std::string& lo,
-                                               const std::string& hi,
-                                               const RecordVisitor& visit) {
-  LH_RETURN_NOT_OK(CheckSealed());
-  LH_RETURN_NOT_OK(CheckPartitionAndReplica(partition, replica));
-  access_stats_.range_lookups.fetch_add(1, std::memory_order_relaxed);
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  // One random read for the index descent...
-  sim::ReadOutcome outcome;
-  LH_RETURN_NOT_OK(cluster_->ChargeRandomRead(compute_node, storage_node,
-                                              kMinProbeBytes, &outcome));
-  CountEpochRead(partition, replica);
-  // Matches are BUFFERED rather than visited inline: the result is only
-  // integrity-checked once every device charge of the operation has landed
-  // (descent + leaf stream), and nothing may reach the visitor before that
-  // verdict. Early-stop visitors simply stop delivery.
-  std::vector<Record> matched;
-  uint64_t bytes = 0;
-  partitions_[partition].tree->GetRange(
-      lo, hi, [&](const std::string&, const Record& record) {
-        bytes += record.size();
-        matched.push_back(record);
-        return true;
-      });
-  access_stats_.records_read.fetch_add(matched.size(),
-                                       std::memory_order_relaxed);
-  // ...plus a sequential stream over the matching leaf chain.
-  if (bytes > 0) {
-    sim::ReadOutcome leaf_outcome;
-    LH_RETURN_NOT_OK(cluster_->ChargeSequentialRead(
-        compute_node, storage_node, bytes, &leaf_outcome));
-    outcome.MergeFrom(leaf_outcome);
-  }
-  ApplyBitRot(outcome, &matched, 0);
-  LH_RETURN_NOT_OK(
-      VerifyRecords(&matched, 0, lo, &hi, partition, replica));
-  for (const Record& record : matched) {
-    if (!visit(record)) break;
-  }
-  return Status::OK();
+void File::GetRangeInPartitionOnReplicaAsync(sim::NodeId, uint32_t, uint32_t,
+                                             const std::string&,
+                                             const std::string&, RecordVisitor,
+                                             sim::CompletionQueue*,
+                                             AsyncReadDone done) {
+  done(Status::NotImplemented("file '" + name_ +
+                              "' does not support range lookups; use a "
+                              "BtreeFile"));
 }
 
 void BtreeFile::GetRangeInPartitionOnReplicaAsync(
     sim::NodeId compute_node, uint32_t partition, uint32_t replica,
     const std::string& lo, const std::string& hi, RecordVisitor visit,
     sim::CompletionQueue* cq, AsyncReadDone done) {
-  if (cq == nullptr) {
-    done(GetRangeInPartitionOnReplica(compute_node, partition, replica, lo, hi,
-                                      visit));
-    return;
-  }
   Status pre = CheckSealed();
   if (pre.ok()) pre = CheckPartitionAndReplica(partition, replica);
   if (!pre.ok()) {
@@ -526,72 +330,63 @@ void BtreeFile::GetRangeInPartitionOnReplicaAsync(
     return;
   }
   access_stats_.range_lookups.fetch_add(1, std::memory_order_relaxed);
-  sim::NodeId storage_node = NodeOfReplica(partition, replica);
-  // Stage 1: the index-descent random read. The tree is only walked once
-  // the descent charge lands, mirroring the blocking order; like the
-  // blocking path, matches are buffered and only delivered after the leaf
-  // stream's charge has landed and the merged outcome passed verification.
-  std::string lo_copy = lo;
-  std::string hi_copy = hi;
-  cluster_->SubmitChargeRandomRead(
-      compute_node, storage_node, kMinProbeBytes,
-      sim::MakeCompletionCallbackTag(
-          [this, compute_node, partition, replica, storage_node,
-           lo = std::move(lo_copy), hi = std::move(hi_copy),
-           visit = std::move(visit), cq,
-           done = std::move(done)](const sim::Completion& c) mutable {
-            if (!c.status.ok()) {
-              done(c.status);
-              return;
+  const sim::NodeId storage_node = NodeOfReplica(partition, replica);
+  // One random read for the index descent; the tree is walked once it
+  // lands...
+  ChargeRead(
+      ReadKind::kRandom, compute_node, storage_node, 1, kMinProbeBytes, cq,
+      [this, compute_node, partition, replica, storage_node, lo = &lo,
+       hi = &hi, visit = std::move(visit), cq,
+       done = std::move(done)](const sim::Completion& descent) mutable {
+        if (!descent.status.ok()) {
+          done(descent.status);
+          return;
+        }
+        CountEpochRead(partition, replica);
+        // Matches are BUFFERED rather than visited inline: the result is
+        // only integrity-checked once every device charge of the operation
+        // has landed (descent + leaf stream), and nothing may reach the
+        // visitor before that verdict. Early-stop visitors simply stop
+        // delivery.
+        std::vector<Record> matched;
+        uint64_t bytes = 0;
+        partitions_[partition].tree->GetRange(
+            *lo, *hi, [&](const std::string&, const Record& record) {
+              bytes += record.size();
+              matched.push_back(record);
+              return true;
+            });
+        access_stats_.records_read.fetch_add(matched.size(),
+                                             std::memory_order_relaxed);
+        auto land_leaf = [this, partition, replica, lo, hi,
+                          descent_outcome = descent.outcome,
+                          matched = std::move(matched),
+                          visit = std::move(visit), done = std::move(done)](
+                             const sim::Completion& leaf) mutable {
+          if (!leaf.status.ok()) {
+            done(leaf.status);
+            return;
+          }
+          sim::ReadOutcome outcome = descent_outcome;
+          outcome.MergeFrom(leaf.outcome);
+          ApplyBitRot(outcome, &matched, 0);
+          Status verdict =
+              VerifyRecords(&matched, 0, *lo, hi, partition, replica);
+          if (verdict.ok()) {
+            for (const Record& record : matched) {
+              if (!visit(record)) break;
             }
-            CountEpochRead(partition, replica);
-            auto matched = std::make_shared<std::vector<Record>>();
-            uint64_t bytes = 0;
-            partitions_[partition].tree->GetRange(
-                lo, hi, [&](const std::string&, const Record& record) {
-                  bytes += record.size();
-                  matched->push_back(record);
-                  return true;
-                });
-            access_stats_.records_read.fetch_add(matched->size(),
-                                                 std::memory_order_relaxed);
-            auto finish = [this, partition, replica, lo = std::move(lo),
-                           hi = std::move(hi),
-                           matched](const sim::ReadOutcome& outcome,
-                                    const RecordVisitor& deliver) {
-              ApplyBitRot(outcome, matched.get(), 0);
-              Status verdict = VerifyRecords(matched.get(), 0, lo, &hi,
-                                             partition, replica);
-              if (verdict.ok()) {
-                for (const Record& record : *matched) {
-                  if (!deliver(record)) break;
-                }
-              }
-              return verdict;
-            };
-            if (bytes == 0) {
-              done(finish(c.outcome, visit));
-              return;
-            }
-            // Stage 2: the leaf-chain sequential stream.
-            sim::ReadOutcome descent_outcome = c.outcome;
-            cluster_->SubmitChargeSequentialRead(
-                compute_node, storage_node, bytes,
-                sim::MakeCompletionCallbackTag(
-                    [descent_outcome, finish = std::move(finish),
-                     visit = std::move(visit), done = std::move(done)](
-                        const sim::Completion& leaf) {
-                      if (!leaf.status.ok()) {
-                        done(leaf.status);
-                        return;
-                      }
-                      sim::ReadOutcome merged = descent_outcome;
-                      merged.MergeFrom(leaf.outcome);
-                      done(finish(merged, visit));
-                    }),
-                cq);
-          }),
-      cq);
+          }
+          done(std::move(verdict));
+        };
+        if (bytes == 0) {
+          land_leaf(sim::Completion());  // no leaf chain to stream
+          return;
+        }
+        // ...plus a sequential stream over the matching leaf chain.
+        ChargeRead(ReadKind::kSequential, compute_node, storage_node, 1, bytes,
+                   cq, std::move(land_leaf));
+      });
 }
 
 Status BtreeFile::GetRangeAllPartitions(sim::NodeId compute_node,

@@ -1,11 +1,14 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/btree.h"
 #include "io/file.h"
+#include "sim/completion_queue.h"
 
 namespace lakeharbor::io {
 
@@ -37,34 +40,14 @@ class PartitionedFile : public File {
   void Seal() { sealed_ = true; }
   bool sealed() const { return sealed_; }
 
-  Status Get(sim::NodeId compute_node, const Pointer& ptr,
-             std::vector<Record>* out) override;
-  Status GetInPartition(sim::NodeId compute_node, uint32_t partition,
-                        const std::string& key,
-                        std::vector<Record>* out) override;
-  /// Replica-addressed point lookup: identical result from any replica, but
-  /// device charges land on NodeOfReplica(partition, replica)'s disk.
-  Status GetInPartitionOnReplica(sim::NodeId compute_node, uint32_t partition,
-                                 uint32_t replica, const std::string& key,
-                                 std::vector<Record>* out) override;
-
-  /// Fused multi-key probe: one B-tree descent amortized over every key of
-  /// the batch, charged as a single batch read (one seek plus cheap
-  /// follow-ups) instead of keys.size() random reads.
-  Status GetBatchInPartition(sim::NodeId compute_node, uint32_t partition,
-                             const std::vector<std::string>& keys,
-                             std::vector<std::vector<Record>>* out) override;
-  Status GetBatchInPartitionOnReplica(
-      sim::NodeId compute_node, uint32_t partition, uint32_t replica,
-      const std::vector<std::string>& keys,
-      std::vector<std::vector<Record>>* out) override;
-
-  /// Async point/batch reads: the B-tree probe resolves records
-  /// synchronously at submission; only the device charge suspends. Counter
-  /// placement matches the blocking path exactly — lookups/batched_gets are
-  /// bumped before the charge where the blocking path bumps them before,
-  /// records_read and epoch attribution land only on a successful charge.
-  /// A null `cq` runs the blocking read in place (see File).
+  /// Point and fused batch reads: the B-tree probe resolves records
+  /// synchronously at submission; only the device charge suspends (with a
+  /// null `cq` it is made in place, see File). A point read costs one
+  /// random read on NodeOfReplica(partition, replica)'s disk; a batch read
+  /// amortizes one B-tree descent over every key, charged as a single batch
+  /// read (one seek plus cheap follow-ups) instead of keys.size() random
+  /// reads. lookups are counted at submission; records_read, batched_gets
+  /// and epoch attribution only once the charge landed.
   void GetInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                     uint32_t partition, uint32_t replica,
                                     const std::string& key,
@@ -109,10 +92,88 @@ class PartitionedFile : public File {
 
   Status CheckSealed() const;
   Status CheckPartitionAndReplica(uint32_t partition, uint32_t replica) const;
-  Status ChargeLookup(sim::NodeId compute_node, uint32_t partition,
-                      uint32_t replica, size_t result_bytes,
-                      size_t result_records,
-                      sim::ReadOutcome* outcome = nullptr);
+
+  /// Minimum bytes charged for a device probe, even when the lookup misses:
+  /// reading *nothing* still costs a page-sized I/O.
+  static constexpr size_t kMinProbeBytes = 64;
+
+  enum class ReadKind : uint8_t { kRandom, kBatch, kSequential };
+
+  /// Charge one device read of `bytes` (`ops` fused keys for kBatch) on
+  /// `storage_node`, then run `land(const sim::Completion&)`, the read's
+  /// landing step. With a queue, `land` becomes the charge's callback tag
+  /// on `cq` and runs on the delivering thread. With a null `cq` the charge
+  /// is the blocking Charge call (a submission on a latch plus one wait)
+  /// and `land` runs on this thread before the call returns: no callback
+  /// tag, and nothing `land` holds is copied.
+  template <typename Land>
+  void ChargeRead(ReadKind kind, sim::NodeId compute_node,
+                  sim::NodeId storage_node, size_t ops, size_t bytes,
+                  sim::CompletionQueue* cq, Land&& land) {
+    if (cq == nullptr) {
+      sim::Completion c;
+      switch (kind) {
+        case ReadKind::kRandom:
+          c.status = cluster_->ChargeRandomRead(compute_node, storage_node,
+                                                bytes, &c.outcome);
+          break;
+        case ReadKind::kBatch:
+          c.status = cluster_->ChargeBatchRead(compute_node, storage_node, ops,
+                                               bytes, &c.outcome);
+          break;
+        case ReadKind::kSequential:
+          c.status = cluster_->ChargeSequentialRead(compute_node, storage_node,
+                                                    bytes, &c.outcome);
+          break;
+      }
+      land(c);
+      return;
+    }
+    const uint64_t tag =
+        sim::MakeCompletionCallbackTag(std::forward<Land>(land));
+    switch (kind) {
+      case ReadKind::kRandom:
+        cluster_->SubmitChargeRandomRead(compute_node, storage_node, bytes,
+                                         tag, cq);
+        break;
+      case ReadKind::kBatch:
+        cluster_->SubmitChargeBatchRead(compute_node, storage_node, ops, bytes,
+                                        tag, cq);
+        break;
+      case ReadKind::kSequential:
+        cluster_->SubmitChargeSequentialRead(compute_node, storage_node, bytes,
+                                             tag, cq);
+        break;
+    }
+  }
+
+  /// Charge the sequential stream of one partition scan over `bytes`, with
+  /// failover at the io layer (no executor involvement): a down replica is
+  /// skipped in favor of the next live one, a replica whose charge comes
+  /// back kUnavailable hands the scan to the next one, and — with
+  /// verification on — a replica whose stream fails its checksums is
+  /// treated exactly like a dead one. Once a clean stream has been read it
+  /// is pushed back over each rotten replica (read repair, best-effort: a
+  /// faulted write leaves the replica for the scrubber). `outcome` receives
+  /// the serving stream's verdict; a successful charge counts the scan.
+  /// Callers visit records only after this returns OK, so switching
+  /// replicas never double-delivers records.
+  Status ChargeScan(sim::NodeId compute_node, uint32_t partition,
+                    uint64_t bytes, sim::ReadOutcome* outcome);
+
+  /// Rot one of records [begin, records->size()) when `outcome` says the
+  /// read was corrupted: the entropy picks the victim and flips a bit in a
+  /// COPY of its payload (the stored tree data is never touched — the
+  /// simulation models rot on the wire/platter, not in the source of
+  /// truth). A read that returned nothing has no payload to rot.
+  static void ApplyBitRot(const sim::ReadOutcome& outcome,
+                          std::vector<Record>* records, size_t begin);
+  /// Batched analogue: the victim index counts across the flattened
+  /// buckets, which hold `found` records.
+  static void ApplyBitRotBatch(const sim::ReadOutcome& outcome,
+                               std::vector<std::vector<Record>>* out,
+                               size_t found);
+
   /// Checksum-verify records [begin, out->size()) (no-op when
   /// verify_checksums() is off). On a mismatch: count it, truncate `out`
   /// back to `begin` so the caller never sees rotten bytes, and return
@@ -146,22 +207,11 @@ class BtreeFile final : public PartitionedFile {
  public:
   using PartitionedFile::PartitionedFile;
 
-  /// Range lookup within one partition: visit records with lo <= key <= hi.
+  /// Range read within one partition: visit records with lo <= key <= hi.
   /// Charged as one index descent (random read) plus a sequential leaf
-  /// stream proportional to the result size.
-  Status GetRangeInPartition(sim::NodeId compute_node, uint32_t partition,
-                             const std::string& lo, const std::string& hi,
-                             const RecordVisitor& visit) override;
-  Status GetRangeInPartitionOnReplica(sim::NodeId compute_node,
-                                      uint32_t partition, uint32_t replica,
-                                      const std::string& lo,
-                                      const std::string& hi,
-                                      const RecordVisitor& visit) override;
-
-  /// Async range read: descent charge suspends, then the B-tree range is
-  /// collected on the delivering thread, then the leaf-stream sequential
-  /// charge suspends again; records reach `visit` only once both charges
-  /// landed and verified. A null `cq` runs the blocking read in place.
+  /// stream proportional to the result size. The tree is walked once the
+  /// descent lands; records reach `visit` only once both charges landed and
+  /// verified.
   void GetRangeInPartitionOnReplicaAsync(sim::NodeId compute_node,
                                          uint32_t partition, uint32_t replica,
                                          const std::string& lo,

@@ -60,11 +60,11 @@ struct ExecContext {
   obs::TraceRecorder* trace = nullptr;
   uint32_t stage = 0;
   /// Async execution surface: the completion queue device charges deliver
-  /// into, and the continuation runtime. A null `completion_queue` means
-  /// "run here": every io read completes on the calling thread before it
-  /// returns (see io::File), so an ExecuteAsync call finishes — `done`
-  /// included — before it returns. The built-in dereferencers' Execute is
-  /// exactly that call.
+  /// into, and the continuation runtime. With a null `completion_queue`
+  /// every io read is a blocking read — io::File's async call with a null
+  /// queue, which lands on the calling thread before it returns — so an
+  /// ExecuteAsync call finishes, `done` included, before it returns. The
+  /// built-in dereferencers' Execute is exactly that call.
   sim::CompletionQueue* completion_queue = nullptr;
   AsyncRuntime* async = nullptr;
 };

@@ -1,14 +1,19 @@
 #pragma once
 
-// Check of io::File's async-read contract with a null completion queue: the
-// read runs in place, `done` fires before the call returns, and the status,
-// the delivered records, the file's AccessStats and the cluster's device
-// counters equal those of the blocking replica read — on a healthy
-// replica, a downed node and a rotten read alike.
+// Check of io::File's async-read contract: with a null completion queue the
+// read runs in place and `done` fires before the call returns; on a
+// pull-mode queue that the test thread drains, `done` fires from a
+// delivered completion. Either way the status, the delivered records, the
+// file's AccessStats and the cluster's device counters equal those of the
+// blocking replica read — on a healthy replica, a downed node and a rotten
+// read alike.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "io/file.h"
 #include "io/record.h"
 #include "sim/cluster.h"
+#include "sim/completion_queue.h"
 
 namespace lakeharbor::inline_read_check {
 
@@ -85,6 +91,29 @@ Status RunWithoutQueue(const Start& start) {
   return status;
 }
 
+/// Call an async read on a pull-mode completion queue (`start(cq, done)`
+/// must pass both on) and deliver its completions on this thread until
+/// `done` fires. Timed, the device timer thread pushes them meanwhile.
+template <typename Start>
+Status RunOnQueue(const Start& start) {
+  sim::CompletionQueue cq;
+  Status status;
+  bool ran = false;
+  start(&cq, [&status, &ran](Status s) {
+    status = std::move(s);
+    ran = true;
+  });
+  while (!ran) {
+    if (std::optional<sim::Completion> c = cq.TryPop()) {
+      sim::DeliverCallbackTag(*c);
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  EXPECT_TRUE(cq.empty()) << "completions left after done fired";
+  return status;
+}
+
 inline void AppendPayloads(const std::vector<io::Record>& records,
                            std::vector<std::string>* out) {
   for (const io::Record& r : records) out->push_back(r.bytes());
@@ -113,7 +142,8 @@ inline StatusCode ArmFault(sim::Cluster& cluster, sim::NodeId node,
 }
 
 /// For each fault on the replica's `storage_node`: the blocking read and the
-/// null-queue async read end alike and leave the same counters behind.
+/// async read `in_place` (with a null queue, or on a queue RunOnQueue
+/// drains) end alike and leave the same counters behind.
 template <typename Blocking, typename InPlace>
 void ExpectInPlaceReadMatchesBlocking(sim::Cluster& cluster,
                                       const io::File& stats_file,

@@ -387,11 +387,13 @@ TEST_F(FileFixture, PartitionAccountingSumsToTotals) {
 
 using inline_read_check::AppendPayloads;
 using inline_read_check::ExpectInPlaceReadMatchesBlocking;
+using inline_read_check::RunOnQueue;
 using inline_read_check::RunWithoutQueue;
 
-/// A null completion queue makes every async read run the blocking read in
-/// place: `done` fires before the call returns, with the blocking read's
-/// records, charges and counters (timed: its in-thread device sleep too).
+/// A blocking read is the async read with a null completion queue: `done`
+/// fires before the call returns, and the read charges in place (timed: its
+/// device wait on this thread too). Submitted on a queue, the same read
+/// ends with the blocking read's records, charges and counters.
 class InPlaceAsyncReads : public ::testing::TestWithParam<bool> {
  protected:
   sim::Cluster cluster{
@@ -456,6 +458,47 @@ TEST_P(InPlaceAsyncReads, PartitionedFilePointAndBatchReadsMatchBlocking) {
         for (const auto& bucket : out) AppendPayloads(bucket, payloads);
         return s;
       });
+
+  // The same reads submitted on a queue: `done` fires from a completion
+  // this thread delivers.
+  ExpectInPlaceReadMatchesBlocking(
+      cluster, *file, storage,
+      [&](std::vector<std::string>* payloads) {
+        std::vector<Record> out;
+        Status s = file->GetInPartitionOnReplica(reader, p, 0, key, &out);
+        AppendPayloads(out, payloads);
+        return s;
+      },
+      [&](std::vector<std::string>* payloads) {
+        std::vector<Record> out;
+        Status s = RunOnQueue(
+            [&](sim::CompletionQueue* cq, File::AsyncReadDone done) {
+              file->GetInPartitionOnReplicaAsync(reader, p, 0, key, &out, cq,
+                                                 std::move(done));
+            });
+        AppendPayloads(out, payloads);
+        return s;
+      });
+  ExpectInPlaceReadMatchesBlocking(
+      cluster, *file, storage,
+      [&](std::vector<std::string>* payloads) {
+        std::vector<std::vector<Record>> out;
+        Status s =
+            file->GetBatchInPartitionOnReplica(reader, p, 0, keys, &out);
+        for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+        return s;
+      },
+      [&](std::vector<std::string>* payloads) {
+        std::vector<std::vector<Record>> out;
+        Status s = RunOnQueue(
+            [&](sim::CompletionQueue* cq, File::AsyncReadDone done) {
+              file->GetBatchInPartitionOnReplicaAsync(reader, p, 0, keys,
+                                                      &out, cq,
+                                                      std::move(done));
+            });
+        for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+        return s;
+      });
 }
 
 TEST_P(InPlaceAsyncReads, BtreeFileRangeReadsMatchBlocking) {
@@ -490,6 +533,32 @@ TEST_P(InPlaceAsyncReads, BtreeFileRangeReadsMatchBlocking) {
               },
               nullptr, std::move(done));
         });
+      });
+
+  // Submitted on a queue, the read lands in two completions (descent, then
+  // leaf stream); `lo` and `hi` must outlive both.
+  const std::string lo = "2024-03";
+  const std::string hi = "2024-07";
+  ExpectInPlaceReadMatchesBlocking(
+      cluster, *file, storage,
+      [&](std::vector<std::string>* payloads) {
+        return file->GetRangeInPartitionOnReplica(
+            reader, p, 0, lo, hi, [&](const Record& r) {
+              payloads->push_back(r.bytes());
+              return true;
+            });
+      },
+      [&](std::vector<std::string>* payloads) {
+        return RunOnQueue(
+            [&](sim::CompletionQueue* cq, File::AsyncReadDone done) {
+              file->GetRangeInPartitionOnReplicaAsync(
+                  reader, p, 0, lo, hi,
+                  [payloads](const Record& r) {
+                    payloads->push_back(r.bytes());
+                    return true;
+                  },
+                  cq, std::move(done));
+            });
       });
 }
 

@@ -208,15 +208,16 @@ TEST(StreamingIngest, LatestReadsSeeTailAndKeepPerKeyLsnOrder) {
   EXPECT_EQ(buckets[0][0].bytes(), Row(60, "new"));
 }
 
-/// A null completion queue makes the streaming reads run the blocking read
-/// in place — at the latest LSN and at a snapshot pin alike: `done` fires
-/// before the call returns, with the blocking read's tree-plus-tail
-/// records, charges and counters.
+/// A blocking streaming read is the async read with a null completion
+/// queue, at the latest LSN and at a snapshot pin alike: `done` fires before
+/// the call returns. Submitted on a queue, the same read ends with the
+/// blocking read's tree-plus-tail records, charges and counters.
 class InPlaceStreamingReads : public ::testing::TestWithParam<bool> {};
 
 TEST_P(InPlaceStreamingReads, LatestAndPinnedReadsMatchBlocking) {
   using inline_read_check::AppendPayloads;
   using inline_read_check::ExpectInPlaceReadMatchesBlocking;
+  using inline_read_check::RunOnQueue;
   using inline_read_check::RunWithoutQueue;
   StreamLab lab;
   lab.cluster.SetTimingEnabled(GetParam());
@@ -272,6 +273,44 @@ TEST_P(InPlaceStreamingReads, LatestAndPinnedReadsMatchBlocking) {
             reads->GetBatchInPartitionOnReplicaAsync(
                 reader, p, 0, keys, &out, nullptr, std::move(done));
           });
+          for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+          return s;
+        });
+    // The same reads submitted on a queue this thread drains.
+    ExpectInPlaceReadMatchesBlocking(
+        lab.cluster, *lab.file, storage,
+        [&](std::vector<std::string>* payloads) {
+          std::vector<io::Record> out;
+          Status s = reads->GetInPartitionOnReplica(reader, p, 0, key, &out);
+          AppendPayloads(out, payloads);
+          return s;
+        },
+        [&](std::vector<std::string>* payloads) {
+          std::vector<io::Record> out;
+          Status s = RunOnQueue(
+              [&](sim::CompletionQueue* cq, io::File::AsyncReadDone done) {
+                reads->GetInPartitionOnReplicaAsync(reader, p, 0, key, &out,
+                                                    cq, std::move(done));
+              });
+          AppendPayloads(out, payloads);
+          return s;
+        });
+    ExpectInPlaceReadMatchesBlocking(
+        lab.cluster, *lab.file, storage,
+        [&](std::vector<std::string>* payloads) {
+          std::vector<std::vector<io::Record>> out;
+          Status s =
+              reads->GetBatchInPartitionOnReplica(reader, p, 0, keys, &out);
+          for (const auto& bucket : out) AppendPayloads(bucket, payloads);
+          return s;
+        },
+        [&](std::vector<std::string>* payloads) {
+          std::vector<std::vector<io::Record>> out;
+          Status s = RunOnQueue(
+              [&](sim::CompletionQueue* cq, io::File::AsyncReadDone done) {
+                reads->GetBatchInPartitionOnReplicaAsync(
+                    reader, p, 0, keys, &out, cq, std::move(done));
+              });
           for (const auto& bucket : out) AppendPayloads(bucket, payloads);
           return s;
         });
