@@ -5,8 +5,8 @@
 // Phase 1 (quiesced baseline): load a StreamingFile, stream a sealed epoch
 // backlog into it, drain the backlog completely through the LogMerger
 // (kMaintenance jobs via sched::JobScheduler), then run the probe-key
-// point-lookup workload on BOTH engines — threaded through the scheduler
-// (competing like real foreground traffic) and async directly. The
+// point-lookup workload on BOTH engines — the capped one through the
+// scheduler (competing like real foreground traffic) and async directly. The
 // resulting checksums are THE answer: every concurrent cell must reproduce
 // them bit-identically. Baseline p99 anchors the degradation gate.
 //
@@ -24,7 +24,7 @@
 // remainder, and re-probes the latest state — which must again equal the
 // baseline (the extra keys are disjoint from the probes).
 //
-// Exit-code gates: every checksum (threaded, async, post-drain) equals the
+// Exit-code gates: every checksum (capped, async, post-drain) equals the
 // quiesced baseline in every cell; index-behind-log lag is reported and
 // every cell drains to lag 0 with the exact record count; foreground p99
 // stays < 2x the same engine's quiesced baseline (+1 ms additive floor for
@@ -233,7 +233,7 @@ struct CellResult {
   uint64_t append_rps = 0;
   std::string merge_mode;
   uint64_t merge_bps = 0;
-  PassResult threaded;
+  PassResult capped;
   PassResult async_pass;
   PassResult final_pass;
   uint64_t lag_lsn_start = 0;      ///< tail_lsn - merged_lsn at pin time
@@ -260,15 +260,15 @@ void EmitJson(bench::Ledger& ledger, const CellResult& r) {
   row.Set("merge_mode", Json::MakeString(r.merge_mode));
   row.Set("merge_bytes_per_sec",
           Json::MakeNumber(static_cast<double>(r.merge_bps)));
-  row.Set("checksum_threaded", Json::MakeString(r.threaded.checksum));
+  row.Set("checksum_capped", Json::MakeString(r.capped.checksum));
   row.Set("checksum_async", Json::MakeString(r.async_pass.checksum));
   row.Set("checksum_final", Json::MakeString(r.final_pass.checksum));
-  row.Set("error", Json::MakeString(!r.threaded.ok ? r.threaded.error
+  row.Set("error", Json::MakeString(!r.capped.ok ? r.capped.error
                                     : !r.async_pass.ok
                                         ? r.async_pass.error
                                         : r.final_pass.error));
-  row.Set("p99_threaded_us",
-          Json::MakeNumber(static_cast<double>(r.threaded.p99_us)));
+  row.Set("p99_capped_us",
+          Json::MakeNumber(static_cast<double>(r.capped.p99_us)));
   row.Set("p99_async_us",
           Json::MakeNumber(static_cast<double>(r.async_pass.p99_us)));
   row.Set("lag_lsn_start",
@@ -378,8 +378,9 @@ CellResult RunCell(const IngestBenchConfig& config,
   }
 
   // The measured foreground: same probes as the baseline, via the pinned
-  // view — threaded through the shared scheduler, then async directly.
-  cell.threaded = RunSchedulerPass(scheduler, view, probes);
+  // view — the capped engine through the shared scheduler, then async
+  // directly.
+  cell.capped = RunSchedulerPass(scheduler, view, probes);
   cell.async_pass = RunExecutorPass(async_executor, view, probes);
 
   if (appender.joinable()) appender.join();
@@ -480,7 +481,7 @@ int main() {
   const std::vector<int64_t> probes = ProbeKeys(config);
 
   // Phase 1: the quiesced baseline — drained backlog, no concurrent work.
-  PassResult base_threaded;
+  PassResult base_capped;
   PassResult base_async;
   {
     Lake lake(config);
@@ -498,22 +499,22 @@ int main() {
 
     lake.cluster->SetTimingEnabled(true);
     auto view = ingest::MakeSnapshotView(lake.file);
-    base_threaded = RunSchedulerPass(scheduler, view, probes);
+    base_capped = RunSchedulerPass(scheduler, view, probes);
     base_async = RunExecutorPass(async_executor, view, probes);
-    LH_CHECK_MSG(base_threaded.ok && base_async.ok,
+    LH_CHECK_MSG(base_capped.ok && base_async.ok,
                  "quiesced baseline pass failed");
-    LH_CHECK_MSG(base_threaded.checksum == base_async.checksum,
+    LH_CHECK_MSG(base_capped.checksum == base_async.checksum,
                  "quiesced engines disagree");
 
     Json row = Json::MakeObject();
     row.Set("bench", Json::MakeString("ingest"));
     row.Set("append_mode", Json::MakeString("baseline"));
     row.Set("merge_mode", Json::MakeString("quiesced"));
-    row.Set("checksum_threaded", Json::MakeString(base_threaded.checksum));
+    row.Set("checksum_capped", Json::MakeString(base_capped.checksum));
     row.Set("checksum_async", Json::MakeString(base_async.checksum));
-    row.Set("rows", Json::MakeNumber(static_cast<double>(base_threaded.rows)));
-    row.Set("p99_threaded_us",
-            Json::MakeNumber(static_cast<double>(base_threaded.p99_us)));
+    row.Set("rows", Json::MakeNumber(static_cast<double>(base_capped.rows)));
+    row.Set("p99_capped_us",
+            Json::MakeNumber(static_cast<double>(base_capped.p99_us)));
     row.Set("p99_async_us",
             Json::MakeNumber(static_cast<double>(base_async.p99_us)));
     std::string line = row.Dump();
@@ -538,17 +539,17 @@ int main() {
       CellResult cell = RunCell(config, probes, smpe_options, append, merge);
       EmitJson(ledger, cell);
       ++cells;
-      if (!cell.threaded.ok || cell.threaded.checksum != base_threaded.checksum ||
+      if (!cell.capped.ok || cell.capped.checksum != base_capped.checksum ||
           !cell.async_pass.ok ||
-          cell.async_pass.checksum != base_threaded.checksum ||
+          cell.async_pass.checksum != base_capped.checksum ||
           !cell.final_pass.ok ||
-          cell.final_pass.checksum != base_threaded.checksum) {
+          cell.final_pass.checksum != base_capped.checksum) {
         checksums_agree = false;
       }
       // Bounded foreground degradation, per engine against its own quiesced
       // baseline: < 2x plus a 1 ms additive floor covering toy-scale
       // scheduler noise (negligible at real scale).
-      if (cell.threaded.p99_us >= base_threaded.p99_us * 2 + 1000 ||
+      if (cell.capped.p99_us >= base_capped.p99_us * 2 + 1000 ||
           cell.async_pass.p99_us >= base_async.p99_us * 2 + 1000) {
         p99_bounded = false;
       }
@@ -558,7 +559,7 @@ int main() {
   }
 
   std::printf(
-      "\ncells=%llu; all checksums (threaded, async, post-drain) match the "
+      "\ncells=%llu; all checksums (capped, async, post-drain) match the "
       "quiesced baseline: %s; foreground p99 < 2x quiesced baseline: %s; "
       "every cell drained to lag 0 with exact record counts: %s; merge gate "
       "deferred post-pin epochs in every merge+append cell: %s\n",

@@ -13,7 +13,10 @@
 # epoch folds vs pinned-snapshot reads vs the background merger pump
 # (streaming_ingest_test), the one background driver behind the merger,
 # scrubber and rebalancer yielding, resubmitting and cancelling its jobs
-# (background_test), the lock-free in-flight count and listener-mode
+# (background_test; the background_test_repeated entry runs it 10 times
+# over, so the device completions and backoff timers that resume a
+# background task race Cancel and job finalization many times per run),
+# the lock-free in-flight count and listener-mode
 # completion queue racing their destroyers (concurrent_test), and the async
 # workers' work-stealing sleep/wake protocol, whose tests the
 # async_executor_work_stealing_repeated entry runs 15 times over (a lost

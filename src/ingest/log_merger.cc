@@ -18,7 +18,6 @@ constexpr uint64_t kMinMergeBytes = 64;
 /// (throttle yield, transient failure) resumes at the unfolded partitions
 /// instead of re-charging or re-applying work already done.
 struct EpochMergeTask {
-  sim::Cluster* cluster = nullptr;
   StreamingFile* file = nullptr;
   std::shared_ptr<EpochBatch> batch;
   RetryPolicy retry;
@@ -44,7 +43,9 @@ struct EpochMergeTask {
   /// One node's share of the epoch: the partitions it owns at the job's
   /// fan-out epoch (Algorithm 1's local resolution), or every partition
   /// when the tuple was not broadcast. Partitions owned by different nodes
-  /// fold concurrently; each has exactly one owner per submission.
+  /// fold concurrently; each has exactly one owner per submission. Each
+  /// call hands the stage the charges of the first unfolded partition with
+  /// bytes, whose landing folds it; the next call resumes after it.
   Status Run(const rede::ExecContext& ctx, const rede::Tuple& input,
              sched::Budget& budget) {
     const sim::NodeId owner = input.resolve_owner == rede::Tuple::kResolveOnSelf
@@ -60,51 +61,52 @@ struct EpochMergeTask {
       const EpochBatch::PartitionDelta& pd = batch->parts[p];
       if (pd.folded) continue;  // resume-on-resubmit
       const uint64_t bytes = pd.bytes;
-      if (bytes > 0) {
-        // Replay read of the log segment at the primary + replicated write
-        // of the folded index pages — the throttle counts both sides.
-        if (!budget.Take(2 * bytes)) return Status::OK();
-        const sim::NodeId primary = file->NodeOfPartition(p);
-        const std::vector<sim::NodeId> replicas =
-            file->placement().ReplicaNodes(p);
-        Status charged = RunWithRetry(
-            retry,
-            [&]() -> Status {
-              LH_RETURN_NOT_OK(cluster->ChargeSequentialRead(
-                  primary, primary, std::max(bytes, kMinMergeBytes)));
-              return cluster->ChargeReplicatedWrite(
-                  primary, replicas, std::max(bytes, kMinMergeBytes));
-            },
-            [&](size_t, uint64_t) {
-              progress->charge_retries.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            },
-            budget.cancel_token(),
-            (batch->epoch << 32) ^ static_cast<uint64_t>(p));
+      if (bytes == 0) {
+        LH_RETURN_NOT_OK(Fold(ctx, p));
+        continue;
+      }
+      // Replay read of the log segment at the primary + replicated write
+      // of the folded index pages — the throttle counts both sides.
+      if (!budget.Take(2 * bytes)) return Status::OK();
+      sched::DeviceStep step;
+      step.node = file->NodeOfPartition(p);
+      step.source = step.node;
+      step.bytes = std::max(bytes, kMinMergeBytes);
+      step.write_to = file->placement().ReplicaNodes(p);
+      step.retry = retry;
+      step.jitter_seed = (batch->epoch << 32) ^ static_cast<uint64_t>(p);
+      step.retries = &progress->charge_retries;
+      step.land = [this, &ctx, p](Status charged, const sim::ReadOutcome&) {
         LH_RETURN_NOT_OK(charged);
-      }
-      // Charge-then-fold: the in-memory fold cannot fail, so the charge was
-      // the last fallible step of this partition. Together with the folded
-      // flag this makes record visibility exactly-once across crashes —
-      // charges may repeat on a retry, results never do.
-      const index::FoldResult folded = file->FoldBucket(batch, p);
-      progress->partitions_folded.fetch_add(1, std::memory_order_relaxed);
-      progress->records_folded.fetch_add(folded.records,
-                                         std::memory_order_relaxed);
-      progress->bytes_folded.fetch_add(folded.bytes,
+        return Fold(ctx, p);
+      };
+      budget.Step(std::move(step));
+      return Status::OK();
+    }
+    return Status::OK();
+  }
+
+  /// Charge-then-fold: the in-memory fold cannot fail, so the charge was
+  /// the last fallible step of this partition. Together with the folded
+  /// flag this makes record visibility exactly-once across crashes —
+  /// charges may repeat on a retry, results never do.
+  Status Fold(const rede::ExecContext& ctx, uint32_t p) {
+    const index::FoldResult folded = file->FoldBucket(batch, p);
+    progress->partitions_folded.fetch_add(1, std::memory_order_relaxed);
+    progress->records_folded.fetch_add(folded.records,
                                        std::memory_order_relaxed);
-      if (ctx.metrics != nullptr) {
-        ctx.metrics->records_folded.fetch_add(folded.records,
-                                              std::memory_order_relaxed);
-      }
-      // The last fold of the epoch, on whichever node makes it, publishes
-      // the merged LSN at once; acq_rel orders every other node's fold
-      // before FinishEpochMerge checks the folded flags.
-      if (unfolded.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        LH_RETURN_NOT_OK(file->FinishEpochMerge(batch, ctx.metrics));
-        progress->epochs_merged.fetch_add(1, std::memory_order_relaxed);
-        finished.store(true, std::memory_order_release);
-      }
+    progress->bytes_folded.fetch_add(folded.bytes, std::memory_order_relaxed);
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->records_folded.fetch_add(folded.records,
+                                            std::memory_order_relaxed);
+    }
+    // The last fold of the epoch, on whichever node makes it, publishes
+    // the merged LSN at once; acq_rel orders every other node's fold
+    // before FinishEpochMerge checks the folded flags.
+    if (unfolded.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      LH_RETURN_NOT_OK(file->FinishEpochMerge(batch, ctx.metrics));
+      progress->epochs_merged.fetch_add(1, std::memory_order_relaxed);
+      finished.store(true, std::memory_order_release);
     }
     return Status::OK();
   }
@@ -114,11 +116,10 @@ struct EpochMergeTask {
 
 LogMerger::LogMerger(sim::Cluster* cluster, sched::JobScheduler* scheduler,
                      MergeOptions options)
-    : cluster_(cluster),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       driver_(scheduler, sched::JobClass::kMaintenance, options_.tenant,
               options_.throttle_bytes_per_sec, "merge", "fold", &progress_) {
-  LH_CHECK(cluster_ != nullptr);
+  LH_CHECK(cluster != nullptr);
   LH_CHECK_MSG(options_.max_epoch_attempts > 0,
                "log merger needs at least one attempt per epoch");
 }
@@ -143,7 +144,6 @@ StatusOr<bool> LogMerger::MergeOneEpoch(StreamingFile* file,
   }
 
   auto task = std::make_shared<EpochMergeTask>();
-  task->cluster = cluster_;
   task->file = file;
   task->batch = batch;
   task->retry = options_.retry;

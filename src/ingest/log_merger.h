@@ -28,10 +28,13 @@
 /// The job's initial pointer carries no partition, so every node runs one
 /// task that folds only the partitions it owns (Algorithm 1's local
 /// resolution, as in the broadcast dereferencers): an epoch's device work
-/// runs on all nodes at once. Per partition a task charges one sequential
-/// read of the epoch's log-segment bytes at the primary (the replay) plus
-/// one replicated write of the folded index pages to the partition's
-/// replica set — then folds the in-memory bucket, which cannot fail.
+/// runs on all nodes at once. Per partition the task's body hands the
+/// driver's stage one device step — a sequential read of the epoch's
+/// log-segment bytes at the primary (the replay) plus a replicated write of
+/// the folded index pages to the partition's replica set, retried under
+/// MergeOptions::retry — whose landing folds the in-memory bucket, which
+/// cannot fail. The body never blocks: while the charges are in flight or
+/// a retry backs off, the task holds no engine worker.
 /// Charge-then-fold plus the per-partition folded flag makes the whole
 /// pipeline exactly-once across crashes and resubmissions: a job that died
 /// mid-epoch resumes at the unfolded partitions, never double-applying a
@@ -52,7 +55,9 @@ struct MergeOptions {
   /// read + index write).
   uint64_t throttle_bytes_per_sec = 0;
 
-  /// Per-charge retry of transient device faults during replay/write.
+  /// Retry of transient device faults during each partition's replay and
+  /// write (a failed write redoes both); the driver's stage backs off on a
+  /// timer.
   RetryPolicy retry;
 
   /// Submissions of one epoch's merge job before the drain gives up.
@@ -80,7 +85,7 @@ struct MergeProgress : sched::BackgroundProgress {
   /// Merger polls that found the oldest epoch gated by a pinned snapshot
   /// (no job is submitted for them).
   std::atomic<uint64_t> gate_deferrals{0};
-  /// Transient device faults retried inside a charge.
+  /// Transient device faults retried within a partition's step.
   std::atomic<uint64_t> charge_retries{0};
 
   void Reset() {
@@ -114,6 +119,8 @@ struct MergeReport {
 /// run while the pump does. Cancel() and progress() are thread-safe.
 class LogMerger {
  public:
+  /// `cluster` is the one `scheduler`'s executor runs on: the merge
+  /// charges land there.
   LogMerger(sim::Cluster* cluster, sched::JobScheduler* scheduler,
             MergeOptions options);
   ~LogMerger() { Stop(); }
@@ -150,7 +157,6 @@ class LogMerger {
 
   void PumpLoop();
 
-  sim::Cluster* cluster_;
   MergeOptions options_;
   CancelToken pump_stop_;
   MergeProgress progress_;

@@ -25,68 +25,72 @@ struct PartitionCopyTask {
   RebalanceProgress* progress = nullptr;
   /// Bytes durably copied per target (index-aligned with move.targets).
   std::unique_ptr<std::atomic<uint64_t>[]> offsets;
+  /// Source of each target's last chunk attempt (kNoSource before one).
+  std::vector<sim::NodeId> last_sources;
 
-  /// Pull-model chunked copy: for each chunk the target charges one
-  /// sequential read at a live old-replica source (disk + transfer) and one
-  /// replicated write to itself. Chunks retry transient faults and fail
-  /// over to the next live source; the offset only advances after BOTH
+  /// Pull-model chunked copy: each call hands the stage the next chunk of
+  /// the first unfinished target, which charges one sequential read at a
+  /// live old-replica source (disk + transfer) and one replicated write to
+  /// itself. Chunks retry transient faults and fail over to the next live
+  /// source; the offset only advances when the chunk lands after BOTH
   /// charges succeeded, so a failed chunk is redone wholesale and a
   /// finished one is never duplicated.
   Status Run(sched::Budget& budget) {
     for (size_t t = 0; t < move.targets.size(); ++t) {
       const sim::NodeId target = move.targets[t];
-      uint64_t offset = offsets[t].load(std::memory_order_acquire);
-      sim::NodeId last_source = kNoSource;
-      while (offset < partition_bytes) {
-        LH_RETURN_NOT_OK(budget.CancelCause());
-        const uint64_t chunk =
-            std::min(chunk_bytes, partition_bytes - offset);
-        if (!budget.Take(chunk)) return Status::OK();
-        Status status = RunWithRetry(
-            retry,
-            [&]() -> Status {
-              sim::NodeId source = kNoSource;
-              for (sim::NodeId candidate : move.sources) {
-                if (!cluster->NodeIsDown(candidate)) {
-                  source = candidate;
-                  break;
-                }
-              }
-              if (source == kNoSource) {
-                return Status::Unavailable(
-                    "no live source replica for partition " +
-                    std::to_string(move.partition));
-              }
-              if (last_source != kNoSource && source != last_source) {
-                progress->source_failovers.fetch_add(
-                    1, std::memory_order_relaxed);
-              }
-              last_source = source;
-              LH_RETURN_NOT_OK(
-                  cluster->ChargeSequentialRead(target, source, chunk));
-              return cluster->ChargeReplicatedWrite(
-                  target, {target}, static_cast<size_t>(chunk));
-            },
-            [&](size_t, uint64_t) {
-              progress->chunk_retries.fetch_add(1, std::memory_order_relaxed);
-            },
-            budget.cancel_token(),
-            (static_cast<uint64_t>(move.partition) << 32) ^
-                static_cast<uint64_t>(target) ^ offset);
+      const uint64_t offset = offsets[t].load(std::memory_order_acquire);
+      if (offset >= partition_bytes) continue;
+      LH_RETURN_NOT_OK(budget.CancelCause());
+      const uint64_t chunk = std::min(chunk_bytes, partition_bytes - offset);
+      if (!budget.Take(chunk)) return Status::OK();
+      sched::DeviceStep step;
+      step.node = target;
+      step.pick_source = [this, t] { return PickSource(t); };
+      step.bytes = chunk;
+      step.write_to = {target};
+      step.retry = retry;
+      step.jitter_seed = (static_cast<uint64_t>(move.partition) << 32) ^
+                         static_cast<uint64_t>(target) ^ offset;
+      step.retries = &progress->chunk_retries;
+      step.land = [this, t, offset, chunk](Status status,
+                                           const sim::ReadOutcome&) {
         if (!status.ok()) {
           return status.WithContext(
               "copy of partition " + std::to_string(move.partition) +
-              " to node " + std::to_string(target) + " stalled at byte " +
-              std::to_string(offset) + "/" +
+              " to node " + std::to_string(move.targets[t]) +
+              " stalled at byte " + std::to_string(offset) + "/" +
               std::to_string(partition_bytes));
         }
-        offset += chunk;
-        offsets[t].store(offset, std::memory_order_release);
+        offsets[t].store(offset + chunk, std::memory_order_release);
         progress->bytes_copied.fetch_add(chunk, std::memory_order_relaxed);
         progress->chunks_copied.fetch_add(1, std::memory_order_relaxed);
-      }
+        return Status::OK();
+      };
+      budget.Step(std::move(step));
+      return Status::OK();
     }
     return Status::OK();
+  }
+
+  /// The first live old replica, picked before each attempt of a chunk to
+  /// target `t`; a change from the target's last source is a failover.
+  StatusOr<sim::NodeId> PickSource(size_t t) {
+    sim::NodeId source = kNoSource;
+    for (sim::NodeId candidate : move.sources) {
+      if (!cluster->NodeIsDown(candidate)) {
+        source = candidate;
+        break;
+      }
+    }
+    if (source == kNoSource) {
+      return Status::Unavailable("no live source replica for partition " +
+                                 std::to_string(move.partition));
+    }
+    if (last_sources[t] != kNoSource && source != last_sources[t]) {
+      progress->source_failovers.fetch_add(1, std::memory_order_relaxed);
+    }
+    last_sources[t] = source;
+    return source;
   }
 };
 
@@ -209,6 +213,7 @@ Status Rebalancer::RebalanceFile(File* file,
     for (size_t t = 0; t < move.targets.size(); ++t) {
       task->offsets[t].store(0, std::memory_order_relaxed);
     }
+    task->last_sources.assign(move.targets.size(), kNoSource);
     const uint32_t partition = move.partition;
     sched::BackgroundUnit unit;
     unit.label = file->name() + "/p" + std::to_string(partition);

@@ -27,11 +27,14 @@
 /// cancellation (DESIGN.md §12, "Background work").
 ///
 /// What is the Rebalancer's own: each copy is chunked and fault-tolerant —
-/// chunks retry transient device faults under RetryPolicy, fail over to the
-/// next live old replica when the source node goes down mid-move, and
-/// record per-(partition, target) byte offsets so a resubmitted job RESUMES
-/// instead of re-charging writes already applied (exactly-once with respect
-/// to ChargeReplicatedWrite). A partition with an unmerged streaming-ingest
+/// each chunk is one device step the body hands the driver's stage, which
+/// retries transient device faults under RetryPolicy on a timer, fails
+/// over to the next live old replica when the source node goes down
+/// mid-move (the step picks its source on every attempt), and records
+/// per-(partition, target) byte offsets when the chunk lands, so a
+/// resubmitted job RESUMES instead of re-charging writes already applied
+/// (exactly-once with respect to the replicated write). The body never
+/// blocks: a chunk in flight or in retry backoff holds no engine worker. A partition with an unmerged streaming-ingest
 /// tail is deferred, not copied. A partition whose copies all landed flips
 /// its epoch atomically — queries immediately serve it from the new
 /// replicas with the old set as failover tail — and when every partition
@@ -148,7 +151,7 @@ class Rebalancer {
   /// placement already matches are skipped.
   StatusOr<RebalanceReport> RebalanceToActiveMembers();
 
-  /// Abort the rebalance in flight from any thread: copy loops stop within
+  /// Abort the rebalance in flight from any thread: copies stop within
   /// one chunk/backoff quantum and the driver rolls the transitions back.
   void Cancel(Status cause) { driver_.Cancel(std::move(cause)); }
 

@@ -49,6 +49,10 @@ struct PartitionScrubTask {
   uint32_t live_replicas = 0;
   bool unrepairable = false;
 
+  /// Each call hands the stage the next replica's verify stream, or else
+  /// the next corrupt replica's repair; the step's landing records the
+  /// verdict, and the next call resumes from the verdicts. The call that
+  /// has no step left summarizes for the done hook.
   Status Run(sched::Budget& budget) {
     const uint32_t rf = file->ReplicaCountFor(partition);
     if (verdicts.size() < rf) verdicts.resize(rf, kUnverified);
@@ -66,35 +70,12 @@ struct PartitionScrubTask {
         continue;
       }
       if (!budget.Take(bytes)) return Status::OK();
-      sim::ReadOutcome outcome;
-      Status stream = RunWithRetry(
-          retry,
-          [&]() -> Status {
-            outcome = sim::ReadOutcome();
-            return cluster->ChargeSequentialRead(node, node, bytes, &outcome);
-          },
-          [&](size_t, uint64_t) {
-            progress->stream_retries.fetch_add(1, std::memory_order_relaxed);
-          },
-          budget.cancel_token(),
-          (static_cast<uint64_t>(partition) << 32) ^
-              static_cast<uint64_t>(r));
-      if (stream.IsUnavailable()) {
-        // The node died between the liveness check and the stream: treat
-        // it like a down replica rather than failing the whole pass.
-        verdicts[r] = kDown;
-        continue;
-      }
-      LH_RETURN_NOT_OK(stream);
-      progress->replicas_verified.fetch_add(1, std::memory_order_relaxed);
-      progress->bytes_verified.fetch_add(bytes, std::memory_order_relaxed);
-      if (outcome.corrupted && file->verify_checksums()) {
-        verdicts[r] = kCorrupt;
-        progress->corrupt_replicas_found.fetch_add(1,
-                                                   std::memory_order_relaxed);
-      } else {
-        verdicts[r] = kClean;
-      }
+      sched::DeviceStep step = Stream(node, node, r, 0);
+      step.land = [this, r](Status stream, const sim::ReadOutcome& outcome) {
+        return Verified(r, std::move(stream), outcome);
+      };
+      budget.Step(std::move(step));
+      return Status::OK();
     }
 
     // Phase 2 — repair: rewrite each corrupt replica from a clean live
@@ -116,25 +97,18 @@ struct PartitionScrubTask {
       if (source == kNoReplica) break;  // summarized below
       if (!budget.Take(2 * bytes)) return Status::OK();
       const sim::NodeId target_node = file->NodeOfReplica(partition, r);
-      const sim::NodeId source_node = file->NodeOfReplica(partition, source);
-      Status repair = RunWithRetry(
-          retry,
-          [&]() -> Status {
-            LH_RETURN_NOT_OK(
-                cluster->ChargeSequentialRead(target_node, source_node,
-                                              bytes));
-            return cluster->ChargeReplicatedWrite(target_node, {target_node},
-                                                  bytes);
-          },
-          [&](size_t, uint64_t) {
-            progress->stream_retries.fetch_add(1, std::memory_order_relaxed);
-          },
-          budget.cancel_token(),
-          (static_cast<uint64_t>(partition) << 32) ^
-              static_cast<uint64_t>(r) ^ 0x5c5b5c5bULL);
-      LH_RETURN_NOT_OK(repair);
-      verdicts[r] = kRepaired;
-      progress->replicas_repaired.fetch_add(1, std::memory_order_relaxed);
+      sched::DeviceStep step =
+          Stream(target_node, file->NodeOfReplica(partition, source), r,
+                 0x5c5b5c5bULL);
+      step.write_to = {target_node};
+      step.land = [this, r](Status repair, const sim::ReadOutcome&) {
+        LH_RETURN_NOT_OK(repair);
+        verdicts[r] = kRepaired;
+        progress->replicas_repaired.fetch_add(1, std::memory_order_relaxed);
+        return Status::OK();
+      };
+      budget.Step(std::move(step));
+      return Status::OK();
     }
 
     // Summarize for the done hook.
@@ -152,6 +126,41 @@ struct PartitionScrubTask {
         ++corrupt_found;
         ++repaired;
       }
+    }
+    return Status::OK();
+  }
+
+  /// A stream of the partition's bytes from `source` to `node` for
+  /// replica `r`, retried under the scrub policy.
+  sched::DeviceStep Stream(sim::NodeId node, sim::NodeId source, uint32_t r,
+                           uint64_t seed_salt) const {
+    sched::DeviceStep step;
+    step.node = node;
+    step.source = source;
+    step.bytes = bytes;
+    step.retry = retry;
+    step.jitter_seed = (static_cast<uint64_t>(partition) << 32) ^
+                       static_cast<uint64_t>(r) ^ seed_salt;
+    step.retries = &progress->stream_retries;
+    return step;
+  }
+
+  /// Lands replica `r`'s verify stream: its verdict, or kDown.
+  Status Verified(uint32_t r, Status stream, const sim::ReadOutcome& outcome) {
+    if (stream.IsUnavailable()) {
+      // The node died between the liveness check and the stream: treat
+      // it like a down replica rather than failing the whole pass.
+      verdicts[r] = kDown;
+      return Status::OK();
+    }
+    LH_RETURN_NOT_OK(stream);
+    progress->replicas_verified.fetch_add(1, std::memory_order_relaxed);
+    progress->bytes_verified.fetch_add(bytes, std::memory_order_relaxed);
+    if (outcome.corrupted && file->verify_checksums()) {
+      verdicts[r] = kCorrupt;
+      progress->corrupt_replicas_found.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      verdicts[r] = kClean;
     }
     return Status::OK();
   }

@@ -31,7 +31,10 @@
 /// transfer) under the corruption injector, and rewrites any replica whose
 /// stream fails verification from a clean sibling (one sequential read at
 /// the source plus one replicated write at the target — the same charges as
-/// a read repair). A partition where NO clean live replica exists is
+/// a read repair). Each stream and each repair is one device step the body
+/// hands the driver's stage, whose landing records the replica's verdict;
+/// the body never blocks, so a stream in flight or in retry backoff holds
+/// no engine worker. A partition where NO clean live replica exists is
 /// reported unrepairable, never silently skipped; one with an unmerged
 /// streaming-ingest tail is skipped and counted.
 ///
@@ -54,8 +57,9 @@ struct ScrubOptions {
   uint64_t throttle_bytes_per_sec = 0;
 
   /// Per-replica-stream retry of transient device faults (kIoError /
-  /// kUnavailable). Corruption verdicts are NOT retried: a rotten stream
-  /// is a repair candidate, not a transient fault.
+  /// kUnavailable), backed off on a timer by the driver's stage.
+  /// Corruption verdicts are NOT retried: a rotten stream is a repair
+  /// candidate, not a transient fault.
   RetryPolicy retry;
 
   /// Submissions of one partition's scrub job before the pass gives up.

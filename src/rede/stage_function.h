@@ -138,12 +138,14 @@ class StageFunction {
   /// worker's counter shard).
   using AsyncDone = std::function<void(Status)>;
 
-  /// Continuation-passing form of Execute. The built-in dereferencers
-  /// implement only this form — state machines that suspend across device
-  /// completions — and their Execute runs it inline without a completion
-  /// queue. The default falls back to Execute and completes inline, which
-  /// keeps custom stage functions correct: they merely hold the SMPE
-  /// engine's CPU worker for the whole call, device waits included.
+  /// Continuation-passing form of Execute. The built-in dereferencers and
+  /// the background driver's stage (sched::BackgroundDriver) implement it
+  /// as state machines that suspend across device completions and retry
+  /// backoffs; their Execute runs the same machine in place without a
+  /// completion queue. The default falls back to Execute and completes
+  /// inline, which keeps custom stage functions correct: they merely hold
+  /// the SMPE engine's CPU worker for the whole call, device waits
+  /// included.
   virtual void ExecuteAsync(const ExecContext& ctx, const Tuple& input,
                             std::vector<Tuple>* out, AsyncDone done) const {
     done(Execute(ctx, input, out));

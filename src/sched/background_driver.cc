@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "io/pointer.h"
 #include "rede/job.h"
+#include "sim/completion_queue.h"
 
 namespace lakeharbor::sched {
 
@@ -48,6 +49,11 @@ bool Budget::Take(uint64_t bytes) {
   return false;
 }
 
+void Budget::Step(DeviceStep step) {
+  LH_CHECK_MSG(!step_->has_value(), "a body hands at most one step per call");
+  step_->emplace(std::move(step));
+}
+
 Status Budget::CancelCause() const {
   if (ctx_.cancel != nullptr && ctx_.cancel->cancelled()) {
     return ctx_.cancel->cause();
@@ -56,9 +62,166 @@ Status Budget::CancelCause() const {
   return Status::OK();
 }
 
-CancelToken* Budget::cancel_token() const { return slot_->cancel; }
-
 namespace {
+
+/// One task of a unit's job: calls the body, runs the step it hands back,
+/// lands it and calls the body again, until a call hands no step. With a
+/// completion queue each charge is submitted and its completion resumes
+/// the task; without one (Execute) a charge is a submission plus one wait.
+/// With a runtime each backoff is a timer; without one (Execute,
+/// deterministic replay) it is a wait on the driver's token. Deletes itself
+/// when it ends the task.
+class UnitTask {
+ public:
+  UnitTask(const rede::ExecContext& ctx, const rede::Tuple& input,
+           BackgroundSlot* slot, rede::StageFunction::AsyncDone done)
+      : ctx_(ctx),
+        input_(input),
+        slot_(slot),
+        budget_(ctx, slot, &step_),
+        done_(std::move(done)) {}
+
+  /// Runs phases until one suspends the task or ends it. Every
+  /// continuation re-enters here. A phase that submits a charge or arms a
+  /// timer returns false at once: from then on the continuation may run
+  /// on another thread.
+  void Drive() {
+    bool more = true;
+    while (more) {
+      switch (phase_) {
+        case Phase::kBody:
+          more = CallBody();
+          break;
+        case Phase::kRead:
+          more = StartRead();
+          break;
+        case Phase::kWrite:
+          more = StartWrite();
+          break;
+        case Phase::kSettle:
+          more = Settle();
+          break;
+      }
+    }
+  }
+
+ private:
+  enum class Phase : uint8_t { kBody, kRead, kWrite, kSettle };
+
+  bool CallBody() {
+    step_.reset();
+    Status status = slot_->unit.body(ctx_, input_, budget_);
+    if (!status.ok() || !step_.has_value()) {
+      Finish(std::move(status));
+      return false;
+    }
+    attempt_ = 0;
+    phase_ = Phase::kRead;
+    return true;
+  }
+
+  bool StartRead() {
+    Status cancelled = budget_.CancelCause();
+    if (!cancelled.ok()) {
+      Finish(std::move(cancelled));
+      return false;
+    }
+    landed_ = sim::Completion();
+    phase_ = step_->write_to.empty() ? Phase::kSettle : Phase::kWrite;
+    if (step_->pick_source) {
+      StatusOr<sim::NodeId> source = step_->pick_source();
+      if (!source.ok()) {
+        landed_.status = source.status();
+        phase_ = Phase::kSettle;
+        return true;
+      }
+      step_->source = *source;
+    }
+    if (ctx_.completion_queue == nullptr) {
+      landed_.status = ctx_.cluster->ChargeSequentialRead(
+          step_->node, step_->source, step_->bytes, &landed_.outcome);
+      return true;
+    }
+    ctx_.cluster->SubmitChargeSequentialRead(
+        step_->node, step_->source, step_->bytes,
+        sim::MakeCompletionCallbackTag([this](const sim::Completion& c) {
+          landed_ = c;
+          Drive();
+        }),
+        ctx_.completion_queue);
+    return false;
+  }
+
+  bool StartWrite() {
+    phase_ = Phase::kSettle;
+    if (!landed_.status.ok()) return true;
+    if (ctx_.completion_queue == nullptr) {
+      landed_.status = ctx_.cluster->ChargeReplicatedWrite(
+          step_->node, step_->write_to, step_->bytes);
+      return true;
+    }
+    ctx_.cluster->SubmitChargeReplicatedWrite(
+        step_->node, step_->write_to, step_->bytes,
+        sim::MakeCallbackTag([this](Status status) {
+          landed_.status = std::move(status);  // keeps the read's verdict
+          Drive();
+        }),
+        ctx_.completion_queue);
+    return false;
+  }
+
+  /// Retries a retryable failure after its backoff, or lands the step.
+  /// An exhausted retryable error keeps its code and message, prefixed
+  /// with the attempt count (as RunWithRetry reports it).
+  bool Settle() {
+    Status status = std::move(landed_.status);
+    if (!status.ok() && status.IsRetryable()) {
+      if (attempt_ < step_->retry.max_retries) {
+        ++attempt_;
+        if (step_->retries != nullptr) {
+          step_->retries->fetch_add(1, std::memory_order_relaxed);
+        }
+        const uint64_t backoff_us =
+            step_->retry.JitteredBackoffUs(attempt_, step_->jitter_seed);
+        phase_ = Phase::kRead;  // which checks the tokens first
+        if (backoff_us == 0) return true;
+        if (ctx_.async != nullptr) {
+          ctx_.async->After(backoff_us, [this] { Drive(); });
+          return false;
+        }
+        slot_->cancel->WaitFor(backoff_us);
+        return true;
+      }
+      if (attempt_ > 0) {
+        status = status.WithContext("after " + std::to_string(attempt_ + 1) +
+                                    " attempts");
+      }
+    }
+    Status landed = step_->land(std::move(status), landed_.outcome);
+    if (!landed.ok()) {
+      Finish(std::move(landed));
+      return false;
+    }
+    phase_ = Phase::kBody;
+    return true;
+  }
+
+  void Finish(Status status) {
+    rede::StageFunction::AsyncDone done = std::move(done_);
+    delete this;
+    done(std::move(status));
+  }
+
+  const rede::ExecContext& ctx_;
+  const rede::Tuple& input_;
+  BackgroundSlot* slot_;
+  std::optional<DeviceStep> step_;  ///< set by Budget::Step
+  Budget budget_;
+  rede::StageFunction::AsyncDone done_;
+  Phase phase_ = Phase::kBody;
+  size_t attempt_ = 0;
+  sim::Completion landed_;  ///< the attempt's status, the read's verdict
+};
 
 /// Runs a unit's body as a ReDe stage, so background work flows through the
 /// scheduler and executor like any other job: same slots, tokens,
@@ -73,10 +236,27 @@ class UnitStage final : public rede::Dereferencer {
     return slot_->unit.target_replication;
   }
 
+  void ExecuteAsync(const rede::ExecContext& ctx, const rede::Tuple& input,
+                    std::vector<rede::Tuple>* /*out*/,
+                    AsyncDone done) const override {
+    (new UnitTask(ctx, input, slot_, std::move(done)))->Drive();
+  }
+
+  /// The same task in place: with no queue and no runtime it ends before
+  /// ExecuteAsync returns.
   Status Execute(const rede::ExecContext& ctx, const rede::Tuple& input,
-                 std::vector<rede::Tuple>* /*out*/) const override {
-    Budget budget(ctx, slot_);
-    return slot_->unit.body(ctx, input, budget);
+                 std::vector<rede::Tuple>* out) const override {
+    rede::ExecContext in_place = ctx;
+    in_place.completion_queue = nullptr;
+    in_place.async = nullptr;
+    Status status;
+    bool finished = false;
+    ExecuteAsync(in_place, input, out, [&status, &finished](Status s) {
+      status = std::move(s);
+      finished = true;
+    });
+    LH_CHECK_MSG(finished, "a background task suspended without a queue");
+    return status;
   }
 
  private:

@@ -4,12 +4,15 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/macros.h"
+#include "common/retry.h"
 #include "common/status.h"
+#include "common/status_or.h"
 #include "obs/histogram.h"
 #include "rede/stage_function.h"
 #include "rede/tuple.h"
@@ -27,6 +30,12 @@
 /// holding no execution slot and no io token, resubmission of failed jobs
 /// up to an attempt cap, cancel-and-join of every outstanding job on cancel
 /// or stop, and the per-unit latency histogram.
+///
+/// A body never blocks. Each call does its CPU work and either ends its
+/// task or hands the stage one DeviceStep; the stage submits the step's
+/// charges, waits out its retry backoffs on a timer, lands it and calls the
+/// body again. On the SMPE engine a task therefore holds no CPU worker
+/// while its charges are in flight or its backoff runs.
 
 namespace lakeharbor::sched {
 
@@ -69,29 +78,55 @@ struct BackgroundProgress {
 /// One unit's state within BackgroundDriver::Run (background_driver.cc).
 struct BackgroundSlot;
 
-/// What a unit's body sees of its driver on one task.
+/// One device step a body hands its stage (Budget::Step): a sequential
+/// read of `bytes` from `source`, issued by `node`, then, when `write_to`
+/// is not empty, a replicated write of `bytes` to `write_to`, issued by
+/// `node`. A retryable failure of either charge redoes both under `retry`:
+/// each retry is counted into `retries` (when set) and waits a backoff
+/// jittered by `jitter_seed`. `land` then runs once, with the step's final
+/// status and the read's corruption verdict; its error fails the task.
+struct DeviceStep {
+  sim::NodeId node = 0;
+  sim::NodeId source = 0;
+  /// Optional: picks `source` before each attempt. An error fails that
+  /// attempt without a charge, and is retried like a charge's.
+  std::function<StatusOr<sim::NodeId>()> pick_source;
+  uint64_t bytes = 0;
+  std::vector<sim::NodeId> write_to;
+  RetryPolicy retry;
+  uint64_t jitter_seed = 0;
+  std::atomic<uint64_t>* retries = nullptr;
+  std::function<Status(Status, const sim::ReadOutcome&)> land;
+};
+
+/// What a unit's body sees of its driver on one call.
 class Budget {
  public:
-  Budget(const rede::ExecContext& ctx, BackgroundSlot* slot)
-      : ctx_(ctx), slot_(slot) {}
+  Budget(const rede::ExecContext& ctx, BackgroundSlot* slot,
+         std::optional<DeviceStep>* step)
+      : ctx_(ctx), slot_(slot), step_(step) {}
 
   /// Charges `bytes` and returns true when they fit the byte budget now.
-  /// False records the wait: the body must return OK at once, and the
-  /// driver resubmits the unit once the deficit elapsed, so the next run
-  /// resumes from the progress the body keeps outside the job.
+  /// False records the wait: the body must return OK at once, without a
+  /// step, and the driver resubmits the unit once the deficit elapsed, so
+  /// the next run resumes from the progress the body keeps outside the job.
   bool Take(uint64_t bytes);
 
-  /// The cause when the job's token or the driver's token was cancelled,
-  /// OK otherwise. Bodies check it between steps.
-  Status CancelCause() const;
+  /// Hands the stage the one device step of this call; the body then
+  /// returns OK. The stage runs the step, its retries and its `land` hook,
+  /// then calls the body again, which resumes from the progress it keeps
+  /// outside the job. A call that hands no step ends the task.
+  void Step(DeviceStep step);
 
-  /// The driver's token, for waits inside the body (retry backoffs), so
-  /// that a Cancel interrupts them.
-  CancelToken* cancel_token() const;
+  /// The cause when the job's token or the driver's token was cancelled,
+  /// OK otherwise. Bodies check it between steps; the stage checks it
+  /// before each attempt of a step.
+  Status CancelCause() const;
 
  private:
   const rede::ExecContext& ctx_;
   BackgroundSlot* slot_;
+  std::optional<DeviceStep>* step_;
 };
 
 /// What a unit's admit() check decides before each submission.
@@ -115,6 +150,9 @@ struct BackgroundUnit {
   /// Names the unit's job, stage and initial pointer (see BackgroundDriver)
   /// and every error and warning about it.
   std::string label;
+  /// Called when a task starts and again after each step it handed lands:
+  /// CPU work, then at most one Budget::Step. It must not block; the stage
+  /// owns the step's charges, retries and backoffs.
   std::function<Status(const rede::ExecContext&, const rede::Tuple&,
                        Budget&)>
       body;

@@ -1,7 +1,8 @@
 // sched::BackgroundDriver, the one driver behind LogMerger, Scrubber and
 // Rebalancer: the byte budget, exactly-once resumption across yields and
-// failed attempts, and a throttled unit that holds no scheduler resource
-// while it waits out its deficit.
+// failed attempts, a throttled unit that holds no scheduler resource
+// while it waits out its deficit, and units in retry backoff that hold no
+// engine worker.
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,90 @@ TEST(BackgroundDriver, HoldsNoSlotOrTokenWhileThrottled) {
   EXPECT_NE(run.message().find("pass cancelled"), std::string::npos);
   EXPECT_EQ(scheduler.running(), 0u);
   EXPECT_EQ(scheduler.queued(), 0u);
+}
+
+TEST(BackgroundDriver, LookupRunsWhileUnitsBackOff) {
+  // Two units whose one device step keeps failing transiently (it streams
+  // from a node in an outage window) sit in retry backoff on the capped
+  // engine with 2 workers. A backoff is a timer, not a sleeping worker, so
+  // a point lookup submitted meanwhile runs at once instead of waiting a
+  // backoff out.
+  constexpr uint64_t kBackoffUs = 300 * 1000;
+  sim::Cluster cluster(sim::ClusterOptions::ForNodes(2));
+  constexpr sim::NodeId kDown = 1;
+  cluster.SetNodeOutage(kDown, true);
+  rede::SmpeOptions smpe;
+  smpe.async_workers = 2;
+  smpe.threads_per_node = 4;  // room on each node for both units and more
+  rede::SmpeExecutor executor(&cluster, smpe);
+  JobScheduler scheduler(&executor, SchedulerOptions{});
+  BackgroundProgress progress;
+  BackgroundDriver driver(&scheduler, JobClass::kMigration, "test", 0,
+                          "unit", "step", &progress);
+  std::atomic<uint64_t> retries{0};
+  std::vector<BackgroundUnit> units;
+  for (const char* label : {"stuck-a", "stuck-b"}) {
+    BackgroundUnit unit;
+    unit.label = label;
+    unit.body = [&retries](const rede::ExecContext& ctx, const rede::Tuple&,
+                           Budget& budget) -> Status {
+      DeviceStep step;
+      step.node = ctx.node;
+      step.source = kDown;
+      step.bytes = 4096;
+      step.retry.max_retries = 1000;
+      step.retry.backoff_initial_us = kBackoffUs;
+      step.retry.backoff_max_us = kBackoffUs;
+      step.retries = &retries;
+      step.land = [](Status status, const sim::ReadOutcome&) {
+        return status;
+      };
+      budget.Step(std::move(step));
+      return Status::OK();
+    };
+    units.push_back(std::move(unit));
+  }
+  Status run = Status::Internal("not run");
+  std::thread runner([&] {
+    run = driver.Run(std::move(units), /*max_outstanding=*/2,
+                     /*max_attempts=*/1);
+  });
+  while (retries.load() < 2) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  // Both units now wait out their first backoff.
+  auto lookup_job = rede::JobBuilder("lookup")
+                        .Initial(rede::Tuple::Point(io::Pointer::Keyed("k")))
+                        .Add(std::make_shared<NoopLookup>())
+                        .Build();
+  ASSERT_TRUE(lookup_job.ok());
+  JobSpec spec;
+  spec.tenant = "serving";
+  spec.job_class = JobClass::kPointLookup;
+  StopWatch lookup_watch;
+  auto lookup = scheduler.Run(*lookup_job, std::move(spec));
+  const double lookup_ms = lookup_watch.ElapsedMillis();
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  EXPECT_LT(lookup_ms, 50.0);
+  EXPECT_EQ(retries.load(), 2u);  // still the first backoff of each
+
+  // A cancel that lands in the backoffs fails both jobs with its cause
+  // within one backoff, and is not a failed attempt.
+  StopWatch cancel_watch;
+  driver.Cancel(Status::Aborted("liveness check done"));
+  runner.join();
+  EXPECT_LT(cancel_watch.ElapsedMillis(), 2.0 * kBackoffUs / 1000.0);
+  EXPECT_TRUE(run.IsAborted()) << run.ToString();
+  EXPECT_NE(run.message().find("liveness check done"), std::string::npos);
+  EXPECT_EQ(progress.job_resubmissions.load(), 0u);
+  bool idle = false;
+  for (int i = 0; i < 200 && !idle; ++i) {
+    idle = scheduler.running() == 0 && scheduler.queued() == 0;
+    if (!idle) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(idle);
+  cluster.SetNodeOutage(kDown, false);
 }
 
 }  // namespace

@@ -13,11 +13,13 @@
 //   - corrupt reads are never re-issued against the same replica by the
 //     retry layer (failover advances instead);
 //   - the scrubber finds and repairs cold rot under a byte-rate throttle
-//     and reports under-replicated and unrepairable partitions.
+//     and reports under-replicated and unrepairable partitions, with the
+//     same report and device charges on every executor.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -221,6 +223,23 @@ sim::FaultOptions CorruptionOnly(double rate, uint64_t seed) {
   faults.corruption_rate = rate;
   faults.seed = seed;
   return faults;
+}
+
+/// The device work charged between two TotalStats() snapshots.
+std::map<std::string, uint64_t> ChargedSince(const sim::ResourceTotals& before,
+                                             const sim::ResourceTotals& after) {
+  return {{"random_reads", after.random_reads - before.random_reads},
+          {"sequential_chunks",
+           after.sequential_chunks - before.sequential_chunks},
+          {"bytes_sequential", after.bytes_sequential - before.bytes_sequential},
+          {"writes", after.writes - before.writes},
+          {"bytes_written", after.bytes_written - before.bytes_written},
+          {"network_messages", after.network_messages - before.network_messages},
+          {"network_bytes", after.network_bytes - before.network_bytes},
+          {"injected_corruptions",
+           after.injected_corruptions - before.injected_corruptions},
+          {"service_ops", after.service_us.count - before.service_us.count},
+          {"service_us", after.service_us.sum - before.service_us.sum}};
 }
 
 /// Scan fault seeds (in a fixed order, so the pick itself is
@@ -666,6 +685,67 @@ TEST(Scrubber, ReportsPartitionsBelowTheRequestedReplicationFactor) {
     EXPECT_FALSE(p.rf_clamped);
   }
   outage_lab.cluster.SetNodeOutage(1, false);
+}
+
+TEST(Scrubber, PassIsIdenticalOnEveryExecutor) {
+  // Untimed, rf=2, every read of one node rotten and every other fault
+  // off: each verdict is fixed whatever the order the streams run in. So
+  // the capped and uncapped engines, the partitioned executor (which runs
+  // each scrub body in place) and deterministic replay must report the
+  // same pass and charge the same device work for it.
+  constexpr sim::NodeId kRotten = 1;
+  struct Executor {
+    const char* name;
+    SmpeEngine engine;
+    ExecutionMode mode;
+    uint64_t deterministic_seed;
+  };
+  std::map<std::string, uint64_t> first_report;
+  std::map<std::string, uint64_t> first_charges;
+  for (const Executor& executor :
+       {Executor{"capped", SmpeEngine::kThreaded, ExecutionMode::kSmpe, 0},
+        Executor{"uncapped", SmpeEngine::kAsync, ExecutionMode::kSmpe, 0},
+        Executor{"partitioned", SmpeEngine::kThreaded,
+                 ExecutionMode::kPartitioned, 0},
+        Executor{"replay", SmpeEngine::kThreaded, ExecutionMode::kSmpe, 5}}) {
+    SCOPED_TRACE(executor.name);
+    EngineOptions options;
+    options.smpe.engine = executor.engine;
+    options.smpe.deterministic_seed = executor.deterministic_seed;
+    IntegrityLab lab(2, options);
+    sched::JobScheduler scheduler(&lab.engine->executor(executor.mode),
+                                  sched::SchedulerOptions{});
+    io::Scrubber scrubber(&lab.cluster, &scheduler, io::ScrubOptions{});
+    scrubber.RegisterFile(lab.emp.get());
+    scrubber.RegisterFile(lab.dept.get());
+    lab.cluster.node(kRotten).disk().ConfigureFaults(CorruptionOnly(1.0, 3));
+    const sim::ResourceTotals before = lab.cluster.TotalStats();
+    auto report = scrubber.ScrubAll();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::map<std::string, uint64_t> charges =
+        ChargedSince(before, lab.cluster.TotalStats());
+    EXPECT_GT(report->corrupt_replicas_found, 0u);
+    EXPECT_EQ(report->replicas_repaired, report->corrupt_replicas_found);
+    const std::map<std::string, uint64_t> summary = {
+        {"partitions_scrubbed", report->partitions_scrubbed},
+        {"replicas_verified", report->replicas_verified},
+        {"bytes_verified", report->bytes_verified},
+        {"corrupt_replicas_found", report->corrupt_replicas_found},
+        {"replicas_repaired", report->replicas_repaired},
+        {"stream_retries", report->stream_retries},
+        {"job_resubmissions", report->job_resubmissions},
+        {"throttle_yields", report->throttle_yields},
+        {"partitions_skipped_unmerged", report->partitions_skipped_unmerged},
+        {"under_replicated", report->under_replicated.size()},
+        {"unrepairable", report->unrepairable.size()}};
+    if (first_report.empty()) {
+      first_report = summary;
+      first_charges = charges;
+      continue;
+    }
+    EXPECT_EQ(summary, first_report);
+    EXPECT_EQ(charges, first_charges);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -793,6 +794,76 @@ TEST(Rebalance, CancelMidMigrationRollsBackAndCountsNoResubmission) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(ElasticLab::Canonical(after->tuples),
             ElasticLab::Canonical(baseline->tuples));
+}
+
+TEST(Rebalance, JoinIsIdenticalOnEveryExecutor) {
+  // Untimed and fault-free, a join copies the same chunks whatever the
+  // order the copies run in. So the capped and uncapped engines, the
+  // partitioned executor (which runs each copy body in place) and
+  // deterministic replay must report the same rebalance and charge the
+  // same device work for it.
+  struct Executor {
+    const char* name;
+    SmpeEngine engine;
+    ExecutionMode mode;
+    uint64_t deterministic_seed;
+  };
+  std::map<std::string, uint64_t> first_report;
+  std::map<std::string, uint64_t> first_charges;
+  for (const Executor& executor :
+       {Executor{"capped", SmpeEngine::kThreaded, ExecutionMode::kSmpe, 0},
+        Executor{"uncapped", SmpeEngine::kAsync, ExecutionMode::kSmpe, 0},
+        Executor{"partitioned", SmpeEngine::kThreaded,
+                 ExecutionMode::kPartitioned, 0},
+        Executor{"replay", SmpeEngine::kThreaded, ExecutionMode::kSmpe, 5}}) {
+    SCOPED_TRACE(executor.name);
+    EngineOptions options;
+    options.smpe.engine = executor.engine;
+    options.smpe.deterministic_seed = executor.deterministic_seed;
+    ElasticLab lab(2, options);
+    sched::JobScheduler scheduler(&lab.engine->executor(executor.mode),
+                                  sched::SchedulerOptions{});
+    io::RebalanceOptions rebalance;
+    rebalance.copy_chunk_bytes = 64;  // several chunks per partition
+    io::Rebalancer rebalancer(&lab.cluster, &scheduler, rebalance);
+    lab.RegisterAll(&rebalancer);
+    const uint64_t expected_bytes = lab.ExpectedCopyBytes({0, 1, 2, 3, 4});
+    const sim::ResourceTotals before = lab.cluster.TotalStats();
+    auto joined = rebalancer.AddNodeAndRebalance();
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    const sim::ResourceTotals after = lab.cluster.TotalStats();
+    const io::RebalanceReport& report = rebalancer.last_report();
+    EXPECT_EQ(report.bytes_copied, expected_bytes);
+    const std::map<std::string, uint64_t> summary = {
+        {"partitions_moved", report.partitions_moved},
+        {"partitions_unchanged", report.partitions_unchanged},
+        {"bytes_copied", report.bytes_copied},
+        {"chunks_copied", report.chunks_copied},
+        {"chunk_retries", report.chunk_retries},
+        {"source_failovers", report.source_failovers},
+        {"job_resubmissions", report.job_resubmissions},
+        {"throttle_yields", report.throttle_yields},
+        {"partitions_requeued_unmerged", report.partitions_requeued_unmerged},
+        {"committed_epoch", report.committed_epoch}};
+    const std::map<std::string, uint64_t> charges = {
+        {"random_reads", after.random_reads - before.random_reads},
+        {"sequential_chunks",
+         after.sequential_chunks - before.sequential_chunks},
+        {"bytes_sequential", after.bytes_sequential - before.bytes_sequential},
+        {"writes", after.writes - before.writes},
+        {"bytes_written", after.bytes_written - before.bytes_written},
+        {"network_messages", after.network_messages - before.network_messages},
+        {"network_bytes", after.network_bytes - before.network_bytes},
+        {"service_ops", after.service_us.count - before.service_us.count},
+        {"service_us", after.service_us.sum - before.service_us.sum}};
+    if (first_report.empty()) {
+      first_report = summary;
+      first_charges = charges;
+      continue;
+    }
+    EXPECT_EQ(summary, first_report);
+    EXPECT_EQ(charges, first_charges);
+  }
 }
 
 }  // namespace
